@@ -71,6 +71,9 @@ class DecentralizedControl:
 
 ControlMode = CentralizedControl | DecentralizedControl
 
+# The loop components that can hold peer rounds.
+COORDINATED_COMPONENTS = ("analyze", "execute")
+
 
 def _numeric(value: Any, spec: AggregationSpec) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -64,8 +64,6 @@ class KbEntry:
 class KnowledgeBase:
     def __init__(self) -> None:
         self.latest: dict[tuple[str, str], KbEntry] = {}
-        self.history: list[Observation] = []
-        self.version = 0
         # analyze's memo: id(condition) -> (condition, entry, holds_from(entry)).
         # Entries are frozen and replaced on every put, so the same entry object
         # means the same verdict; holding both objects keeps their ids unique.
@@ -83,8 +81,6 @@ class KnowledgeBase:
             )
         since = entry.since if entry is not None and entry.value == obs.value else obs.timestamp
         self.latest[key] = KbEntry(obs.value, obs.timestamp, since)
-        self.history.append(obs)
-        self.version += 1
 
 
 class Comparator(str, Enum):
@@ -261,10 +257,6 @@ class Monitor:
 
     def register_touchpoint(self, service: str, spec: ParameterSpec, reader: Reader) -> None:
         self._touchpoints[(service, spec.name)] = (spec, reader)
-
-    @property
-    def touchpoints(self) -> tuple[tuple[str, str], ...]:
-        return tuple(self._touchpoints)
 
     def sample(self, service: str, parameter: str, now: int) -> Observation:
         try:

@@ -7,8 +7,6 @@ recompute the delimited output line by line and match it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
 from fogloop.coordination import CentralizedControl
 from fogloop.runtime import RunResult
 from fogloop.smartbuilding import MJ_PER_KWH
@@ -21,7 +19,6 @@ class RunMetrics:
     deliveries: dict[str, int] = field(default_factory=dict)
     hops: dict[str, int] = field(default_factory=dict)
     latencies: list[int] = field(default_factory=list)
-    latency_by_policy: dict[str, list[int]] = field(default_factory=dict)
     symptoms: int = 0
     plans: int = 0
     dispatches: int = 0
@@ -80,8 +77,6 @@ def compute_metrics(result: RunResult) -> RunMetrics:
                 metrics.hops[hop] = metrics.hops.get(hop, 0) + 1
         elif kind == "actuate-applied":
             metrics.latencies.append(detail["latency"])
-            metrics.latency_by_policy.setdefault(
-                detail["policy"], []).append(detail["latency"])
         elif kind == "symptom":
             metrics.symptoms += 1
         elif kind == "plan":
@@ -154,15 +149,3 @@ def summary_text(result: RunResult, metrics: RunMetrics) -> str:
     )
     return "\n".join(lines) + "\n"
 
-
-def per_policy_summary(metrics: RunMetrics) -> dict[str, dict[str, Any]]:
-    """Latency tallies keyed by the policy that caused the actuation."""
-    out: dict[str, dict[str, Any]] = {}
-    for policy in sorted(metrics.latency_by_policy):
-        samples = metrics.latency_by_policy[policy]
-        out[policy] = {
-            "count": len(samples),
-            "mean": sum(samples) / len(samples),
-            "max": max(samples),
-        }
-    return out

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from fogloop.errors import FogloopError
-
 DEFAULT_SAMPLE_INTERVAL_MS = 1000
 
 
@@ -146,10 +144,6 @@ class ValidationReport:
         return [str(v) for v in self.violations]
 
 
-class UnknownMemberError(FogloopError):
-    """A composite member does not resolve to a declared service."""
-
-
 def validate_domain(domain: Domain) -> ValidationReport:
     """Check every structural invariant of a domain.
 
@@ -209,23 +203,3 @@ def validate_domain(domain: Domain) -> ValidationReport:
                 seen_members.add(member)
     return report
 
-
-def touchpoints(service: Service) -> tuple[tuple[ParameterSpec, ...], tuple[CommandSpec, ...]]:
-    """Split a service surface into (sensors, effectors), in declaration order."""
-    return service.parameters, service.commands
-
-
-def composite_closure(task: Task, composite: Composite) -> tuple[Service, ...]:
-    """Resolve a composite's members to services, deduplicated, order preserved."""
-    resolved: list[Service] = []
-    seen: set[str] = set()
-    for member in composite.members:
-        svc = task.service(member)
-        if svc is None:
-            raise UnknownMemberError(
-                f"composite '{composite.name}' references unknown service '{member}'"
-            )
-        if member not in seen:
-            resolved.append(svc)
-            seen.add(member)
-    return tuple(resolved)

@@ -9,9 +9,9 @@ scope devices' host nodes, ties broken by lexicographic node id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from fogloop.errors import ConfigError, FogloopError
 from fogloop.mape import Policy
@@ -30,10 +30,6 @@ class NoFogNodeError(FogloopError):
     """No fog node is reachable from a loop's scope devices."""
 
 
-class InvalidPartitionError(FogloopError):
-    """A split request does not partition the loop scope."""
-
-
 @dataclass(frozen=True)
 class LoopSpec:
     id: str
@@ -42,7 +38,6 @@ class LoopSpec:
     policies: tuple[Policy, ...] = ()
     node: str | None = None
     components: tuple[tuple[str, str], ...] = ()
-    cross_scope: tuple[str, ...] = ()
 
 
 @dataclass
@@ -51,13 +46,6 @@ class Placement:
 
     def node_of(self, loop_id: str, component: str) -> str | None:
         return self.assignments.get((loop_id, component))
-
-    def of_loop(self, loop_id: str) -> dict[str, str]:
-        return {
-            comp: node
-            for (lid, comp), node in self.assignments.items()
-            if lid == loop_id
-        }
 
 
 def _scope_hosts(loop: LoopSpec, topology: Topology) -> list[str]:
@@ -164,63 +152,3 @@ def validate_placement(
             report.add(f"{key[0]}.{key[1]}", "assignment for unknown loop")
     return report
 
-
-def _referenced_services(policy: Policy) -> set[str]:
-    services = {cond.service for cond in policy.when}
-    services.update(action.service for action in policy.then)
-    return services
-
-
-def split_loop(loop: LoopSpec, partition: Sequence[Iterable[str]]) -> list[LoopSpec]:
-    """Split a loop into one child per partition cell.
-
-    Policies go to the child whose cell contains every scope service they
-    reference; policies spanning cells land on the first child, flagged
-    cross-scope so coordination can be arranged for them.
-    """
-    cells = [tuple(cell) for cell in partition]
-    scope = set(loop.scope)
-    flat = [svc for cell in cells for svc in cell]
-    if len(flat) != len(set(flat)):
-        raise InvalidPartitionError(f"loop '{loop.id}': overlapping partition cells")
-    if set(flat) != scope:
-        missing = scope - set(flat)
-        extra = set(flat) - scope
-        raise InvalidPartitionError(
-            f"loop '{loop.id}': partition mismatch (missing={sorted(missing)}, "
-            f"extra={sorted(extra)})"
-        )
-    if not cells:
-        raise InvalidPartitionError(f"loop '{loop.id}': empty partition")
-
-    ordered_cells = [
-        tuple(svc for svc in loop.scope if svc in set(cell)) for cell in cells
-    ]
-    child_policies: list[list[Policy]] = [[] for _ in cells]
-    cross_scope: list[str] = []
-    for policy in loop.policies:
-        in_scope = _referenced_services(policy) & scope
-        owner = None
-        for i, cell in enumerate(ordered_cells):
-            if in_scope <= set(cell):
-                owner = i
-                break
-        if owner is None:
-            owner = 0
-            cross_scope.append(policy.name)
-        child_policies[owner].append(policy)
-
-    children: list[LoopSpec] = []
-    for i, cell in enumerate(ordered_cells):
-        children.append(
-            replace(
-                loop,
-                id=f"{loop.id}:{i}",
-                scope=cell,
-                policies=tuple(child_policies[i]),
-                node=None,
-                components=(),
-                cross_scope=tuple(cross_scope) if i == 0 else (),
-            )
-        )
-    return children

@@ -17,6 +17,8 @@ from itertools import count
 from typing import Any
 
 from fogloop.coordination import (
+    COORDINATED_COMPONENTS,
+    CoordinationRound,
     DecentralizedControl,
     ForwardingFilter,
     InteractionKind,
@@ -180,16 +182,16 @@ class LoopActor:
             raise ConfigError(
                 f"loop '{spec.id}': analyze and knowledge must share a node"
             )
+        self.is_master = runtime.master_id == spec.id
+        self.agg_states: dict[tuple[str, str, str], Any] = {}
         sim = runtime.sim
         sim.register(self.addr["monitor"], self._on_monitor)
         sim.register(self.addr["analyze"], self._on_analyze)
         sim.register(self.addr["plan"], self._on_plan)
         sim.register(self.addr["execute"], self._on_execute)
-        if runtime.master_id == spec.id:
+        if self.is_master:
             sim.register(self.addr["knowledge"], self._on_knowledge)
-            self.agg_states: dict[tuple[str, str, str], Any] = {}
 
-        self.is_master = runtime.master_id == spec.id
         self.forward_filter = ForwardingFilter()
         self.forward_keys: set[tuple[str, str]] = set()
         if runtime.master_id is not None and not self.is_master:
@@ -202,10 +204,12 @@ class LoopActor:
             isinstance(runtime.control, DecentralizedControl)
             and spec.id in runtime.control.group
         )
-        self.pending: dict[str, deque] = {c: deque() for c in ("analyze", "execute")}
-        self.round_seq: dict[str, Any] = {c: count(1) for c in ("analyze", "execute")}
-        self.active_round: dict[str, dict | None] = {"analyze": None, "execute": None}
-        self.round_requested: dict[str, bool] = {"analyze": False, "execute": False}
+        self.pending: dict[str, deque] = {c: deque() for c in COORDINATED_COMPONENTS}
+        self.round_seq: dict[str, Any] = {c: count(1) for c in COORDINATED_COMPONENTS}
+        self.active_round: dict[str, CoordinationRound | None] = dict.fromkeys(
+            COORDINATED_COMPONENTS
+        )
+        self.round_requested: dict[str, bool] = dict.fromkeys(COORDINATED_COMPONENTS, False)
         self._round_ctx: str | None = None
 
     # --- monitor ---------------------------------------------------------
@@ -428,9 +432,9 @@ class LoopActor:
     def _open_round(self, component: str) -> None:
         sim = self.runtime.sim
         round_id = f"{self.spec.id}.{component}-r{next(self.round_seq[component])}"
-        self.active_round[component] = {
-            "id": round_id, "proposals": {}, "acked": set(),
-        }
+        self.active_round[component] = CoordinationRound(
+            round_id, component, leader=self.spec.id
+        )
         sim.emit(
             "round-open",
             self.addr[component],
@@ -446,28 +450,27 @@ class LoopActor:
         )
 
     def _on_propose(self, component: str, pay: dict) -> None:
-        state = self.active_round[component]
-        if state is None or state["id"] != pay["round"]:
+        rnd = self.active_round[component]
+        if rnd is None or rnd.round_id != pay["round"]:
             return
-        state["proposals"][pay["from"]] = pay["item"]
-        if len(state["proposals"]) < len(self.runtime.group):
+        rnd.proposals[pay["from"]] = pay["item"]
+        if len(rnd.proposals) < len(self.runtime.group):
             return
-        outcome = decide_round(
-            state["id"], self.runtime.group, component, state["proposals"]
-        )
+        outcome = decide_round(rnd.round_id, self.runtime.group, component, rnd.proposals)
+        rnd.decided_by, rnd.decided = outcome.decided_by, outcome.decided
         self.runtime.sim.emit(
             "round-decide",
             self.addr[component],
-            round=state["id"],
+            round=rnd.round_id,
             component=component,
-            winner=outcome.decided_by,
+            winner=rnd.decided_by,
         )
         for member in self.runtime.group:
             self._send_round(
                 component,
                 member,
-                {"type": "decide", "round": state["id"],
-                 "by": outcome.decided_by, "item": outcome.decided},
+                {"type": "decide", "round": rnd.round_id,
+                 "by": rnd.decided_by, "item": rnd.decided},
             )
 
     def _on_decide(self, component: str, pay: dict) -> None:
@@ -499,16 +502,16 @@ class LoopActor:
             self._request_round(component)
 
     def _on_ack(self, component: str, pay: dict) -> None:
-        state = self.active_round[component]
-        if state is None or state["id"] != pay["round"]:
+        rnd = self.active_round[component]
+        if rnd is None or rnd.round_id != pay["round"]:
             return
-        state["acked"].add(pay["from"])
-        if len(state["acked"]) < len(self.runtime.group):
+        rnd.acked.add(pay["from"])
+        if len(rnd.acked) < len(self.runtime.group):
             return
         self.runtime.sim.emit(
             "round-close",
             self.addr[component],
-            round=state["id"],
+            round=rnd.round_id,
             component=component,
         )
         self.active_round[component] = None
@@ -517,10 +520,10 @@ class LoopActor:
             self._open_round(component)
 
     def _check_timeout(self, component: str, round_id: str) -> None:
-        state = self.active_round[component]
-        if state is None or state["id"] != round_id:
+        rnd = self.active_round[component]
+        if rnd is None or rnd.round_id != round_id:
             return
-        missing = sorted(set(self.runtime.group) - state["acked"])
+        missing = sorted(set(self.runtime.group) - rnd.acked)
         self.runtime.sim.emit(
             "round-abort",
             self.addr[component],
@@ -584,7 +587,7 @@ class Runtime:
                     ),
                     1,
                 )
-                for comp in ("analyze", "execute")
+                for comp in COORDINATED_COMPONENTS
             }
 
         self._emit_env(self.env.weather, self.env.outside_temp_c)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from fogloop.coordination import (
+    COORDINATED_COMPONENTS,
     AggregationSpec,
     CentralizedControl,
     Combinator,
@@ -667,8 +668,10 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             if scenario.loop(loop_id) is None:
                 report.add("control.group", f"unknown loop '{loop_id}'")
         for component in scenario.control.coordinate:
-            if component not in ("monitor", "analyze", "plan", "execute"):
-                report.add("control.coordinate", f"unknown component '{component}'")
+            if component not in COORDINATED_COMPONENTS:
+                report.add("control.coordinate",
+                           f"cannot coordinate '{component}': only "
+                           f"{' and '.join(COORDINATED_COMPONENTS)} hold rounds")
 
     last_t = -1
     for ei, event in enumerate(scenario.environment_events):

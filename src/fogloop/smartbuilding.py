@@ -185,10 +185,6 @@ class Device:
         raise UnknownCommandError(f"{self.service} has no command '{command}'")
 
 
-def apply_command(device: Device, command: str, arg: Any, now: int) -> list[Observation]:
-    return device.apply(command, arg, now)
-
-
 @dataclass
 class Environment:
     weather: str = "not-sunny"

@@ -48,7 +48,6 @@ def kb_with(*observations: Observation) -> KnowledgeBase:
 
 def test_put_into_empty_kb():
     kb = kb_with(Observation("office1.lamp", "power-state", True, 500))
-    assert kb.version == 1
     assert len(kb.latest) == 1
     entry = kb.get("office1.lamp", "power-state")
     assert entry is not None and entry.value is True and entry.timestamp == 500
@@ -61,18 +60,17 @@ def test_last_writer_wins_by_time():
     )
     entry = kb.get("s", "p")
     assert entry is not None and (entry.value, entry.timestamp) == (2, 200)
-    assert kb.version == 2
-    assert len(kb.history) == 2
+    assert len(kb.latest) == 1
 
 
 def test_stale_put_rejected_and_kb_unchanged():
     kb = kb_with(Observation("s", "p", 1, 100))
+    before = kb.get("s", "p")
     with pytest.raises(StaleObservationError):
         kb.put(Observation("s", "p", 9, 50))
-    entry = kb.get("s", "p")
-    assert entry is not None and (entry.value, entry.timestamp) == (1, 100)
-    assert kb.version == 1
-    assert len(kb.history) == 1
+    assert kb.get("s", "p") is before
+    assert before.value == 1 and before.timestamp == 100
+    assert kb.latest == {("s", "p"): before}
 
 
 def test_since_tracks_value_change_not_refresh():
@@ -177,11 +175,13 @@ def test_analyze_is_pure_and_ordered():
         Policy("a-first", (ThresholdCondition("s", "temp", Comparator.GT, 20.0),),
                (PlannedAction("s", "noop"),)),
     ]
+    before = dict(kb.latest)
     first = analyze(kb, policies, now=6)
     second = analyze(kb, policies, now=6)
     assert first == second
     assert [s.policy for s in first] == ["b-second", "a-first"]
-    assert kb.version == 2
+    assert kb.latest == before
+    assert all(kb.latest[key] is entry for key, entry in before.items())
 
 
 def test_type_mismatch_halts_analysis():
@@ -280,17 +280,21 @@ def test_execute_dispatches_exactly_once():
 
 
 @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 5)), min_size=1, max_size=60))
-def test_kb_version_counts_successful_puts(entries):
+def test_kb_latest_is_the_newest_accepted_put(entries):
     kb = KnowledgeBase()
-    accepted = 0
+    newest = None
     for ts, value in entries:
+        before = kb.get("s", "p")
         try:
             kb.put(Observation("s", "p", value, ts))
-            accepted += 1
         except StaleObservationError:
-            pass
-    assert kb.version == accepted
-    assert len(kb.history) == accepted
+            assert newest is not None and ts < newest[1]
+            assert kb.get("s", "p") is before
+            continue
+        newest = (value, ts)
+        entry = kb.get("s", "p")
+        assert (entry.value, entry.timestamp) == newest
+    assert list(kb.latest) == [("s", "p")]
 
 
 @given(

@@ -5,7 +5,6 @@ from __future__ import annotations
 from fogloop.metrics import (
     compute_metrics,
     metrics_csv,
-    per_policy_summary,
     summary_text,
 )
 from fogloop.runtime import run_scenario
@@ -145,11 +144,3 @@ class TestViews:
         metrics = compute_metrics(result)
         assert metrics.latencies == []
         assert "mean=n/a max=n/a count=0" in summary_text(result, metrics)
-
-    def test_per_policy_latency_breakdown(self):
-        result = run(one_office())
-        breakdown = per_policy_summary(compute_metrics(result))
-        assert breakdown["office1-lights-off-sunny"] == {
-            "count": 1, "mean": 2.0, "max": 2,
-        }
-        assert breakdown["office1-arm-clock"]["count"] == 1

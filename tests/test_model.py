@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
 from fogloop.model import (
     CommandSpec,
     Composite,
@@ -16,10 +12,7 @@ from fogloop.model import (
     Service,
     ServiceKind,
     Task,
-    UnknownMemberError,
     ValueType,
-    composite_closure,
-    touchpoints,
     validate_domain,
     value_conforms,
 )
@@ -117,6 +110,15 @@ def test_duplicate_names_are_violations():
     report = validate_domain(Domain("d", tasks=(Task("t"), Task("t"))))
     assert any("duplicate task name 't'" in v.message for v in report.violations)
 
+    task = office_task()
+    redundant = Composite("redundant", ("office1.lamp", "office1.door", "office1.lamp"))
+    task = dataclasses.replace(task, composites=task.composites + (redundant,))
+    report = validate_domain(Domain("d", tasks=(task,)))
+    assert [(v.path, v.message) for v in report.violations] == [
+        (f"tasks[0].composites[{len(task.composites) - 1}]",
+         "duplicate member 'office1.lamp'"),
+    ]
+
 
 def test_device_without_surface_is_flagged():
     bare = Service("mute", ServiceKind.PHYSICAL_DEVICE)
@@ -141,28 +143,6 @@ def test_validation_is_pure():
     assert first.lines() == second.lines()
 
 
-def test_touchpoints_partition_surface():
-    for svc in office_task().services:
-        sensors, effectors = touchpoints(svc)
-        assert sensors == svc.parameters
-        assert effectors == svc.commands
-        assert len(sensors) + len(effectors) == len(svc.parameters) + len(svc.commands)
-
-
-def test_closure_resolves_in_order_without_duplicates():
-    task = office_task()
-    comp = Composite("redundant", ("office1.lamp", "office1.door", "office1.lamp"))
-    resolved = composite_closure(task, comp)
-    assert [s.name for s in resolved] == ["office1.lamp", "office1.door"]
-    assert len({s.name for s in resolved}) == len(resolved)
-
-
-def test_closure_raises_on_unknown_member():
-    task = office_task()
-    with pytest.raises(UnknownMemberError):
-        composite_closure(task, Composite("bad", ("office1.lamp", "nowhere")))
-
-
 def test_value_conformance_separates_bool_from_int():
     assert value_conforms(True, ValueType.BOOLEAN)
     assert not value_conforms(True, ValueType.INTEGER)
@@ -173,14 +153,6 @@ def test_value_conformance_separates_bool_from_int():
     assert not value_conforms(3.5, ValueType.INTEGER)
     assert value_conforms("sunny", ValueType.ENUM_OF_STRINGS)
     assert not value_conforms("sunny", ValueType.REAL)
-
-
-@given(st.lists(st.sampled_from([s.name for s in office_task().services]), min_size=1))
-def test_closure_matches_ordered_dedup_oracle(members):
-    task = office_task()
-    resolved = composite_closure(task, Composite("any", tuple(members)))
-    expected = list(dict.fromkeys(members))
-    assert [s.name for s in resolved] == expected
 
 
 def test_lookups_by_name():

@@ -1,20 +1,15 @@
-"""Loop placement and loop splitting tests."""
+"""Loop placement tests."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from fogloop.mape import Comparator, PlannedAction, Policy, ThresholdCondition
 from fogloop.placement import (
     COMPONENTS,
-    InvalidPartitionError,
     LoopSpec,
     NoFogNodeError,
     Offering,
     place,
-    split_loop,
     validate_placement,
 )
 from fogloop.simnet import Link, Node, Tier, Topology
@@ -48,12 +43,12 @@ def loop(offering: Offering = Offering.MAPEAAS, **overrides) -> LoopSpec:
 
 def test_full_loop_lands_on_the_one_fog_node():
     placement = place([loop()], office_topology())
-    assert placement.of_loop("office1") == {comp: "fog1" for comp in COMPONENTS}
+    assert placement.assignments == {("office1", comp): "fog1" for comp in COMPONENTS}
 
 
 def test_split_offering_keeps_monitor_and_execute_at_fog():
     placement = place([loop(Offering.APAAS_SPLIT)], office_topology())
-    assert placement.of_loop("office1") == {
+    assert {comp: placement.node_of("office1", comp) for comp in COMPONENTS} == {
         "monitor": "fog1",
         "execute": "fog1",
         "analyze": "cloud",
@@ -147,82 +142,6 @@ def test_full_loop_on_cloud_is_flagged():
     placement.assignments[("office1", "analyze")] = "cloud"
     report = validate_placement(placement, loops, topo)
     assert any("must live on a fog node" in line for line in report.lines())
-
-
-def policy_for(*services: str, name: str = "p") -> Policy:
-    return Policy(
-        name,
-        when=tuple(
-            ThresholdCondition(svc, "power-state", Comparator.EQ, True) for svc in services
-        ),
-        then=(PlannedAction(services[0], "set-power", False),),
-    )
-
-
-def building_loop() -> LoopSpec:
-    scope = ("office1.lamp", "office1.window", "office2.lamp", "office2.window")
-    return LoopSpec(
-        "building",
-        scope,
-        Offering.MAPEAAS,
-        policies=(
-            policy_for("office1.lamp", name="one"),
-            policy_for("office2.lamp", "office2.window", name="two"),
-            policy_for("office1.lamp", "office2.lamp", name="both"),
-        ),
-    )
-
-
-def test_split_per_office_distributes_policies():
-    children = split_loop(
-        building_loop(),
-        [
-            {"office1.lamp", "office1.window"},
-            {"office2.lamp", "office2.window"},
-        ],
-    )
-    assert [c.id for c in children] == ["building:0", "building:1"]
-    assert children[0].scope == ("office1.lamp", "office1.window")
-    assert [p.name for p in children[0].policies] == ["one", "both"]
-    assert [p.name for p in children[1].policies] == ["two"]
-    assert children[0].cross_scope == ("both",)
-    assert children[1].cross_scope == ()
-
-
-def test_identity_split_keeps_everything():
-    parent = building_loop()
-    (child,) = split_loop(parent, [set(parent.scope)])
-    assert child.scope == parent.scope
-    assert child.policies == parent.policies
-    assert child.cross_scope == ()
-
-
-def test_overlapping_cells_rejected():
-    with pytest.raises(InvalidPartitionError):
-        split_loop(
-            building_loop(),
-            [
-                {"office1.lamp", "office1.window", "office2.lamp"},
-                {"office2.lamp", "office2.window"},
-            ],
-        )
-
-
-def test_partition_gap_rejected():
-    with pytest.raises(InvalidPartitionError):
-        split_loop(building_loop(), [{"office1.lamp", "office1.window"}])
-
-
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
-def test_split_preserves_policy_multiset(owners):
-    scope = tuple(f"svc{i}" for i in range(4))
-    policies = tuple(
-        policy_for(f"svc{owner}", name=f"p{i}") for i, owner in enumerate(owners)
-    )
-    parent = LoopSpec("L", scope, Offering.MAPEAAS, policies=policies)
-    children = split_loop(parent, [{"svc0", "svc1"}, {"svc2"}, {"svc3"}])
-    gathered = [p.name for child in children for p in child.policies]
-    assert sorted(gathered) == sorted(p.name for p in policies)
 
 
 def test_scope_minimality_against_alternatives():

@@ -267,6 +267,40 @@ class TestDecentralized:
         assert in_rounds
         assert len(in_rounds) == len(set(in_rounds))
 
+    def test_missing_ack_aborts_the_round_at_its_deadline(self):
+        runtime = Runtime(parse_scenario(scenario_dict(3, "decentralized")), seed=42)
+        leader = runtime.loops[runtime.group_leader]
+        first = f"{leader.spec.id}.execute-r1"
+        on_ack = leader._on_ack
+
+        def drop_office3_first_ack(component, pay):
+            if pay["round"] == first and pay["from"] == "office3":
+                return
+            on_ack(component, pay)
+
+        leader._on_ack = drop_office3_first_ack
+        runtime.sim.run_until(5_000)
+        trace = runtime.sim.trace
+
+        aborts = trace.of_kind("round-abort")
+        assert [e["detail"]["round"] for e in aborts] == [first]
+        assert aborts[0]["detail"]["missing"] == ["office3"]
+        opened = [e for e in trace.of_kind("round-open") if e["detail"]["round"] == first]
+        assert aborts[0]["t"] == opened[0]["t"] + runtime.round_timeouts["execute"]
+        closed = {e["detail"]["round"] for e in trace.of_kind("round-close")}
+        assert first not in closed
+
+        later = [
+            e["detail"]["round"] for e in trace.of_kind("round-open")
+            if e["detail"]["component"] == "execute" and e["t"] > aborts[0]["t"]
+        ]
+        decided = {e["detail"]["round"] for e in trace.of_kind("round-decide")}
+        assert later and set(later) <= decided and set(later) <= closed
+        dispatches = [
+            (e["detail"]["plan"], e["detail"]["idx"]) for e in trace.of_kind("dispatch")
+        ]
+        assert len(dispatches) == len(set(dispatches))
+
 
 class TestRobustness:
     def test_stale_observation_is_dropped(self):

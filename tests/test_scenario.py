@@ -279,6 +279,21 @@ class TestValidation:
         report = validate_scenario(parse_scenario(data))
         assert any("at least two loops" in line for line in report.lines())
 
+    @pytest.mark.parametrize("component, ok", [
+        ("analyze", True), ("execute", True),
+        ("monitor", False), ("plan", False), ("bogus", False),
+    ])
+    def test_only_analyze_and_execute_can_coordinate(self, component, ok):
+        data = scenario_dict(2, "decentralized")
+        data["control"]["coordinate"] = [component]
+        report = validate_scenario(parse_scenario(data))
+        assert report.ok is ok, report.lines()
+        if not ok:
+            assert report.lines() == [
+                f"control.coordinate: cannot coordinate '{component}': "
+                "only analyze and execute hold rounds"
+            ]
+
 
 class TestVariants:
     def test_with_offering_flips_every_loop(self):

@@ -21,7 +21,6 @@ from fogloop.smartbuilding import (
     InvalidCountError,
     OfficeState,
     UnknownCommandError,
-    apply_command,
     build_smart_building,
     instantiate_office,
     step_thermal,
@@ -35,7 +34,7 @@ def device(kind: DeviceKind, **initial) -> Device:
 
 def test_locking_an_unlocked_door_emits_observation():
     door = device(DeviceKind.DOOR, **{"lock-state": "unlocked"})
-    obs = apply_command(door, "lock", None, now=1000)
+    obs = door.apply("lock", None, now=1000)
     assert [(o.parameter, o.value, o.timestamp) for o in obs] == [("lock-state", "locked", 1000)]
     assert door.read("lock-state") == "locked"
 
