@@ -53,14 +53,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load(path: str) -> Scenario:
-    return load_scenario(path)
-
-
-def _checked(scenario: Scenario) -> list[str]:
-    return validate_scenario(scenario).lines()
-
-
 def _default_out(explicit: str | None) -> str:
     if explicit is not None:
         return explicit
@@ -69,10 +61,10 @@ def _default_out(explicit: str | None) -> str:
 
 def cmd_validate(path: str) -> int:
     try:
-        scenario = _load(path)
+        scenario = load_scenario(path)
     except ConfigError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    violations = _checked(scenario)
+    violations = validate_scenario(scenario).lines()
     if violations:
         for line in violations:
             print(line)
@@ -83,7 +75,7 @@ def cmd_validate(path: str) -> int:
 
 def _prepare(path: str, mode: str | None) -> Scenario:
     """Load, optionally switch control mode, and reparse strictly."""
-    scenario = _load(path)
+    scenario = load_scenario(path)
     if mode is not None:
         scenario = parse_scenario(with_mode(scenario.raw, mode))
     return scenario
@@ -94,7 +86,7 @@ def cmd_run(config: RunConfig) -> int:
         scenario = _prepare(config.scenario_path, config.mode)
     except ConfigError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    violations = _checked(scenario)
+    violations = validate_scenario(scenario).lines()
     if violations:
         for line in violations:
             print(line)
@@ -144,12 +136,12 @@ def _variant_scenario(base: Scenario, token: str) -> Scenario:
 
 def cmd_compare(path: str, variants: list[str], seed: int, horizon: int) -> int:
     try:
-        base = _load(path)
+        base = load_scenario(path)
         prepared = [(token, _variant_scenario(base, token)) for token in variants]
     except ConfigError as exc:
         return _fail(EXIT_INPUT, str(exc))
     for token, scenario in prepared:
-        violations = _checked(scenario)
+        violations = validate_scenario(scenario).lines()
         if violations:
             for line in violations:
                 print(f"{token}: {line}")

@@ -578,17 +578,16 @@ class Runtime:
         self.loops: dict[str, LoopActor] = {
             spec.id: LoopActor(self, spec) for spec in scenario.loops
         }
-        if self.group:
-            self.round_timeouts = {
-                comp: max(
-                    round_timeout_ms(
-                        scenario.topology,
-                        [self.loops[m].addr[comp].node for m in self.group],
-                    ),
-                    1,
-                )
-                for comp in COORDINATED_COMPONENTS
-            }
+        self.round_timeouts = {
+            comp: max(
+                round_timeout_ms(
+                    scenario.topology,
+                    [self.loops[m].addr[comp].node for m in self.group],
+                ),
+                1,
+            )
+            for comp in COORDINATED_COMPONENTS
+        } if self.group else {}
 
         self._emit_env(self.env.weather, self.env.outside_temp_c)
         self._inject_env(weather=self.env.weather,

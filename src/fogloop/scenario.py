@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
+from typing import Any, Callable, Mapping
 
 from fogloop.coordination import (
     COORDINATED_COMPONENTS,
@@ -61,7 +62,6 @@ from fogloop.smartbuilding import (
     BuildingDefaults,
     DeviceKind,
     DeviceSetup,
-    Environment,
     EnvironmentEvent,
 )
 
@@ -86,7 +86,6 @@ class Scenario:
     control: ControlMode | None
     devices: tuple[DeviceSetup, ...]
     defaults: BuildingDefaults
-    environment: Environment
     environment_events: tuple[EnvironmentEvent, ...]
     raw: dict
     parse_violations: list[Violation] = field(default_factory=list)
@@ -130,12 +129,28 @@ def _check_keys(obj: Mapping, path: str, required: tuple[str, ...],
         raise ConfigError(f"{path}: missing keys {missing}")
 
 
-def _enum(cls: type, value: Any, path: str) -> Any:
-    try:
-        return cls(value)
-    except ValueError:
-        choices = sorted(member.value for member in cls)
-        raise ConfigError(f"{path}: {value!r} is not one of {choices}") from None
+# Readers take (value, path) and return the checked, converted value.
+Reader = Callable[[Any, str], Any]
+
+
+def _str(value: Any, path: str) -> str:
+    return _expect(value, str, path)
+
+
+def _int(value: Any, path: str) -> int:
+    return _expect(value, int, path)
+
+
+def _bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a boolean")
+    return value
+
+
+def _number(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number")
+    return float(value)
 
 
 def _scalar(value: Any, path: str) -> Any:
@@ -144,331 +159,198 @@ def _scalar(value: Any, path: str) -> Any:
     return value
 
 
-def _parse_parameter(obj: Any, path: str) -> ParameterSpec:
-    _expect(obj, dict, path)
-    _check_keys(obj, path, ("name", "value_type"), ("unit", "sample_interval_ms"))
-    return ParameterSpec(
-        name=_expect(obj["name"], str, f"{path}.name"),
-        value_type=_enum(ValueType, obj["value_type"], f"{path}.value_type"),
-        unit=obj.get("unit"),
-        sample_interval_ms=_expect(obj.get("sample_interval_ms", 1000), int,
-                                   f"{path}.sample_interval_ms"),
+def _enum(cls: type[Enum]) -> Reader:
+    def read(value: Any, path: str) -> Any:
+        try:
+            return cls(value)
+        except ValueError:
+            choices = sorted(member.value for member in cls)
+            raise ConfigError(f"{path}: {value!r} is not one of {choices}") from None
+    return read
+
+
+def _opt(read: Reader) -> Reader:
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _tuple(read: Reader) -> Reader:
+    return lambda value, path: tuple(
+        read(item, f"{path}[{i}]") for i, item in enumerate(_expect(value, list, path))
     )
 
 
-def _parse_command(obj: Any, path: str) -> CommandSpec:
+def _rec(cls: type) -> Reader:
+    return lambda value, path: _record(cls, value, path)
+
+
+def _components(value: Any, path: str) -> tuple[tuple[str, str], ...]:
+    for comp, node in _expect(value, dict, path).items():
+        if comp not in COMPONENTS:
+            raise ConfigError(f"{path}: unknown component '{comp}'")
+        _str(node, f"{path}.{comp}")
+    return tuple(sorted(value.items()))
+
+
+def _initial(value: Any, path: str) -> dict:
+    for key, item in _expect(value, dict, path).items():
+        _scalar(item, f"{path}.{key}")
+    return dict(value)
+
+
+def _input(value: Any, path: str) -> tuple[str, str, str]:
+    _expect(value, list, path)
+    if len(value) != 3 or not all(isinstance(x, str) for x in value):
+        raise ConfigError(f"{path}: expected [loop, service, parameter]")
+    return tuple(value)
+
+
+def _condition(value: Any, path: str) -> Condition:
+    """A condition is a threshold, or a wrapped elapsed-time condition."""
+    if isinstance(value, dict) and "elapsed_since" in value:
+        _check_keys(value, path, ("elapsed_since",))
+        return _record(ElapsedSinceCondition, value["elapsed_since"],
+                       f"{path}.elapsed_since")
+    return _record(ThresholdCondition, value, path)
+
+
+def _condition_json(cond: Condition) -> dict:
+    if isinstance(cond, ElapsedSinceCondition):
+        return {"elapsed_since": _dump(cond)}
+    return _dump(cond)
+
+
+def _to_json(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
+    if type(value) in _SHAPES:
+        return _dump(value)
+    return value
+
+
+class _Shape:
+    """The JSON form of one record type.
+
+    `keys` maps each JSON key, in written order, to a reader or to a
+    (reader, writer) pair; the writer defaults to `_to_json`. `rename` maps
+    a JSON key to the attribute it fills when the names differ. A key is
+    required when its attribute has no default, or when listed in
+    `required`. A key is written when required, listed in `always`, or
+    holding a value other than its default.
+    """
+
+    def __init__(self, cls: type, keys: dict[str, Any],
+                 rename: Mapping[str, str] = {}, always: tuple[str, ...] = (),
+                 required: tuple[str, ...] = ()):
+        self.cls = cls
+        self.attrs = {key: rename.get(key, key) for key in keys}
+        self.readers: dict[str, Reader] = {}
+        self.writers: dict[str, Callable[[Any], Any]] = {}
+        for key, codec in keys.items():
+            self.readers[key], self.writers[key] = (
+                codec if isinstance(codec, tuple) else (codec, _to_json))
+        self.defaults: dict[str, Any] = {}
+        for f in fields(cls) if is_dataclass(cls) else ():
+            if f.default is not MISSING:
+                self.defaults[f.name] = f.default
+            elif f.default_factory is not MISSING:
+                self.defaults[f.name] = f.default_factory()
+        self.required = tuple(key for key, attr in self.attrs.items()
+                              if attr not in self.defaults or key in required)
+        self.optional = tuple(key for key in keys if key not in self.required)
+        self.written = frozenset(self.required + always)
+
+
+def _record(cls: type, obj: Any, path: str, **given: Any) -> Any:
+    """Parse one record of `cls` from its JSON object; `given` fills
+    attributes that come from outside the object."""
+    shape = _SHAPES[cls]
     _expect(obj, dict, path)
-    _check_keys(obj, path, ("name",), ("argument_type",))
-    arg_type = obj.get("argument_type")
-    return CommandSpec(
-        name=_expect(obj["name"], str, f"{path}.name"),
-        argument_type=None if arg_type is None
-        else _enum(ValueType, arg_type, f"{path}.argument_type"),
-    )
+    _check_keys(obj, path, shape.required, shape.optional)
+    for key, value in obj.items():
+        given[shape.attrs[key]] = shape.readers[key](value, f"{path}.{key}")
+    return cls(**given)
 
 
-def _parse_service(obj: Any, path: str) -> Service:
-    _expect(obj, dict, path)
-    _check_keys(obj, path, ("name", "kind"), ("parameters", "commands"))
-    return Service(
-        name=_expect(obj["name"], str, f"{path}.name"),
-        kind=_enum(ServiceKind, obj["kind"], f"{path}.kind"),
-        parameters=tuple(
-            _parse_parameter(p, f"{path}.parameters[{i}]")
-            for i, p in enumerate(_expect(obj.get("parameters", []), list,
-                                          f"{path}.parameters"))
-        ),
-        commands=tuple(
-            _parse_command(c, f"{path}.commands[{i}]")
-            for i, c in enumerate(_expect(obj.get("commands", []), list,
-                                          f"{path}.commands"))
-        ),
-    )
+def _dump(record: Any) -> dict:
+    shape = _SHAPES[type(record)]
+    out = {}
+    for key, attr in shape.attrs.items():
+        value = getattr(record, attr)
+        if key in shape.written or value != shape.defaults[attr]:
+            out[key] = shape.writers[key](value)
+    return out
 
 
-def _parse_domain(obj: Any) -> Domain:
-    _expect(obj, dict, "domain")
-    _check_keys(obj, "domain", ("name", "tasks"))
-    tasks = []
-    for ti, task_obj in enumerate(_expect(obj["tasks"], list, "domain.tasks")):
-        path = f"domain.tasks[{ti}]"
-        _expect(task_obj, dict, path)
-        _check_keys(task_obj, path, ("name",), ("services", "composites"))
-        composites = []
-        for ci, comp in enumerate(_expect(task_obj.get("composites", []), list,
-                                          f"{path}.composites")):
-            cpath = f"{path}.composites[{ci}]"
-            _expect(comp, dict, cpath)
-            _check_keys(comp, cpath, ("name", "members"), ("goal",))
-            composites.append(
-                Composite(
-                    name=_expect(comp["name"], str, f"{cpath}.name"),
-                    members=tuple(_expect(m, str, f"{cpath}.members[]")
-                                  for m in _expect(comp["members"], list,
-                                                   f"{cpath}.members")),
-                    goal=comp.get("goal", ""),
-                )
-            )
-        tasks.append(
-            Task(
-                name=_expect(task_obj["name"], str, f"{path}.name"),
-                services=tuple(
-                    _parse_service(s, f"{path}.services[{si}]")
-                    for si, s in enumerate(_expect(task_obj.get("services", []), list,
-                                                   f"{path}.services"))
-                ),
-                composites=tuple(composites),
-            )
-        )
-    return Domain(name=_expect(obj["name"], str, "domain.name"), tasks=tuple(tasks))
+_DEFAULTS_READER = {bool: _bool, int: _int, float: _number, str: _str}
+
+# The scenario format, one entry per record type. A loop's policies are
+# names here; parse_scenario resolves them against the policies section.
+_SHAPES: dict[type, _Shape] = {shape.cls: shape for shape in (
+    _Shape(ParameterSpec, {"name": _str, "value_type": _enum(ValueType),
+                           "unit": _opt(_str), "sample_interval_ms": _int},
+           always=("sample_interval_ms",)),
+    _Shape(CommandSpec, {"name": _str, "argument_type": _opt(_enum(ValueType))}),
+    _Shape(Service, {"name": _str, "kind": _enum(ServiceKind),
+                     "parameters": _tuple(_rec(ParameterSpec)),
+                     "commands": _tuple(_rec(CommandSpec))}),
+    _Shape(Composite, {"name": _str, "members": _tuple(_str), "goal": _str}),
+    _Shape(Task, {"name": _str, "services": _tuple(_rec(Service)),
+                  "composites": _tuple(_rec(Composite))}),
+    _Shape(Domain, {"name": _str, "tasks": _tuple(_rec(Task))}, required=("tasks",)),
+    _Shape(ThresholdCondition, {"service": _str, "parameter": _str,
+                                "op": _enum(Comparator), "value": _scalar},
+           rename={"op": "comparator", "value": "threshold"}),
+    _Shape(ElapsedSinceCondition, {"service": _str, "parameter": _str,
+                                   "value": _scalar, "ms": _int},
+           rename={"ms": "duration_ms"}),
+    _Shape(PlannedAction, {"service": _str, "command": _str, "arg": _scalar,
+                           "delay_ms": _int}, rename={"arg": "argument"}),
+    _Shape(Policy, {"name": _str,
+                    "when": (_tuple(_condition),
+                             lambda when: [_condition_json(c) for c in when]),
+                    "then": _tuple(_rec(PlannedAction)), "cooldown_ms": _int}),
+    _Shape(Node, {"id": _str, "tier": _enum(Tier), "hosts": _tuple(_str)},
+           rename={"hosts": "hosted"}),
+    _Shape(Link, {"a": _str, "b": _str, "latency_ms": _int, "jitter_ms": _int}),
+    _Shape(Topology, {"nodes": _tuple(_rec(Node)), "links": _tuple(_rec(Link))}),
+    _Shape(LoopSpec, {"id": _str, "scope": _tuple(_str), "offering": _enum(Offering),
+                      "policies": (_tuple(_str),
+                                   lambda policies: [p.name for p in policies]),
+                      "node": _opt(_str), "components": (_components, dict)},
+           always=("policies",)),
+    _Shape(AggregationSpec, {"name": _str, "inputs": _tuple(_input),
+                             "combinator": _enum(Combinator), "output": _str,
+                             "output_type": _enum(ValueType)},
+           always=("output_type",)),
+    _Shape(CentralizedControl, {"loop": _str, "node": _opt(_str),
+                                "aggregations": _tuple(_rec(AggregationSpec))},
+           rename={"loop": "master"}),
+    _Shape(DecentralizedControl, {"group": _tuple(_str), "coordinate": _tuple(_str)}),
+    _Shape(DeviceSetup, {"kind": _enum(DeviceKind), "office": _opt(_str),
+                         "initial": _initial}),
+    _Shape(EnvironmentEvent, {"t": _int, "weather": _opt(_str),
+                              "outside_temp_c": _opt(_number)}),
+    _Shape(BuildingDefaults, {f.name: _DEFAULTS_READER[type(f.default)]
+                              for f in fields(BuildingDefaults)},
+           always=tuple(f.name for f in fields(BuildingDefaults))),
+)}
 
 
-def _parse_condition(obj: Any, path: str) -> Condition:
-    _expect(obj, dict, path)
-    if "elapsed_since" in obj:
-        _check_keys(obj, path, ("elapsed_since",))
-        inner = _expect(obj["elapsed_since"], dict, f"{path}.elapsed_since")
-        _check_keys(inner, f"{path}.elapsed_since",
-                    ("service", "parameter", "value", "ms"))
-        return ElapsedSinceCondition(
-            service=_expect(inner["service"], str, f"{path}.service"),
-            parameter=_expect(inner["parameter"], str, f"{path}.parameter"),
-            value=_scalar(inner["value"], f"{path}.value"),
-            duration_ms=_expect(inner["ms"], int, f"{path}.ms"),
-        )
-    _check_keys(obj, path, ("service", "parameter", "op", "value"))
-    return ThresholdCondition(
-        service=_expect(obj["service"], str, f"{path}.service"),
-        parameter=_expect(obj["parameter"], str, f"{path}.parameter"),
-        comparator=_enum(Comparator, obj["op"], f"{path}.op"),
-        threshold=_scalar(obj["value"], f"{path}.value"),
-    )
-
-
-def _parse_action(obj: Any, path: str) -> PlannedAction:
-    _expect(obj, dict, path)
-    _check_keys(obj, path, ("service", "command"), ("arg", "delay_ms"))
-    return PlannedAction(
-        service=_expect(obj["service"], str, f"{path}.service"),
-        command=_expect(obj["command"], str, f"{path}.command"),
-        argument=_scalar(obj.get("arg"), f"{path}.arg"),
-        delay_ms=_expect(obj.get("delay_ms", 0), int, f"{path}.delay_ms"),
-    )
-
-
-def _parse_policies(obj: Any) -> tuple[Policy, ...]:
-    policies = []
-    for pi, pol in enumerate(_expect(obj, list, "policies")):
-        path = f"policies[{pi}]"
-        _expect(pol, dict, path)
-        _check_keys(pol, path, ("name", "when", "then"), ("cooldown_ms",))
-        policies.append(
-            Policy(
-                name=_expect(pol["name"], str, f"{path}.name"),
-                when=tuple(
-                    _parse_condition(c, f"{path}.when[{i}]")
-                    for i, c in enumerate(_expect(pol["when"], list, f"{path}.when"))
-                ),
-                then=tuple(
-                    _parse_action(a, f"{path}.then[{i}]")
-                    for i, a in enumerate(_expect(pol["then"], list, f"{path}.then"))
-                ),
-                cooldown_ms=_expect(pol.get("cooldown_ms", 0), int,
-                                    f"{path}.cooldown_ms"),
-            )
-        )
-    return tuple(policies)
-
-
-def _parse_topology(obj: Any) -> Topology:
-    _expect(obj, dict, "topology")
-    _check_keys(obj, "topology", ("nodes", "links"))
-    nodes = []
-    for ni, node in enumerate(_expect(obj["nodes"], list, "topology.nodes")):
-        path = f"topology.nodes[{ni}]"
-        _expect(node, dict, path)
-        _check_keys(node, path, ("id", "tier"), ("hosts",))
-        nodes.append(
-            Node(
-                id=_expect(node["id"], str, f"{path}.id"),
-                tier=_enum(Tier, node["tier"], f"{path}.tier"),
-                hosted=tuple(_expect(h, str, f"{path}.hosts[]")
-                             for h in _expect(node.get("hosts", []), list,
-                                              f"{path}.hosts")),
-            )
-        )
-    links = []
-    for li, link in enumerate(_expect(obj["links"], list, "topology.links")):
-        path = f"topology.links[{li}]"
-        _expect(link, dict, path)
-        _check_keys(link, path, ("a", "b", "latency_ms"), ("jitter_ms",))
-        links.append(
-            Link(
-                a=_expect(link["a"], str, f"{path}.a"),
-                b=_expect(link["b"], str, f"{path}.b"),
-                latency_ms=_expect(link["latency_ms"], int, f"{path}.latency_ms"),
-                jitter_ms=_expect(link.get("jitter_ms", 0), int, f"{path}.jitter_ms"),
-            )
-        )
-    return Topology(tuple(nodes), tuple(links))
-
-
-def _parse_loops(obj: Any, by_name: Mapping[str, Policy],
-                 deferred: list[Violation]) -> tuple[LoopSpec, ...]:
-    loops = []
-    for li, loop in enumerate(_expect(obj, list, "loops")):
-        path = f"loops[{li}]"
-        _expect(loop, dict, path)
-        _check_keys(loop, path, ("id", "scope", "offering"),
-                    ("policies", "node", "components"))
-        resolved = []
-        for name in _expect(loop.get("policies", []), list, f"{path}.policies"):
-            _expect(name, str, f"{path}.policies[]")
-            if name in by_name:
-                resolved.append(by_name[name])
-            else:
-                deferred.append(Violation(f"{path}.policies", f"unknown policy '{name}'"))
-        components = _expect(loop.get("components", {}), dict, f"{path}.components")
-        for comp, node in components.items():
-            if comp not in COMPONENTS:
-                raise ConfigError(f"{path}.components: unknown component '{comp}'")
-            _expect(node, str, f"{path}.components.{comp}")
-        loops.append(
-            LoopSpec(
-                id=_expect(loop["id"], str, f"{path}.id"),
-                scope=tuple(_expect(s, str, f"{path}.scope[]")
-                            for s in _expect(loop["scope"], list, f"{path}.scope")),
-                offering=_enum(Offering, loop["offering"], f"{path}.offering"),
-                policies=tuple(resolved),
-                node=loop.get("node"),
-                components=tuple(sorted(components.items())),
-            )
-        )
-    return tuple(loops)
-
-
-def _parse_control(obj: Any) -> ControlMode | None:
+def _control(obj: Any) -> ControlMode | None:
     if obj is None:
         return None
     _expect(obj, dict, "control")
     mode = obj.get("mode")
     if mode == "centralized":
         _check_keys(obj, "control", ("mode", "master"))
-        master = _expect(obj["master"], dict, "control.master")
-        _check_keys(master, "control.master", ("loop",), ("node", "aggregations"))
-        aggregations = []
-        for ai, agg in enumerate(_expect(master.get("aggregations", []), list,
-                                         "control.master.aggregations")):
-            path = f"control.master.aggregations[{ai}]"
-            _expect(agg, dict, path)
-            _check_keys(agg, path, ("name", "inputs", "combinator", "output"),
-                        ("output_type",))
-            inputs = []
-            for ii, entry in enumerate(_expect(agg["inputs"], list, f"{path}.inputs")):
-                _expect(entry, list, f"{path}.inputs[{ii}]")
-                if len(entry) != 3 or not all(isinstance(x, str) for x in entry):
-                    raise ConfigError(
-                        f"{path}.inputs[{ii}]: expected [loop, service, parameter]"
-                    )
-                inputs.append(tuple(entry))
-            aggregations.append(
-                AggregationSpec(
-                    name=_expect(agg["name"], str, f"{path}.name"),
-                    inputs=tuple(inputs),
-                    combinator=_enum(Combinator, agg["combinator"], f"{path}.combinator"),
-                    output=_expect(agg["output"], str, f"{path}.output"),
-                    output_type=_enum(ValueType, agg.get("output_type", "real"),
-                                      f"{path}.output_type"),
-                )
-            )
-        node = master.get("node")
-        if node is not None:
-            _expect(node, str, "control.master.node")
-        return CentralizedControl(
-            master=_expect(master["loop"], str, "control.master.loop"),
-            node=node,
-            aggregations=tuple(aggregations),
-        )
+        return _record(CentralizedControl, obj["master"], "control.master")
     if mode == "decentralized":
-        _check_keys(obj, "control", ("mode", "group"), ("coordinate",))
-        coordinate = tuple(
-            _expect(c, str, "control.coordinate[]")
-            for c in _expect(obj.get("coordinate", ["execute"]), list,
-                             "control.coordinate")
-        )
-        return DecentralizedControl(
-            group=tuple(_expect(g, str, "control.group[]")
-                        for g in _expect(obj["group"], list, "control.group")),
-            coordinate=coordinate,
-        )
+        return _record(DecentralizedControl,
+                       {key: value for key, value in obj.items() if key != "mode"},
+                       "control")
     raise ConfigError("control.mode: expected 'centralized' or 'decentralized'")
-
-
-def _parse_devices(obj: Any) -> tuple[DeviceSetup, ...]:
-    _expect(obj, dict, "devices")
-    setups = []
-    for service in obj:
-        entry = _expect(obj[service], dict, f"devices.{service}")
-        _check_keys(entry, f"devices.{service}", ("kind",), ("office", "initial"))
-        initial = _expect(entry.get("initial", {}), dict, f"devices.{service}.initial")
-        for key in initial:
-            _scalar(initial[key], f"devices.{service}.initial.{key}")
-        setups.append(
-            DeviceSetup(
-                service=service,
-                kind=_enum(DeviceKind, entry["kind"], f"devices.{service}.kind"),
-                office=entry.get("office"),
-                initial=dict(initial),
-            )
-        )
-    return tuple(setups)
-
-
-def _parse_defaults(obj: Any) -> BuildingDefaults:
-    _expect(obj, dict, "defaults")
-    spec = {f.name: f.default for f in fields(BuildingDefaults)}
-    _check_keys(obj, "defaults", (), tuple(spec))
-    cleaned = {}
-    for key, value in obj.items():
-        default = spec[key]
-        path = f"defaults.{key}"
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}: expected a boolean")
-        elif isinstance(default, int):
-            value = _expect(value, int, path)
-        elif isinstance(default, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{path}: expected a number")
-            value = float(value)
-        else:
-            value = _expect(value, str, path)
-        cleaned[key] = value
-    return BuildingDefaults(**cleaned)
-
-
-def _parse_environment(obj: Any) -> tuple[EnvironmentEvent, ...]:
-    events = []
-    for ei, entry in enumerate(_expect(obj, list, "environment")):
-        path = f"environment[{ei}]"
-        _expect(entry, dict, path)
-        _check_keys(entry, path, ("t",), ("weather", "outside_temp_c"))
-        outside = entry.get("outside_temp_c")
-        if outside is not None and (isinstance(outside, bool)
-                                    or not isinstance(outside, (int, float))):
-            raise ConfigError(f"{path}.outside_temp_c: expected a number")
-        events.append(
-            EnvironmentEvent(
-                t=_expect(entry["t"], int, f"{path}.t"),
-                weather=entry.get("weather"),
-                outside_temp_c=None if outside is None else float(outside),
-            )
-        )
-    return tuple(events)
-
-
-TOP_KEYS = ("name", "domain", "policies", "topology", "loops", "devices",
-            "defaults", "environment")
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -482,24 +364,35 @@ def parse_scenario(data: dict) -> Scenario:
     _check_keys(data, "scenario", ("domain", "policies", "topology", "loops"),
                 ("name", "control", "devices", "defaults", "environment"))
     deferred: list[Violation] = []
-    policies = _parse_policies(data["policies"])
+    policies = _tuple(_rec(Policy))(data["policies"], "policies")
     by_name: dict[str, Policy] = {}
     for policy in policies:
         if policy.name in by_name:
             deferred.append(Violation("policies", f"duplicate policy '{policy.name}'"))
         by_name[policy.name] = policy
-    defaults = _parse_defaults(data.get("defaults", {}))
+    loops = []
+    for li, loop in enumerate(_tuple(_rec(LoopSpec))(data["loops"], "loops")):
+        resolved = []
+        for name in loop.policies:
+            if name in by_name:
+                resolved.append(by_name[name])
+            else:
+                deferred.append(Violation(f"loops[{li}].policies",
+                                          f"unknown policy '{name}'"))
+        loops.append(replace(loop, policies=tuple(resolved)))
+    devices = _expect(data.get("devices", {}), dict, "devices")
     return Scenario(
-        name=data.get("name", "scenario"),
-        domain=_parse_domain(data["domain"]),
+        name=_str(data.get("name", "scenario"), "name"),
+        domain=_record(Domain, data["domain"], "domain"),
         policies=policies,
-        topology=_parse_topology(data["topology"]),
-        loops=_parse_loops(data["loops"], by_name, deferred),
-        control=_parse_control(data.get("control")),
-        devices=_parse_devices(data.get("devices", {})),
-        defaults=defaults,
-        environment=Environment(defaults.weather, defaults.outside_temp_c),
-        environment_events=_parse_environment(data.get("environment", [])),
+        topology=_record(Topology, data["topology"], "topology"),
+        loops=tuple(loops),
+        control=_control(data.get("control")),
+        devices=tuple(_record(DeviceSetup, entry, f"devices.{service}", service=service)
+                      for service, entry in devices.items()),
+        defaults=_record(BuildingDefaults, data.get("defaults", {}), "defaults"),
+        environment_events=_tuple(_rec(EnvironmentEvent))(
+            data.get("environment", []), "environment"),
         raw=data,
         parse_violations=deferred,
     )
@@ -613,8 +506,6 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 report.add(path, f"'{svc}' already managed by loop '{owned[svc]}'")
             owned[svc] = loop.id
 
-    from fogloop.smartbuilding import _DEFAULT_STATE
-
     setup_for = {setup.service: setup for setup in scenario.devices}
     for service in sorted(physical):
         if service not in setup_for:
@@ -707,175 +598,28 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     return report
 
 
-def _condition_to_dict(cond: Condition) -> dict:
-    if isinstance(cond, ElapsedSinceCondition):
-        return {
-            "elapsed_since": {
-                "service": cond.service,
-                "parameter": cond.parameter,
-                "value": cond.value,
-                "ms": cond.duration_ms,
-            }
-        }
-    return {
-        "service": cond.service,
-        "parameter": cond.parameter,
-        "op": cond.comparator.value,
-        "value": cond.threshold,
-    }
-
-
-def _action_to_dict(action: PlannedAction) -> dict:
-    out: dict[str, Any] = {"service": action.service, "command": action.command}
-    if action.argument is not None:
-        out["arg"] = action.argument
-    if action.delay_ms:
-        out["delay_ms"] = action.delay_ms
-    return out
-
-
-def _policy_to_dict(policy: Policy) -> dict:
-    out: dict[str, Any] = {
-        "name": policy.name,
-        "when": [_condition_to_dict(c) for c in policy.when],
-        "then": [_action_to_dict(a) for a in policy.then],
-    }
-    if policy.cooldown_ms:
-        out["cooldown_ms"] = policy.cooldown_ms
-    return out
-
-
-def _service_to_dict(service: Service) -> dict:
-    out: dict[str, Any] = {"name": service.name, "kind": service.kind.value}
-    if service.parameters:
-        params = []
-        for p in service.parameters:
-            entry: dict[str, Any] = {"name": p.name, "value_type": p.value_type.value,
-                                     "sample_interval_ms": p.sample_interval_ms}
-            if p.unit is not None:
-                entry["unit"] = p.unit
-            params.append(entry)
-        out["parameters"] = params
-    if service.commands:
-        commands = []
-        for c in service.commands:
-            entry = {"name": c.name}
-            if c.argument_type is not None:
-                entry["argument_type"] = c.argument_type.value
-            commands.append(entry)
-        out["commands"] = commands
-    return out
-
-
 def building_to_dict(building: Building, name: str) -> dict:
     """Serialize a generated building into the scenario schema."""
     data: dict[str, Any] = {
         "name": name,
-        "domain": {
-            "name": building.domain.name,
-            "tasks": [
-                {
-                    "name": task.name,
-                    "services": [_service_to_dict(s) for s in task.services],
-                    **(
-                        {
-                            "composites": [
-                                {"name": c.name, "members": list(c.members),
-                                 "goal": c.goal}
-                                for c in task.composites
-                            ]
-                        }
-                        if task.composites
-                        else {}
-                    ),
-                }
-                for task in building.domain.tasks
-            ],
-        },
-        "policies": [_policy_to_dict(p) for p in building.policies],
-        "topology": {
-            "nodes": [
-                {
-                    "id": node.id,
-                    "tier": node.tier.value,
-                    **({"hosts": list(node.hosted)} if node.hosted else {}),
-                }
-                for node in building.topology.nodes
-            ],
-            "links": [
-                {
-                    "a": link.a,
-                    "b": link.b,
-                    "latency_ms": link.latency_ms,
-                    **({"jitter_ms": link.jitter_ms} if link.jitter_ms else {}),
-                }
-                for link in building.topology.links
-            ],
-        },
-        "loops": [
-            {
-                "id": loop.id,
-                "scope": list(loop.scope),
-                "offering": loop.offering.value,
-                "policies": [p.name for p in loop.policies],
-                **({"node": loop.node} if loop.node else {}),
-                **({"components": dict(loop.components)} if loop.components else {}),
-            }
-            for loop in building.loops
-        ],
-        "devices": {
-            setup.service: {
-                "kind": setup.kind.value,
-                "office": setup.office,
-                **({"initial": setup.initial} if setup.initial else {}),
-            }
-            for setup in building.devices
-        },
-        "defaults": {f.name: getattr(building.defaults, f.name)
-                     for f in fields(BuildingDefaults)},
-        "environment": [
-            {
-                "t": event.t,
-                **({"weather": event.weather} if event.weather is not None else {}),
-                **(
-                    {"outside_temp_c": event.outside_temp_c}
-                    if event.outside_temp_c is not None
-                    else {}
-                ),
-            }
-            for event in building.environment_events
-        ],
+        "domain": _dump(building.domain),
+        "policies": _to_json(building.policies),
+        "topology": _dump(building.topology),
+        "loops": _to_json(building.loops),
+        "devices": {setup.service: _dump(setup) for setup in building.devices},
+        "defaults": _dump(building.defaults),
+        "environment": _to_json(building.environment_events),
     }
     if isinstance(building.control, CentralizedControl):
-        data["control"] = {
-            "mode": "centralized",
-            "master": {
-                "loop": building.control.master,
-                **({"node": building.control.node} if building.control.node else {}),
-                "aggregations": [
-                    {
-                        "name": agg.name,
-                        "inputs": [list(entry) for entry in agg.inputs],
-                        "combinator": agg.combinator.value,
-                        "output": agg.output,
-                        "output_type": agg.output_type.value,
-                    }
-                    for agg in building.control.aggregations
-                ],
-            },
-        }
+        data["control"] = {"mode": "centralized", "master": _dump(building.control)}
     elif isinstance(building.control, DecentralizedControl):
-        data["control"] = {
-            "mode": "decentralized",
-            "group": list(building.control.group),
-            "coordinate": list(building.control.coordinate),
-        }
+        data["control"] = {"mode": "decentralized", **_dump(building.control)}
     return data
 
 
 def with_offering(data: dict, offering: str) -> dict:
     """Variant transform: force every loop onto one offering."""
-    _enum(Offering, offering, "variant")
+    _enum(Offering)(offering, "variant")
     out = json.loads(json.dumps(data))
     for loop in out.get("loops", []):
         loop["offering"] = offering

@@ -296,7 +296,7 @@ class BuildingDefaults:
 class DeviceSetup:
     service: str
     kind: DeviceKind
-    office: str | None
+    office: str | None = None
     initial: dict[str, Any] = field(default_factory=dict)
 
 
@@ -307,7 +307,6 @@ class Building:
     loops: tuple[LoopSpec, ...]
     policies: tuple[Policy, ...]
     devices: tuple[DeviceSetup, ...]
-    environment: Environment
     environment_events: tuple[EnvironmentEvent, ...]
     control: ControlMode | None
     defaults: BuildingDefaults
@@ -591,7 +590,6 @@ def build_smart_building(
         loops=tuple(loops),
         policies=tuple(policies),
         devices=tuple(setups),
-        environment=Environment(defaults.weather, defaults.outside_temp_c),
         environment_events=tuple(environment_events),
         control=mode,
         defaults=defaults,

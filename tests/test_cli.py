@@ -37,6 +37,12 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_mistyped_office_is_an_input_error(self, tmp_path, capsys):
+        data = json.loads(Path(ONE_OFFICE).read_text())
+        data["devices"]["office1.lamp"]["office"] = ["office1"]
+        assert main(["validate", write_scenario(tmp_path, data)]) == 2
+        assert "devices.office1.lamp.office: expected string" in capsys.readouterr().err
+
     def test_violations_print_one_per_line(self, tmp_path, capsys):
         data = json.loads(Path(ONE_OFFICE).read_text())
         split = with_offering(data, "apaas_split")

@@ -175,6 +175,10 @@ class TestDeterminism:
 
 
 class TestCentralized:
+    def test_no_peer_group_means_no_round_timeouts(self):
+        runtime = Runtime(parse_scenario(scenario_dict(3, "centralized")), seed=0)
+        assert runtime.round_timeouts == {}
+
     def test_forwarded_state_aggregates_without_touching_the_cloud(self):
         data = scenario_dict(3, "centralized")
         result = run_scenario(parse_scenario(data), seed=42, horizon=10_000)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,11 @@ from fogloop.scenario import (
     with_mode,
     with_offering,
 )
-from fogloop.smartbuilding import BuildingDefaults, build_smart_building
+from fogloop.smartbuilding import (
+    BuildingDefaults,
+    EnvironmentEvent,
+    build_smart_building,
+)
 
 
 def scenario_dict(n: int = 1, control: str = "none", **defaults) -> dict:
@@ -173,6 +178,23 @@ class TestStrictParsing:
             "op": ">",
         }
         with pytest.raises(ConfigError, match="unknown keys"):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("path, owner, key", [
+        ("name", lambda d: d, "name"),
+        ("domain.tasks[0].services[0].parameters[0].unit",
+         lambda d: d["domain"]["tasks"][0]["services"][0]["parameters"][0], "unit"),
+        ("domain.tasks[0].composites[0].goal",
+         lambda d: d["domain"]["tasks"][0]["composites"][0], "goal"),
+        ("loops[0].node", lambda d: d["loops"][0], "node"),
+        ("environment[0].weather", lambda d: d["environment"][0], "weather"),
+        ("devices.office1.lamp.office", lambda d: d["devices"]["office1.lamp"], "office"),
+    ])
+    def test_string_fields_reject_other_types(self, path, owner, key):
+        data = scenario_dict(1)
+        data["environment"] = [{"t": 100, "weather": "sunny"}]
+        owner(data)[key] = ["office1"]
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected string")):
             parse_scenario(data)
 
 
@@ -375,3 +397,56 @@ def test_generated_scenarios_always_validate(n, control):
         build_smart_building(n, BuildingDefaults(), control=control),
         name=f"building-{n}-{control}")))
     assert config_digest(again) == config_digest(data)
+
+
+@pytest.mark.parametrize("n, control, digest", [
+    (1, "none", "a72ac0aef9dd92d4"),
+    (3, "centralized", "6448213944fd4144"),
+    (3, "decentralized", "43d10c21e38a6e1d"),
+])
+def test_generated_scenario_digests(n, control, digest):
+    assert config_digest(scenario_dict(n, control))[:16] == digest
+
+
+_finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
+_defaults = st.builds(
+    BuildingDefaults,
+    sample_interval_ms=st.integers(1, 5000),
+    setpoint_c=_finite,
+    outside_temp_c=_finite,
+    weather=st.sampled_from(["sunny", "not-sunny"]),
+    lamp_w=st.integers(0, 500),
+    leak_closed_per_min=_finite,
+    door_locked=st.booleans(),
+    heater_on=st.booleans(),
+    fog_cloud_latency_ms=st.integers(1, 200),
+)
+_events = st.lists(
+    st.builds(EnvironmentEvent, t=st.integers(0, 10**7),
+              weather=st.none() | st.sampled_from(["sunny", "not-sunny"]),
+              outside_temp_c=st.none() | _finite),
+    max_size=4,
+)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    control=st.sampled_from(["none", "centralized", "decentralized"]),
+    defaults=_defaults,
+    events=_events,
+)
+def test_building_round_trips_through_the_schema(n, control, defaults, events):
+    if control == "decentralized":
+        n = max(n, 2)
+    building = build_smart_building(n, defaults, control=control,
+                                    environment_events=events)
+    scenario = parse_scenario(reparse(building_to_dict(building, name="rt")))
+    assert scenario.domain == building.domain
+    assert scenario.policies == building.policies
+    assert scenario.topology.nodes == building.topology.nodes
+    assert scenario.topology.links == building.topology.links
+    assert scenario.loops == building.loops
+    assert scenario.control == building.control
+    assert scenario.devices == building.devices
+    assert scenario.defaults == building.defaults
+    assert scenario.environment_events == building.environment_events
