@@ -29,7 +29,13 @@ from fogloop.mape import (
     ThresholdCondition,
     analyze,
 )
-from fogloop.metrics import RunMetrics, compute_metrics, metrics_csv, summary_text
+from fogloop.metrics import (
+    MetricsFold,
+    RunMetrics,
+    compute_metrics,
+    metrics_csv,
+    summary_text,
+)
 from fogloop.model import (
     CommandSpec,
     Composite,
@@ -53,7 +59,7 @@ from fogloop.scenario import (
     with_mode,
     with_offering,
 )
-from fogloop.simnet import Address, Link, Node, Simulator, Tier, Topology
+from fogloop.simnet import Address, EventTrace, Link, Node, Simulator, Tier, Topology
 from fogloop.smartbuilding import (
     BuildingDefaults,
     Device,
@@ -83,11 +89,13 @@ __all__ = [
     "Domain",
     "ElapsedSinceCondition",
     "EnvironmentEvent",
+    "EventTrace",
     "FogloopError",
     "InteractionKind",
     "KnowledgeBase",
     "Link",
     "LoopSpec",
+    "MetricsFold",
     "Node",
     "Observation",
     "Offering",

@@ -9,11 +9,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from fogloop.errors import ConfigError
-from fogloop.metrics import RunMetrics, compute_metrics, metrics_csv, summary_text
-from fogloop.runtime import RunResult, run_scenario
+from fogloop.metrics import (
+    MetricsFold,
+    RunMetrics,
+    compute_metrics,
+    metrics_csv,
+    summary_text,
+)
+from fogloop.runtime import run_scenario
 from fogloop.scenario import (
     Scenario,
     load_scenario,
@@ -92,7 +98,10 @@ def cmd_run(config: RunConfig) -> int:
             print(line)
         return EXIT_VALIDATION
 
-    result = run_scenario(scenario, config.seed, config.horizon, check=False)
+    try:
+        result = run_scenario(scenario, config.seed, config.horizon, check=False)
+    except ConfigError as exc:
+        return _fail(EXIT_INPUT, str(exc))
     metrics = compute_metrics(result)
     out_dir = _default_out(config.out_dir)
     try:
@@ -111,16 +120,6 @@ def cmd_run(config: RunConfig) -> int:
         return _fail(EXIT_OUTPUT, f"cannot write outputs: {exc}")
     print(summary_text(result, metrics), end="")
     return EXIT_OK
-
-
-@dataclass
-class _VariantRow:
-    name: str
-    result: RunResult
-    metrics: RunMetrics = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.metrics = compute_metrics(self.result)
 
 
 def _variant_scenario(base: Scenario, token: str) -> Scenario:
@@ -154,17 +153,20 @@ def cmd_compare(path: str, variants: list[str], seed: int, horizon: int) -> int:
     if len({tuple(times) for times in env_times.values()}) > 1:
         return _fail(EXIT_INPUT, "variants disagree on environment event times")
 
-    rows = [
-        _VariantRow(token, run_scenario(scenario, seed, horizon, check=False))
-        for token, scenario in prepared
-    ]
+    rows: list[tuple[str, RunMetrics]] = []
+    for token, scenario in prepared:
+        try:
+            result = run_scenario(scenario, seed, horizon, check=False, sink=MetricsFold)
+        except ConfigError as exc:
+            return _fail(EXIT_INPUT, f"{token}: {exc}")
+        rows.append((token, compute_metrics(result)))
     header = f"{'variant':<16} {'mean_latency_ms':>16} {'fog_to_cloud':>13} {'total_kwh':>14}"
     print(header)
-    for row in rows:
-        mean = row.metrics.latency_mean
+    for token, metrics in rows:
+        mean = metrics.latency_mean
         mean_text = "n/a" if mean is None else f"{mean:.3f}"
-        print(f"{row.name:<16} {mean_text:>16} "
-              f"{row.metrics.fog_to_cloud:>13} {row.metrics.total_kwh:>14.9f}")
+        print(f"{token:<16} {mean_text:>16} "
+              f"{metrics.fog_to_cloud:>13} {metrics.total_kwh:>14.9f}")
     return EXIT_OK
 
 

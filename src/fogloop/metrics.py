@@ -2,11 +2,15 @@
 
 Every count is a pure function of the trace, so an external script can
 recompute the delimited output line by line and match it exactly.
+`MetricsFold` computes the tallies as events arrive; a run that uses it as
+its trace sink keeps no rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
+
 from fogloop.coordination import CentralizedControl
 from fogloop.runtime import RunResult
 from fogloop.smartbuilding import MJ_PER_KWH
@@ -58,13 +62,24 @@ class RunMetrics:
         return self.total_energy_mj / MJ_PER_KWH
 
 
-def compute_metrics(result: RunResult) -> RunMetrics:
-    metrics = RunMetrics()
-    tiers: dict[str, str] = result.trace.header["nodes"]
-    for event in result.trace.events:
-        kind = event["kind"]
-        detail = event["detail"]
-        metrics.event_counts[kind] = metrics.event_counts.get(kind, 0) + 1
+class MetricsFold:
+    """A trace sink that folds each event into `RunMetrics` and keeps no
+    rows; `events` stays empty. Energy is not an event: `compute_metrics`
+    adds it from the offices after the run."""
+
+    events: tuple[()] = ()
+
+    def __init__(self, header: dict[str, Any]):
+        self.header = header
+        self.metrics = RunMetrics()
+        self._tiers: dict[str, str] = header["nodes"]
+        self._hops_of: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def append(self, t: int, kind: str, src: str | None, dst: str | None,
+               detail: dict[str, Any]) -> None:
+        metrics = self.metrics
+        counts = metrics.event_counts
+        counts[kind] = counts.get(kind, 0) + 1
         if kind == "send":
             key = detail["interaction"]
             metrics.sends[key] = metrics.sends.get(key, 0) + 1
@@ -72,9 +87,15 @@ def compute_metrics(result: RunResult) -> RunMetrics:
             key = detail["interaction"]
             metrics.deliveries[key] = metrics.deliveries.get(key, 0) + 1
             path = detail["path"]
-            for a, b in zip(path, path[1:]):
-                hop = f"{tiers[a]}->{tiers[b]}"
-                metrics.hops[hop] = metrics.hops.get(hop, 0) + 1
+            hops = self._hops_of.get(path)
+            if hops is None:
+                tiers = self._tiers
+                hops = self._hops_of[path] = tuple(
+                    f"{tiers[a]}->{tiers[b]}" for a, b in zip(path, path[1:])
+                )
+            tally = metrics.hops
+            for hop in hops:
+                tally[hop] = tally.get(hop, 0) + 1
         elif kind == "actuate-applied":
             metrics.latencies.append(detail["latency"])
         elif kind == "symptom":
@@ -83,8 +104,23 @@ def compute_metrics(result: RunResult) -> RunMetrics:
             metrics.plans += 1
         elif kind == "dispatch":
             metrics.dispatches += 1
-    for office_id, office in sorted(result.offices.items()):
-        metrics.energy_mj[office_id] = office.energy_mj
+
+
+def compute_metrics(result: RunResult) -> RunMetrics:
+    """The run's metrics: the fold's own when the run used a `MetricsFold`,
+    else the trace rows replayed through one."""
+    trace = result.trace
+    if isinstance(trace, MetricsFold):
+        fold = trace
+    else:
+        fold = MetricsFold(trace.header)
+        for event in trace.events:
+            fold.append(event["t"], event["kind"], event["src"], event["dst"],
+                        event["detail"])
+    metrics = fold.metrics
+    metrics.energy_mj = {
+        office_id: office.energy_mj for office_id, office in sorted(result.offices.items())
+    }
     return metrics
 
 
@@ -134,7 +170,7 @@ def summary_text(result: RunResult, metrics: RunMetrics) -> str:
         f"seed: {result.seed}",
         f"horizon ms: {result.horizon}",
         f"control mode: {mode_name}",
-        f"trace events: {len(result.trace.events)}",
+        f"trace events: {sum(metrics.event_counts.values())}",
         f"decision latency ms: {latency}",
         f"fog->cloud messages: {metrics.fog_to_cloud}",
     ]

@@ -42,7 +42,15 @@ from fogloop.mape import (
 )
 from fogloop.placement import COMPONENTS, LoopSpec, Placement, place
 from fogloop.scenario import Scenario, validate_scenario
-from fogloop.simnet import Address, EventTrace, Message, NoRouteError, Simulator
+from fogloop.simnet import (
+    Address,
+    EventTrace,
+    Message,
+    NoRouteError,
+    Simulator,
+    SinkFactory,
+    TraceSink,
+)
 from fogloop.smartbuilding import (
     Device,
     DeviceKind,
@@ -102,9 +110,7 @@ class DeviceActor:
         service = runtime.scenario.domain.find_service(device.service)
         self.parameters = service.parameters
         for spec in service.parameters:
-            self.monitor.register_touchpoint(
-                device.service, spec, lambda p=spec.name: device.read(p)
-            )
+            self.monitor.register_touchpoint(device.service, spec, device.reader(spec.name))
         runtime.sim.register(self.addr, self.on_message)
 
     def announce(self) -> None:
@@ -540,7 +546,8 @@ class LoopActor:
 class Runtime:
     """A fully wired scenario, ready to run."""
 
-    def __init__(self, scenario: Scenario, seed: int, check: bool = True):
+    def __init__(self, scenario: Scenario, seed: int, check: bool = True,
+                 sink: SinkFactory = EventTrace):
         if check:
             report = validate_scenario(scenario)
             if not report.ok:
@@ -549,7 +556,8 @@ class Runtime:
                 )
         self.scenario = scenario
         self.placement: Placement = place(scenario.loops, scenario.topology)
-        self.sim = Simulator(scenario.topology, seed, config_digest=scenario.digest)
+        self.sim = Simulator(scenario.topology, seed, config_digest=scenario.digest,
+                             sink=sink)
         self.env = Environment(
             scenario.defaults.weather, scenario.defaults.outside_temp_c
         )
@@ -663,15 +671,15 @@ class RunResult:
     scenario: Scenario
     seed: int
     horizon: int
-    trace: EventTrace
+    trace: TraceSink
     offices: dict[str, OfficeState]
     devices: dict[str, Device]
     placement: Placement
 
 
-def run_scenario(scenario: Scenario, seed: int, horizon: int,
-                 check: bool = True) -> RunResult:
-    runtime = Runtime(scenario, seed, check=check)
+def run_scenario(scenario: Scenario, seed: int, horizon: int, check: bool = True,
+                 sink: SinkFactory = EventTrace) -> RunResult:
+    runtime = Runtime(scenario, seed, check=check, sink=sink)
     runtime.sim.run_until(horizon)
     runtime.finalize(horizon)
     return RunResult(

@@ -63,6 +63,7 @@ from fogloop.smartbuilding import (
     DeviceKind,
     DeviceSetup,
     EnvironmentEvent,
+    readable_parameters,
 )
 
 WEATHER_VALUES = ("sunny", "not-sunny")
@@ -523,6 +524,18 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         bad = sorted(set(setup.initial) - set(_DEFAULT_STATE[setup.kind]))
         if bad:
             report.add(path, f"unknown initial state keys {bad}")
+        declared = {spec.name: spec for spec in
+                    scenario.domain.find_service(setup.service).parameters}
+        readable = readable_parameters(setup.kind)
+        for name in declared:
+            if name not in readable:
+                report.add(path, f"a {setup.kind.value} cannot read declared "
+                                 f"parameter '{name}'")
+        for key, value in setup.initial.items():
+            spec = declared.get(key)
+            if spec is not None and not value_conforms(value, spec.value_type):
+                report.add(path, f"initial {key} {value!r} is not "
+                                 f"{spec.value_type.value}")
 
     if isinstance(scenario.control, CentralizedControl):
         master = scenario.control.master

@@ -14,7 +14,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, NamedTuple, Protocol
 
 from fogloop.errors import ConfigError, FogloopError
 from fogloop.model import ValidationReport
@@ -67,8 +68,7 @@ class Address:
         return self._text
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     id: int
     kind: str
     payload: Any
@@ -211,6 +211,25 @@ class Topology:
         return report
 
 
+class TraceSink(Protocol):
+    """Where a simulator's events go. A sink is built from the run header,
+    which `run_until` completes with the horizon, and is handed each event
+    as it is emitted."""
+
+    header: dict[str, Any]
+
+    def append(self, t: int, kind: str, src: str | None, dst: str | None,
+               detail: dict[str, Any]) -> None: ...
+
+
+# Builds a run's sink from its header: `EventTrace` or `metrics.MetricsFold`.
+SinkFactory = Callable[[dict[str, Any]], TraceSink]
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_SEND_KEYS = frozenset(("id", "interaction"))
+_DELIVER_KEYS = frozenset(("id", "interaction", "sent", "path"))
+
+
 @dataclass
 class EventTrace:
     """Append-only run record: one header plus (t, kind, src, dst, detail) rows."""
@@ -226,10 +245,48 @@ class EventTrace:
         return [e for e in self.events if e["kind"] == kind]
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(self.header, sort_keys=True, separators=(",", ":"))]
-        lines.extend(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.events
-        )
+        """The header, then one line per row; each line equals
+        `json.dumps(row, sort_keys=True, separators=(",", ":"))`.
+
+        A `send` or `deliver` row with exactly its usual detail keys and
+        integer times and ids is filled into a fixed template. Its
+        addresses, interaction and path are encoded once per object and
+        call: rows share them. Every other row goes through the encoder."""
+        encode = _ENCODER.encode
+        encoded: dict[int, str] = {}
+
+        def cached(value: Any) -> str:
+            # The rows keep every value alive during the call, so an id
+            # names one object.
+            text = encoded.get(id(value))
+            if text is None:
+                text = encoded[id(value)] = encode(value)
+            return text
+
+        def templated(row: dict[str, Any]) -> str | None:
+            kind, detail, t = row["kind"], row["detail"], row["t"]
+            if type(t) is not int:
+                return None
+            if kind == "send":
+                if detail.keys() != _SEND_KEYS or type(detail["id"]) is not int:
+                    return None
+                return (f'{{"detail":{{"id":{detail["id"]},'
+                        f'"interaction":{cached(detail["interaction"])}}},'
+                        f'"dst":{cached(row["dst"])},"kind":"send",'
+                        f'"src":{cached(row["src"])},"t":{t}}}')
+            if kind == "deliver":
+                if detail.keys() != _DELIVER_KEYS or type(detail["id"]) is not int \
+                        or type(detail["sent"]) is not int:
+                    return None
+                return (f'{{"detail":{{"id":{detail["id"]},'
+                        f'"interaction":{cached(detail["interaction"])},'
+                        f'"path":{cached(detail["path"])},"sent":{detail["sent"]}}},'
+                        f'"dst":{cached(row["dst"])},"kind":"deliver",'
+                        f'"src":{cached(row["src"])},"t":{t}}}')
+            return None
+
+        lines = [encode(self.header)]
+        lines.extend(templated(row) or encode(row) for row in self.events)
         return "\n".join(lines) + "\n"
 
     def write(self, path: str) -> None:
@@ -245,10 +302,12 @@ class Simulator:
 
     Handlers are registered per address; `schedule` runs arbitrary callbacks
     at a future tick (timers, periodic sampling); `send` routes a message and
-    schedules its delivery. Everything lands in the trace.
+    schedules its delivery. Everything lands in the trace, a sink built by
+    `sink` from the run header: an `EventTrace` keeps every row.
     """
 
-    def __init__(self, topology: Topology, seed: int, config_digest: str = ""):
+    def __init__(self, topology: Topology, seed: int, config_digest: str = "",
+                 sink: SinkFactory = EventTrace):
         self.topology = topology
         self.seed = seed
         self.rng = random.Random(seed)
@@ -257,15 +316,13 @@ class Simulator:
         self._seq = itertools.count()
         self._msg_ids = itertools.count(1)
         self._handlers: dict[tuple[str, str], Handler] = {}
-        self.trace = EventTrace(
-            header={
-                "kind": "header",
-                "seed": seed,
-                "config_digest": config_digest,
-                "horizon": None,
-                "nodes": {n.id: n.tier.value for n in topology.nodes},
-            }
-        )
+        self.trace = sink({
+            "kind": "header",
+            "seed": seed,
+            "config_digest": config_digest,
+            "horizon": None,
+            "nodes": {n.id: n.tier.value for n in topology.nodes},
+        })
 
     def register(self, address: Address, handler: Handler) -> None:
         self._handlers[(address.node, address.component)] = handler
@@ -292,18 +349,10 @@ class Simulator:
         path, latency, jitters = route
         for jitter in jitters:
             latency += self.rng.randint(0, jitter)
-        msg = Message(
-            id=next(self._msg_ids),
-            kind=kind,
-            payload=payload,
-            src=src,
-            dst=dst,
-            send_time=self.now,
-            delivery_time=self.now + latency,
-            path=path,
-        )
+        now = self.now
+        msg = Message(next(self._msg_ids), kind, payload, src, dst, now, now + latency, path)
         self.emit("send", src, dst, id=msg.id, interaction=kind)
-        self.schedule(msg.delivery_time, lambda: self._deliver(msg))
+        self.schedule(msg.delivery_time, partial(self._deliver, msg))
         return msg
 
     def _deliver(self, msg: Message) -> None:
@@ -321,7 +370,7 @@ class Simulator:
         )
         handler(msg)
 
-    def run_until(self, horizon: int) -> EventTrace:
+    def run_until(self, horizon: int) -> TraceSink:
         """Process every event with time <= horizon, in (time, seq) order."""
         self.trace.header["horizon"] = horizon
         while self._queue and self._queue[0][0] <= horizon:

@@ -81,6 +81,19 @@ _DEFAULT_STATE: dict[DeviceKind, dict[str, Any]] = {
     DeviceKind.CLOCK: {"armed-at": None, "duration-ms": None},
 }
 
+# Readings a device takes from its office or derives from its state; every
+# other parameter a device reads is one of its state keys.
+_DERIVED_READINGS: dict[DeviceKind, tuple[str, ...]] = {
+    DeviceKind.HEATER: ("room-temp",),
+    DeviceKind.ENERGY_METER: ("kwh-reading",),
+    DeviceKind.CLOCK: ("armed",),
+}
+
+
+def readable_parameters(kind: DeviceKind) -> frozenset[str]:
+    """Every parameter a device of this kind reads."""
+    return frozenset(_DEFAULT_STATE[kind]).union(_DERIVED_READINGS.get(kind, ()))
+
 
 class Device:
     """One physical device: readable parameters plus command transitions.
@@ -110,14 +123,20 @@ class Device:
             return self.power_w
         return 0
 
-    def read(self, parameter: str) -> Any:
+    def reader(self, parameter: str) -> Callable[[], Any]:
+        """A function of no arguments that reads `parameter`; ConfigError
+        when this device cannot read it."""
         if parameter in self.readers:
-            return self.readers[parameter]()
+            return self.readers[parameter]
+        state = self.state
         if self.kind is DeviceKind.CLOCK and parameter == "armed":
-            return self.state["armed-at"] is not None
-        if parameter in self.state:
-            return self.state[parameter]
+            return lambda: state["armed-at"] is not None
+        if parameter in state:
+            return lambda: state[parameter]
         raise ConfigError(f"{self.service} has no readable parameter '{parameter}'")
+
+    def read(self, parameter: str) -> Any:
+        return self.reader(parameter)()
 
     def apply(self, command: str, arg: Any, now: int) -> list[Observation]:
         handler = getattr(self, f"_cmd_{self.kind.name.lower()}", None)

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from fogloop import cli
 from fogloop.cli import main
+from fogloop.model import ValidationReport
 from fogloop.scenario import with_offering
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -19,6 +21,21 @@ def write_scenario(tmp_path: Path, data: dict) -> str:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def unreadable_parameter(tmp_path: Path) -> str:
+    """The 1-office scenario with a heater parameter no heater reads."""
+    data = json.loads(Path(ONE_OFFICE).read_text())
+    heater = next(svc for svc in data["domain"]["tasks"][0]["services"]
+                  if svc["name"] == "office1.heater")
+    heater["parameters"].append({"name": "bogus-param", "value_type": "real",
+                                 "sample_interval_ms": 1000})
+    return write_scenario(tmp_path, data)
+
+
+def skip_validation(monkeypatch) -> None:
+    """Let a scenario reach the Runtime build whatever validation says."""
+    monkeypatch.setattr(cli, "validate_scenario", lambda scenario: ValidationReport())
 
 
 class TestValidate:
@@ -153,6 +170,26 @@ class TestRun:
         assert code == 1
         assert "ghost-service" in capsys.readouterr().out
 
+    def test_unreadable_parameter_is_a_validation_error(self, tmp_path, capsys):
+        code = main([
+            "run", "--scenario", unreadable_parameter(tmp_path), "--seed", "1",
+            "--until-ms", "1000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "cannot read declared parameter 'bogus-param'" in capsys.readouterr().out
+
+    def test_config_error_building_the_runtime_is_an_input_error(
+            self, tmp_path, capsys, monkeypatch):
+        skip_validation(monkeypatch)
+        code = main([
+            "run", "--scenario", unreadable_parameter(tmp_path), "--seed", "1",
+            "--until-ms", "1000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "office1.heater has no readable parameter 'bogus-param'\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompare:
     def test_offering_variants_share_one_table(self, capsys):
@@ -209,3 +246,16 @@ class TestCompare:
         ])
         assert code == 1
         assert "mapeaas:" in capsys.readouterr().out
+
+    def test_config_error_building_the_runtime_is_an_input_error(
+            self, tmp_path, capsys, monkeypatch):
+        skip_validation(monkeypatch)
+        code = main([
+            "compare", "--scenario", unreadable_parameter(tmp_path),
+            "--variants", "mapeaas,apaas_split", "--seed", "1", "--until-ms", "1000",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "mapeaas: office1.heater has no readable parameter 'bogus-param'\n")

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
 from fogloop.metrics import (
+    MetricsFold,
     compute_metrics,
     metrics_csv,
     summary_text,
 )
 from fogloop.runtime import run_scenario
-from fogloop.scenario import building_to_dict, parse_scenario, with_offering
+from fogloop.scenario import building_to_dict, load_scenario, parse_scenario, with_offering
 from fogloop.smartbuilding import BuildingDefaults, build_smart_building
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def one_office(**overrides) -> dict:
@@ -144,3 +152,37 @@ class TestViews:
         metrics = compute_metrics(result)
         assert metrics.latencies == []
         assert "mean=n/a max=n/a count=0" in summary_text(result, metrics)
+
+
+class TestFold:
+    @pytest.mark.parametrize("name, offering", [
+        ("smart_building_1office", None),
+        ("smart_building_1office", "apaas_split"),
+        ("smart_building_3office_centralized", None),
+        ("smart_building_3office_decentralized", None),
+    ])
+    def test_fold_matches_the_row_trace(self, name, offering):
+        scenario = load_scenario(str(SCENARIOS / f"{name}.json"))
+        if offering is not None:
+            scenario = parse_scenario(with_offering(scenario.raw, offering))
+        rows = run_scenario(scenario, seed=42, horizon=600_000)
+        folded = run_scenario(scenario, seed=42, horizon=600_000, sink=MetricsFold)
+        assert rows.trace.events
+        assert not folded.trace.events
+        assert folded.trace.header == rows.trace.header
+        row_metrics, fold_metrics = compute_metrics(rows), compute_metrics(folded)
+        assert metrics_csv(fold_metrics) == metrics_csv(row_metrics)
+        assert summary_text(folded, fold_metrics) == summary_text(rows, row_metrics)
+
+    def test_fold_memory_does_not_grow_with_the_horizon(self):
+        scenario = parse_scenario(one_office())
+
+        def peak(horizon: int) -> int:
+            tracemalloc.start()
+            try:
+                run_scenario(scenario, seed=42, horizon=horizon, sink=MetricsFold)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(480_000) <= 1.5 * peak(120_000)

@@ -274,6 +274,31 @@ class TestValidation:
         report = validate_scenario(parse_scenario(data))
         assert any("unknown initial state keys" in line for line in report.lines())
 
+    @pytest.mark.parametrize("service, key, value, expected", [
+        ("office1.lamp", "power-state", 7, "boolean"),
+        ("office1.heater", "power-state", "on", "boolean"),
+        ("office1.door", "lock-state", True, "enum_of_strings"),
+        ("office1.window", "position", 1, "enum_of_strings"),
+    ])
+    def test_initial_value_must_match_its_parameter_type(self, service, key, value,
+                                                         expected):
+        data = scenario_dict(1)
+        data["devices"][service]["initial"] = {key: value}
+        report = validate_scenario(parse_scenario(data))
+        assert f"devices.{service}: initial {key} {value!r} is not {expected}" \
+            in report.lines()
+
+    def test_declared_parameter_the_device_cannot_read(self):
+        data = scenario_dict(1)
+        heater = next(svc for svc in data["domain"]["tasks"][0]["services"]
+                      if svc["name"] == "office1.heater")
+        heater["parameters"].append({"name": "bogus-param", "value_type": "real",
+                                     "sample_interval_ms": 1000})
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            "devices.office1.heater: a heater cannot read declared parameter 'bogus-param'"
+        ]
+
     def test_execute_forced_to_cloud_is_flagged(self):
         data = scenario_dict(1)
         data["loops"][0]["offering"] = "apaas_split"

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogloop.simnet import (
     Address,
+    EventTrace,
     Link,
     Node,
     NoRouteError,
@@ -248,3 +251,60 @@ def test_topology_validation_requires_tier_connectivity():
 
 def test_valid_three_tier_topology_is_clean():
     assert three_tier().validate(device_services={"lamp1"}).ok
+
+
+# Strings that need escaping: quote, backslash, non-ASCII and control characters.
+_TEXT = st.one_of(st.sampled_from(['"', "\\", "é", "\u2603", "\x00", "\n", "\x1f", "fog1/x"]),
+                  st.text(max_size=3))
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2**40, 2**40),
+                    st.floats(allow_nan=False), _TEXT)
+_ADDRESSES = st.one_of(st.sampled_from(["fog1/office1.monitor", "cloud/k"]), _TEXT,
+                       st.none())
+_PATHS = st.one_of(st.tuples(_TEXT, _TEXT), st.lists(_TEXT, max_size=3).map(tuple),
+                   st.lists(_TEXT, max_size=2), st.tuples(_TEXT, _VALUES))
+
+
+@st.composite
+def trace_rows(draw):
+    """Well-formed send and deliver rows, or ones with one fault: a detail
+    key dropped or added, or a field holding a value of another type."""
+    kind = draw(st.sampled_from(["send", "deliver", "env"]))
+    row = {"t": draw(st.integers(0, 10**9)), "src": draw(_ADDRESSES),
+           "dst": draw(_ADDRESSES)}
+    detail = {"id": draw(st.integers(0, 10**6)), "interaction": draw(_TEXT)}
+    if kind != "send":
+        detail["sent"] = draw(st.integers(0, 10**6))
+        detail["path"] = draw(_PATHS)
+    fault = draw(st.sampled_from(["none", "drop", "add", "retype"]))
+    if fault == "drop":
+        del detail[draw(st.sampled_from(sorted(detail)))]
+    elif fault == "add":
+        detail[draw(_TEXT)] = draw(_VALUES)
+    elif fault == "retype":
+        key = draw(st.sampled_from(["t", "src", "dst", *sorted(detail)]))
+        (row if key in row else detail)[key] = draw(_VALUES)
+    return row["t"], kind, row["src"], row["dst"], detail
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(trace_rows(), min_size=1, max_size=4), shared=st.booleans())
+@example(rows=[(1.5, "send", "a", "b", {"id": 1, "interaction": "x"}),
+               (2, "send", "a", "b", {"id": True, "interaction": "x"}),
+               (3, "deliver", "a", None, {"id": 2, "interaction": "x", "sent": False,
+                                          "path": ("a", "b")}),
+               (4, "deliver", "a", "b", {"id": 3, "interaction": "x", "sent": 1,
+                                         "path": ["a", "b"], "extra": 1})],
+         shared=False)
+def test_jsonl_lines_equal_json_dumps(rows, shared):
+    trace = EventTrace(header={"kind": "header", "seed": 1, "nodes": {"a\u00e9": "fog"}})
+    route = ("dev", "fog1", "cloud")
+    for t, kind, src, dst, detail in rows:
+        if shared and "path" in detail:
+            detail["path"] = route
+        trace.append(t, kind, src, dst, detail)
+    lines = trace.to_jsonl().split("\n")
+    assert lines[-1] == ""
+    expected = [trace.header, *trace.events]
+    assert len(lines) - 1 == len(expected)
+    for line, row in zip(lines, expected):
+        assert line == json.dumps(row, sort_keys=True, separators=(",", ":"))

@@ -23,6 +23,7 @@ from fogloop.smartbuilding import (
     UnknownCommandError,
     build_smart_building,
     instantiate_office,
+    readable_parameters,
     step_thermal,
 )
 
@@ -175,6 +176,20 @@ def test_instantiated_office_wires_physics_readers():
     assert office.devices["office1.lamp"].power_w == defaults.lamp_w
     office.advance(Environment(outside_temp_c=14.0), 120_000, 60_000)
     assert office.devices["office1.heater"].read("room-temp") == office.room_temp_c
+
+
+def test_readable_parameters_are_what_an_office_device_reads():
+    office = instantiate_office(
+        "office1",
+        [DeviceSetup(f"office1.{kind.value}", kind, "office1") for kind in DeviceKind],
+        BuildingDefaults(),
+    )
+    for kind in DeviceKind:
+        dev = office.devices[f"office1.{kind.value}"]
+        for parameter in readable_parameters(kind):
+            dev.reader(parameter)()
+        with pytest.raises(ConfigError, match="no readable parameter 'bogus-param'"):
+            dev.reader("bogus-param")
 
 
 def test_single_office_building_shape():
