@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from fogloop.errors import ConfigError
 from fogloop.metrics import (
@@ -28,6 +27,7 @@ from fogloop.scenario import (
     with_mode,
     with_offering,
 )
+from fogloop.simnet import EventTrace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -38,20 +38,6 @@ FORMATS = ("jsonl", "csv", "txt")
 OFFERING_VARIANTS = ("mapeaas", "apaas_split")
 MODE_VARIANTS = ("centralized", "decentralized")
 DEFAULT_OUT = "fogloop-out"
-
-
-@dataclass
-class RunConfig:
-    scenario_path: str
-    seed: int
-    horizon: int
-    mode: str | None = None
-    out_dir: str | None = None
-    formats: tuple[str, ...] = FORMATS
-
-    def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
 
 
 def _fail(code: int, message: str) -> int:
@@ -87,9 +73,10 @@ def _prepare(path: str, mode: str | None) -> Scenario:
     return scenario
 
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(path: str, mode: str | None, seed: int, horizon: int,
+            out_dir: str | None, formats: tuple[str, ...]) -> int:
     try:
-        scenario = _prepare(config.scenario_path, config.mode)
+        scenario = _prepare(path, mode)
     except ConfigError as exc:
         return _fail(EXIT_INPUT, str(exc))
     violations = validate_scenario(scenario).lines()
@@ -98,21 +85,23 @@ def cmd_run(config: RunConfig) -> int:
             print(line)
         return EXIT_VALIDATION
 
+    # Without a trace file to write, the run folds its metrics and keeps no rows.
+    sink = EventTrace if "jsonl" in formats else MetricsFold
     try:
-        result = run_scenario(scenario, config.seed, config.horizon, check=False)
+        result = run_scenario(scenario, seed, horizon, check=False, sink=sink)
     except ConfigError as exc:
         return _fail(EXIT_INPUT, str(exc))
     metrics = compute_metrics(result)
-    out_dir = _default_out(config.out_dir)
+    out_dir = _default_out(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        if "jsonl" in config.formats:
+        if "jsonl" in formats:
             result.trace.write(os.path.join(out_dir, "trace.jsonl"))
-        if "csv" in config.formats:
+        if "csv" in formats:
             with open(os.path.join(out_dir, "metrics.csv"), "w",
                       encoding="utf-8") as fh:
                 fh.write(metrics_csv(metrics))
-        if "txt" in config.formats:
+        if "txt" in formats:
             with open(os.path.join(out_dir, "summary.txt"), "w",
                       encoding="utf-8") as fh:
                 fh.write(summary_text(result, metrics))
@@ -226,15 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         return cmd_validate(args.path)
     if args.command == "run":
-        config = RunConfig(
-            scenario_path=args.scenario,
-            seed=args.seed,
-            horizon=args.until_ms,
-            mode=args.mode,
-            out_dir=args.out,
-            formats=args.format,
-        )
-        return cmd_run(config)
+        return cmd_run(args.scenario, args.mode, args.seed, args.until_ms,
+                       args.out, args.format)
     variants = [part.strip() for part in args.variants.split(",") if part.strip()]
     if not variants:
         return _fail(EXIT_INPUT, "no variants given")

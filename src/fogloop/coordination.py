@@ -206,7 +206,7 @@ def round_timeout_ms(topology: Topology, nodes: Iterable[str]) -> int:
     worst = 0
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            path = topology.shortest_path(a, b)
-            if path is not None:
-                worst = max(worst, topology.path_latency(path))
+            route = topology.route(a, b)
+            if route is not None:
+                worst = max(worst, route[1])
     return 10 * worst

@@ -66,11 +66,11 @@ def _nearest_fog(loop: LoopSpec, topology: Topology) -> str:
         total = 0
         reachable = True
         for host in hosts:
-            path = topology.shortest_path(host, node.id)
-            if path is None:
+            route = topology.route(host, node.id)
+            if route is None:
                 reachable = False
                 break
-            total += topology.path_latency(path)
+            total += route[1]
         if reachable and (best is None or (total, node.id) < best):
             best = (total, node.id)
     if best is None:

@@ -79,29 +79,13 @@ _SNAPSHOT_KEYS: dict[DeviceKind, tuple[str, ...]] = {
 }
 
 
-class _Physics:
-    """Lazy integrator: advances an office exactly to `now` on demand, so
-    every read and every power change sits on a segment boundary."""
-
-    def __init__(self, office: OfficeState, env: Environment):
-        self.office = office
-        self.env = env
-        self.last = 0
-
-    def sync(self, now: int) -> None:
-        if now > self.last:
-            self.office.advance(self.env, now, now - self.last)
-            self.last = now
-
-
 class DeviceActor:
     """Hosts one device on its node: periodic sampling plus actuation."""
 
-    def __init__(self, runtime: Runtime, device: Device, physics: _Physics | None,
-                 office: str | None, owner: LoopActor | None):
+    def __init__(self, runtime: Runtime, device: Device, office: OfficeState | None,
+                 owner: LoopActor | None):
         self.runtime = runtime
         self.device = device
-        self.physics = physics
         self.office = office
         self.owner = owner
         host = runtime.scenario.topology.host_of(device.service)
@@ -119,7 +103,7 @@ class DeviceActor:
             self.addr,
             service=self.device.service,
             kind=self.device.kind.value,
-            office=self.office,
+            office=None if self.office is None else self.office.id,
             state=dict(self.device.state),
             power_w=self.device.power_w,
         )
@@ -132,16 +116,16 @@ class DeviceActor:
 
     def _tick(self, spec) -> None:
         sim = self.runtime.sim
-        if self.physics is not None:
-            self.physics.sync(sim.now)
+        if self.office is not None:
+            self.office.sync(sim.now)
         obs = self.monitor.sample(self.device.service, spec.name, sim.now)
         sim.send(SENSE, self.addr, self.owner.addr["monitor"], obs)
         sim.schedule(sim.now + spec.sample_interval_ms, lambda: self._tick(spec))
 
     def on_message(self, msg: Message) -> None:
         sim = self.runtime.sim
-        if self.physics is not None:
-            self.physics.sync(sim.now)
+        if self.office is not None:
+            self.office.sync(sim.now)
         pay = msg.payload
         action: PlannedAction = pay["action"]
         changed = self.device.apply(action.command, action.argument, sim.now)
@@ -462,8 +446,11 @@ class LoopActor:
         rnd.proposals[pay["from"]] = pay["item"]
         if len(rnd.proposals) < len(self.runtime.group):
             return
-        outcome = decide_round(rnd.round_id, self.runtime.group, component, rnd.proposals)
-        rnd.decided_by, rnd.decided = outcome.decided_by, outcome.decided
+        # No ack can arrive before the decide messages go out, so the decided
+        # round replaces the live one with nothing lost.
+        rnd = self.active_round[component] = decide_round(
+            rnd.round_id, self.runtime.group, component, rnd.proposals
+        )
         self.runtime.sim.emit(
             "round-decide",
             self.addr[component],
@@ -520,6 +507,9 @@ class LoopActor:
             round=rnd.round_id,
             component=component,
         )
+        self._end_round(component)
+
+    def _end_round(self, component: str) -> None:
         self.active_round[component] = None
         if self.round_requested[component]:
             self.round_requested[component] = False
@@ -537,10 +527,7 @@ class LoopActor:
             component=component,
             missing=missing,
         )
-        self.active_round[component] = None
-        if self.round_requested[component]:
-            self.round_requested[component] = False
-            self._open_round(component)
+        self._end_round(component)
 
 
 class Runtime:
@@ -601,27 +588,28 @@ class Runtime:
         self._inject_env(weather=self.env.weather,
                          outside_temp=self.env.outside_temp_c)
 
-        self.offices: dict[str, OfficeState] = {}
-        self.physics: dict[str, _Physics] = {}
         by_office: dict[str, list] = {}
         for setup in scenario.devices:
             if setup.office is not None:
                 by_office.setdefault(setup.office, []).append(setup)
-        for office_id, setups in by_office.items():
-            state = instantiate_office(office_id, setups, scenario.defaults)
-            self.offices[office_id] = state
-            self.physics[office_id] = _Physics(state, self.env)
+        self.offices: dict[str, OfficeState] = {
+            office_id: instantiate_office(office_id, setups, scenario.defaults, self.env)
+            for office_id, setups in by_office.items()
+        }
+        # Each office syncs itself; `physics` names the same map, which the
+        # C3-P3 acceptance probe syncs through.
+        self.physics = self.offices
 
         self.devices: dict[str, DeviceActor] = {}
         for setup in scenario.devices:
             if setup.office is not None:
-                device = self.offices[setup.office].devices[setup.service]
-                physics = self.physics[setup.office]
+                office = self.offices[setup.office]
+                device = office.devices[setup.service]
             else:
+                office = None
                 device = Device(setup.service, setup.kind, initial=setup.initial)
-                physics = None
             owner = self.loops.get(owner_of.get(setup.service, ""))
-            actor = DeviceActor(self, device, physics, setup.office, owner)
+            actor = DeviceActor(self, device, office, owner)
             self.devices[setup.service] = actor
         for actor in self.devices.values():
             actor.announce()
@@ -652,8 +640,8 @@ class Runtime:
                                          outside_temp, now))
 
     def _apply_env(self, event: EnvironmentEvent) -> None:
-        for physics in self.physics.values():
-            physics.sync(self.sim.now)
+        for office in self.offices.values():
+            office.sync(self.sim.now)
         if event.weather is not None:
             self.env.weather = event.weather
         if event.outside_temp_c is not None:
@@ -662,8 +650,8 @@ class Runtime:
         self._inject_env(weather=event.weather, outside_temp=event.outside_temp_c)
 
     def finalize(self, horizon: int) -> None:
-        for physics in self.physics.values():
-            physics.sync(horizon)
+        for office in self.offices.values():
+            office.sync(horizon)
 
 
 @dataclass

@@ -89,13 +89,10 @@ class Topology:
         self.links = links
         self.by_id = {n.id: n for n in nodes}
         self._adjacent: dict[str, list[tuple[str, Link]]] = {n.id: [] for n in nodes}
-        self._link_by_pair: dict[tuple[str, str], Link] = {}
         for link in links:
             if link.a in self.by_id and link.b in self.by_id:
                 self._adjacent[link.a].append((link.b, link))
                 self._adjacent[link.b].append((link.a, link))
-                self._link_by_pair[(link.a, link.b)] = link
-                self._link_by_pair[(link.b, link.a)] = link
         for peers in self._adjacent.values():
             peers.sort(key=lambda pair: pair[0])
         self._path_cache: dict[tuple[str, str], Route | None] = {}
@@ -106,24 +103,17 @@ class Topology:
         except KeyError:
             raise ConfigError(f"unknown node '{node_id}'") from None
 
-    def link_between(self, a: str, b: str) -> Link:
-        return self._link_by_pair[(a, b)]
-
     def host_of(self, service: str) -> str | None:
         for node in self.nodes:
             if service in node.hosted:
                 return node.id
         return None
 
-    def shortest_path(self, src: str, dst: str) -> tuple[str, ...] | None:
-        """Minimum-latency path src..dst inclusive; latency ties broken by
-        lexicographic node-id order. None when unreachable."""
-        route = self.route(src, dst)
-        return None if route is None else route[0]
-
     def route(self, src: str, dst: str) -> Route | None:
-        """The shortest path with its summed link latency and the jitter bound
-        of each jittered hop, in path order. None when unreachable."""
+        """The minimum-latency path src..dst inclusive, with its summed link
+        latency and the jitter bound of each jittered hop, in path order.
+        Latency ties are broken by lexicographic node-id order. None when
+        unreachable."""
         key = (src, dst)
         if key not in self._path_cache:
             self._path_cache[key] = self._find_route(src, dst)
@@ -133,25 +123,24 @@ class Topology:
         if src not in self.by_id or dst not in self.by_id:
             return None
         done: set[str] = set()
-        frontier: list[tuple[int, tuple[str, ...]]] = [(0, (src,))]
+        # (cost, path, jitters): paths are unique, so jitters never break a tie.
+        frontier: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = [(0, (src,), ())]
         while frontier:
-            cost, path = heapq.heappop(frontier)
+            cost, path, jitters = heapq.heappop(frontier)
             here = path[-1]
             if here in done:
                 continue
             done.add(here)
             if here == dst:
-                hops = map(self.link_between, path, path[1:])
-                return path, cost, tuple(link.jitter_ms for link in hops if link.jitter_ms)
+                return path, cost, jitters
             for neighbor, link in self._adjacent[here]:
                 if neighbor not in done:
-                    heapq.heappush(frontier, (cost + link.latency_ms, path + (neighbor,)))
+                    heapq.heappush(frontier, (
+                        cost + link.latency_ms,
+                        path + (neighbor,),
+                        jitters + (link.jitter_ms,) if link.jitter_ms else jitters,
+                    ))
         return None
-
-    def path_latency(self, path: tuple[str, ...]) -> int:
-        return sum(
-            self.link_between(a, b).latency_ms for a, b in zip(path, path[1:])
-        )
 
     def validate(self, device_services: set[str] | None = None) -> ValidationReport:
         """Structural checks; violations are reported, never raised."""
@@ -200,13 +189,13 @@ class Topology:
         for ni, node in enumerate(self.nodes):
             if node.tier is Tier.DEVICE:
                 if not any(
-                    self.shortest_path(node.id, fog.id)
+                    self.route(node.id, fog.id)
                     for fog in self.nodes
                     if fog.tier is Tier.FOG
                 ):
                     report.add(f"nodes[{ni}]", f"device '{node.id}' reaches no fog node")
             elif node.tier is Tier.FOG and clouds:
-                if self.shortest_path(node.id, clouds[0].id) is None:
+                if self.route(node.id, clouds[0].id) is None:
                     report.add(f"nodes[{ni}]", f"fog '{node.id}' does not reach the cloud")
         return report
 

@@ -222,7 +222,9 @@ class OfficeState:
 
     Energy accrues as integer millijoules; account() must run before any
     power level changes so each segment integrates the power that actually
-    held over it.
+    held over it. The office integrates lazily: `sync(now)` advances it
+    exactly to `now` under `env`, so every read and every power change sits
+    on a segment boundary.
     """
 
     def __init__(
@@ -233,8 +235,10 @@ class OfficeState:
         heat_rate_c_per_min: float = 0.5,
         leak_open_per_min: float = 0.2,
         leak_closed_per_min: float = 0.05,
+        env: Environment | None = None,
     ):
         self.id = office_id
+        self.env = Environment() if env is None else env
         self.devices = devices
         self.room_temp_c = room_temp_c
         self.heat_rate_c_per_min = heat_rate_c_per_min
@@ -274,6 +278,10 @@ class OfficeState:
     def advance(self, env: Environment, now: int, dt_ms: int) -> None:
         self.account(now)
         self.room_temp_c = step_thermal(self, env, dt_ms)
+
+    def sync(self, now: int) -> None:
+        if now > self._accounted_at:
+            self.advance(self.env, now, now - self._accounted_at)
 
 
 def step_thermal(office: OfficeState, env: Environment, dt_ms: int) -> float:
@@ -470,9 +478,11 @@ def _initial_state(short: str, defaults: BuildingDefaults) -> dict[str, Any]:
 
 
 def instantiate_office(
-    office_id: str, setups: Iterable[DeviceSetup], defaults: BuildingDefaults
+    office_id: str, setups: Iterable[DeviceSetup], defaults: BuildingDefaults,
+    env: Environment | None = None,
 ) -> OfficeState:
-    """Create live devices plus the shared physics for one office."""
+    """Create live devices plus the shared physics for one office, which
+    integrates under `env`."""
     devices: dict[str, Device] = {}
     office = OfficeState(
         office_id,
@@ -481,6 +491,7 @@ def instantiate_office(
         heat_rate_c_per_min=defaults.heat_rate_c_per_min,
         leak_open_per_min=defaults.leak_open_per_min,
         leak_closed_per_min=defaults.leak_closed_per_min,
+        env=env,
     )
     for setup in setups:
         readers: dict[str, Callable[[], Any]] = {}

@@ -9,8 +9,10 @@ import pytest
 
 from fogloop import cli
 from fogloop.cli import main
+from fogloop.metrics import MetricsFold
 from fogloop.model import ValidationReport
 from fogloop.scenario import with_offering
+from fogloop.simnet import EventTrace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ONE_OFFICE = str(SCENARIOS / "smart_building_1office.json")
@@ -102,6 +104,31 @@ class TestRun:
         assert (out_dir / "trace.jsonl").exists()
         assert not (out_dir / "metrics.csv").exists()
         assert not (out_dir / "summary.txt").exists()
+
+    def test_run_without_a_trace_file_keeps_no_rows(self, tmp_path, monkeypatch):
+        run_scenario = cli.run_scenario
+        sinks = []
+
+        def recording(*args, **kwargs):
+            result = run_scenario(*args, **kwargs)
+            sinks.append(result.trace)
+            return result
+
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        outs = {}
+        for name, formats in (("full", "jsonl,csv,txt"), ("folded", "csv,txt")):
+            out_dir = tmp_path / name
+            assert main([
+                "run", "--scenario", THREE_CENTRAL, "--seed", "7",
+                "--until-ms", "20000", "--out", str(out_dir), "--format", formats,
+            ]) == 0
+            outs[name] = out_dir
+        assert isinstance(sinks[0], EventTrace) and sinks[0].events
+        assert isinstance(sinks[1], MetricsFold)
+        assert not (outs["folded"] / "trace.jsonl").exists()
+        for artifact in ("metrics.csv", "summary.txt"):
+            assert ((outs["folded"] / artifact).read_bytes()
+                    == (outs["full"] / artifact).read_bytes())
 
     def test_same_config_twice_is_byte_identical(self, tmp_path):
         outs = []

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import ast
+import builtins
+import importlib
 from collections import Counter
+from inspect import ismodule
 from pathlib import Path
 
 import fogloop
 
 PACKAGE = Path(fogloop.__file__).parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _referenced_names(tree: ast.AST) -> Counter:
@@ -39,3 +43,66 @@ def test_every_top_level_definition_is_exported_or_referenced():
             if everywhere[node.name] - _referenced_names(node)[node.name] <= 0:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "defined in src/fogloop but never used or exported: " + ", ".join(unused)
+
+
+def _tracer_install() -> ast.FunctionDef:
+    return next(node for node in ast.walk(ast.parse(TRACER.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "install")
+
+
+def _tracer_patch_points(install: ast.FunctionDef) -> list[tuple[ast.expr, str]]:
+    """(owner expression, attribute) for every name the perfbench tracer
+    replaces: its `_patch(owner, "name", ...)` calls, including those that
+    loop over a tuple of names, and its direct `owner.name = ...` writes."""
+    loop_names: dict[str, list[str]] = {}
+    for node in ast.walk(install):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+                and isinstance(node.iter, ast.Tuple):
+            loop_names[node.target.id] = [elt.value for elt in node.iter.elts]
+    points: list[tuple[ast.expr, str]] = []
+    for node in ast.walk(install):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "_patch":
+            owner, attr = node.args[0], node.args[1]
+            names = ([attr.value] if isinstance(attr, ast.Constant)
+                     else loop_names[attr.id])
+            points.extend((owner, name) for name in names)
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Attribute):
+            points.append((node.targets[0].value, node.targets[0].attr))
+    return points
+
+
+def _tracer_scope(install: ast.FunctionDef) -> dict[str, object]:
+    """The names `install` binds to fogloop modules and their members."""
+    scope: dict[str, object] = {}
+    for node in install.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "fogloop":
+            for alias in node.names:
+                scope[alias.asname or alias.name] = importlib.import_module(
+                    f"fogloop.{alias.name}")
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) \
+                and isinstance(node.value, ast.Attribute):
+            scope[node.targets[0].id] = _resolve(node.value, scope)
+    return scope
+
+
+def _resolve(expr: ast.expr, scope: dict[str, object]) -> object:
+    if isinstance(expr, ast.Name):
+        return scope[expr.id]
+    assert isinstance(expr, ast.Attribute), ast.unparse(expr)
+    return getattr(_resolve(expr.value, scope), expr.attr)
+
+
+def test_every_name_perfbench_patches_still_exists():
+    install = _tracer_install()
+    scope = _tracer_scope(install)
+    points = _tracer_patch_points(install)
+    assert {"decide_round", "advance", "place", "run_until", "open"} <= {
+        name for _, name in points}
+    missing = []
+    for owner_expr, name in points:
+        owner = _resolve(owner_expr, scope)
+        # A module also looks names up in builtins, as the CLI does `open`.
+        if not (hasattr(owner, name) or (ismodule(owner) and hasattr(builtins, name))):
+            missing.append(f"{ast.unparse(owner_expr)}.{name}")
+    assert not missing, "perfbench/tracer.py patches names that are gone: " + ", ".join(missing)

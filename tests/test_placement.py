@@ -149,7 +149,7 @@ def test_scope_minimality_against_alternatives():
     placement = place([loop()], topo)
     chosen = placement.node_of("office1", "monitor")
     for device in ("office1.lamp", "office1.window"):
-        to_chosen = topo.path_latency(topo.shortest_path(device, chosen))
+        to_chosen = topo.route(device, chosen)[1]
         for other in ("fog1", "fog2", "fog3"):
-            to_other = topo.path_latency(topo.shortest_path(device, other))
+            to_other = topo.route(device, other)[1]
             assert to_chosen <= to_other

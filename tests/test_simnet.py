@@ -184,7 +184,7 @@ def test_routing_prefers_lower_latency_then_lexicographic():
             Link("fc", "cloud", 3),
         ),
     )
-    assert topo.shortest_path("a", "cloud") == ("a", "fb", "cloud")
+    assert topo.route("a", "cloud")[0] == ("a", "fb", "cloud")
     # A cheaper detour beats the tidy-looking route.
     faster = Topology(
         nodes=topo.nodes,
@@ -195,7 +195,61 @@ def test_routing_prefers_lower_latency_then_lexicographic():
             Link("fc", "cloud", 3),
         ),
     )
-    assert faster.shortest_path("a", "cloud") == ("a", "fc", "cloud")
+    assert faster.route("a", "cloud")[0] == ("a", "fc", "cloud")
+
+
+@st.composite
+def small_topologies(draw) -> Topology:
+    """At most 6 nodes; each pair linked or not, latency 0-5, some jittered."""
+    names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6,
+                          unique=True))
+    links = []
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if draw(st.booleans()):
+                latency = draw(st.integers(0, 5))
+                jitter = draw(st.integers(0, latency))
+                ends = (a, b) if draw(st.booleans()) else (b, a)
+                links.append(Link(*ends, latency, jitter))
+    return Topology(tuple(Node(n, Tier.FOG) for n in names), tuple(links))
+
+
+def simple_paths(topo: Topology, src: str, dst: str) -> list[tuple[str, ...]]:
+    paths = []
+
+    def extend(path: tuple[str, ...]) -> None:
+        if path[-1] == dst:
+            paths.append(path)
+            return
+        for link in topo.links:
+            for here, there in ((link.a, link.b), (link.b, link.a)):
+                if here == path[-1] and there not in path:
+                    extend(path + (there,))
+
+    extend((src,))
+    return paths
+
+
+@settings(max_examples=200)
+@given(topo=small_topologies())
+def test_route_is_the_cheapest_then_least_simple_path(topo: Topology):
+    def link(a: str, b: str) -> Link:
+        return next(l for l in topo.links if {l.a, l.b} == {a, b})
+
+    def cost(path: tuple[str, ...]) -> int:
+        return sum(link(a, b).latency_ms for a, b in zip(path, path[1:]))
+
+    for src in topo.by_id:
+        for dst in topo.by_id:
+            paths = simple_paths(topo, src, dst)
+            route = topo.route(src, dst)
+            if not paths:
+                assert route is None
+                continue
+            best = min(paths, key=lambda path: (cost(path), path))
+            hops = [link(a, b) for a, b in zip(best, best[1:])]
+            jitters = tuple(hop.jitter_ms for hop in hops if hop.jitter_ms)
+            assert route == (best, cost(best), jitters)
 
 
 @settings(max_examples=50)

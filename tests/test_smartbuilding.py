@@ -10,6 +10,8 @@ from fogloop.coordination import CentralizedControl, Combinator, DecentralizedCo
 from fogloop.errors import ConfigError
 from fogloop.mape import ElapsedSinceCondition
 from fogloop.model import validate_domain
+from fogloop.runtime import Runtime
+from fogloop.scenario import building_to_dict, parse_scenario
 from fogloop.simnet import Tier
 from fogloop.smartbuilding import (
     BadArgumentError,
@@ -159,6 +161,24 @@ def test_meter_is_monotone_under_any_toggling(segments):
         lamp.state["power-state"] = lamp_on
         readings.append(office.energy_mj)
     assert readings == sorted(readings)
+
+
+@given(t=st.integers(1, 10_000_000), earlier=st.integers(0, 10_000_000))
+def test_sync_integrates_once_up_to_the_latest_instant(t, earlier):
+    office = office_with(heater_on=True, window_open=False, temp=20.0)
+    office.sync(t)
+    assert office.energy_mj == office.power_w() * t
+    settled = (office.energy_mj, office.room_temp_c)
+    office.sync(t)
+    office.sync(min(earlier, t))
+    assert (office.energy_mj, office.room_temp_c) == settled
+
+
+def test_runtime_physics_is_its_offices():
+    scenario = parse_scenario(building_to_dict(build_smart_building(2), name="two"))
+    runtime = Runtime(scenario, seed=0)
+    assert runtime.physics is runtime.offices
+    assert all(office.env is runtime.env for office in runtime.offices.values())
 
 
 def test_instantiated_office_wires_physics_readers():
