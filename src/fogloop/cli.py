@@ -135,13 +135,6 @@ def cmd_compare(path: str, variants: list[str], seed: int, horizon: int) -> int:
                 print(f"{token}: {line}")
             return EXIT_VALIDATION
 
-    env_times = {
-        token: [event.t for event in scenario.environment_events]
-        for token, scenario in prepared
-    }
-    if len({tuple(times) for times in env_times.values()}) > 1:
-        return _fail(EXIT_INPUT, "variants disagree on environment event times")
-
     rows: list[tuple[str, RunMetrics]] = []
     for token, scenario in prepared:
         try:

@@ -18,7 +18,6 @@ from typing import Any, Iterable, Mapping
 from fogloop.errors import ConfigError, FogloopError
 from fogloop.mape import AdaptationPlan, Observation, TypeMismatchError
 from fogloop.model import ValueType
-from fogloop.simnet import Topology
 
 
 class InteractionKind(str, Enum):
@@ -198,15 +197,3 @@ def decide_round(
             rnd.decided = proposals[member]
             break
     return rnd
-
-
-def round_timeout_ms(topology: Topology, nodes: Iterable[str]) -> int:
-    """ACK deadline: 10x the largest latency between any two member nodes."""
-    ids = sorted(set(nodes))
-    worst = 0
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            route = topology.route(a, b)
-            if route is not None:
-                worst = max(worst, route[1])
-    return 10 * worst

@@ -22,7 +22,9 @@ class RunMetrics:
     sends: dict[str, int] = field(default_factory=dict)
     deliveries: dict[str, int] = field(default_factory=dict)
     hops: dict[str, int] = field(default_factory=dict)
-    latencies: list[int] = field(default_factory=list)
+    latency_count: int = 0
+    latency_sum: int = 0
+    latency_max: int = 0
     symptoms: int = 0
     plans: int = 0
     dispatches: int = 0
@@ -37,18 +39,10 @@ class RunMetrics:
                 + self.hops.get(f"{tier_b}->{tier_a}", 0))
 
     @property
-    def latency_sum(self) -> int:
-        return sum(self.latencies)
-
-    @property
-    def latency_max(self) -> int:
-        return max(self.latencies, default=0)
-
-    @property
     def latency_mean(self) -> float | None:
-        if not self.latencies:
+        if not self.latency_count:
             return None
-        return self.latency_sum / len(self.latencies)
+        return self.latency_sum / self.latency_count
 
     def kwh(self, office: str) -> float:
         return self.energy_mj[office] / MJ_PER_KWH
@@ -97,7 +91,10 @@ class MetricsFold:
             for hop in hops:
                 tally[hop] = tally.get(hop, 0) + 1
         elif kind == "actuate-applied":
-            metrics.latencies.append(detail["latency"])
+            latency = detail["latency"]
+            metrics.latency_count += 1
+            metrics.latency_sum += latency
+            metrics.latency_max = max(metrics.latency_max, latency)
         elif kind == "symptom":
             metrics.symptoms += 1
         elif kind == "plan":
@@ -138,7 +135,7 @@ def metrics_csv(metrics: RunMetrics) -> str:
         rows.append(("hops", key, metrics.hops[key]))
     for pair in (("device", "fog"), ("fog", "fog"), ("fog", "cloud")):
         rows.append(("boundary", "-".join(pair), metrics.boundary(*pair)))
-    rows.append(("latency", "count", len(metrics.latencies)))
+    rows.append(("latency", "count", metrics.latency_count))
     rows.append(("latency", "sum_ms", metrics.latency_sum))
     rows.append(("latency", "max_ms", metrics.latency_max))
     rows.append(("counts", "symptoms", metrics.symptoms))
@@ -159,9 +156,9 @@ def summary_text(result: RunResult, metrics: RunMetrics) -> str:
     else:
         mode_name = ("centralized" if isinstance(mode, CentralizedControl)
                      else "decentralized")
-    if metrics.latencies:
+    if metrics.latency_count:
         latency = (f"mean={metrics.latency_mean:.3f} "
-                   f"max={metrics.latency_max} count={len(metrics.latencies)}")
+                   f"max={metrics.latency_max} count={metrics.latency_count}")
     else:
         latency = "mean=n/a max=n/a count=0"
     lines = [

@@ -25,7 +25,6 @@ from fogloop.coordination import (
     aggregate,
     decide_round,
     delegate,
-    round_timeout_ms,
 )
 from fogloop.errors import ConfigError
 from fogloop.mape import (
@@ -434,15 +433,9 @@ class LoopActor:
         )
         for member in self.runtime.group:
             self._send_round(component, member, {"type": "call", "round": round_id})
-        sim.schedule(
-            sim.now + self.runtime.round_timeouts[component],
-            lambda: self._check_timeout(component, round_id),
-        )
 
     def _on_propose(self, component: str, pay: dict) -> None:
         rnd = self.active_round[component]
-        if rnd is None or rnd.round_id != pay["round"]:
-            return
         rnd.proposals[pay["from"]] = pay["item"]
         if len(rnd.proposals) < len(self.runtime.group):
             return
@@ -496,8 +489,6 @@ class LoopActor:
 
     def _on_ack(self, component: str, pay: dict) -> None:
         rnd = self.active_round[component]
-        if rnd is None or rnd.round_id != pay["round"]:
-            return
         rnd.acked.add(pay["from"])
         if len(rnd.acked) < len(self.runtime.group):
             return
@@ -507,27 +498,10 @@ class LoopActor:
             round=rnd.round_id,
             component=component,
         )
-        self._end_round(component)
-
-    def _end_round(self, component: str) -> None:
         self.active_round[component] = None
         if self.round_requested[component]:
             self.round_requested[component] = False
             self._open_round(component)
-
-    def _check_timeout(self, component: str, round_id: str) -> None:
-        rnd = self.active_round[component]
-        if rnd is None or rnd.round_id != round_id:
-            return
-        missing = sorted(set(self.runtime.group) - rnd.acked)
-        self.runtime.sim.emit(
-            "round-abort",
-            self.addr[component],
-            round=round_id,
-            component=component,
-            missing=missing,
-        )
-        self._end_round(component)
 
 
 class Runtime:
@@ -573,17 +547,6 @@ class Runtime:
         self.loops: dict[str, LoopActor] = {
             spec.id: LoopActor(self, spec) for spec in scenario.loops
         }
-        self.round_timeouts = {
-            comp: max(
-                round_timeout_ms(
-                    scenario.topology,
-                    [self.loops[m].addr[comp].node for m in self.group],
-                ),
-                1,
-            )
-            for comp in COORDINATED_COMPONENTS
-        } if self.group else {}
-
         self._emit_env(self.env.weather, self.env.outside_temp_c)
         self._inject_env(weather=self.env.weather,
                          outside_temp=self.env.outside_temp_c)

@@ -175,15 +175,12 @@ class Device:
             raise BadArgumentError(f"{self.service}.set-position: got {arg!r}")
         return self._set("position", arg, now)
 
-    def _cmd_heater(self, command: str, arg: Any, now: int) -> list[Observation]:
-        if command != "set-power":
-            raise UnknownCommandError(f"{self.service} has no command '{command}'")
-        return self._set("power-state", self._bool_arg(command, arg), now)
-
     def _cmd_lamp(self, command: str, arg: Any, now: int) -> list[Observation]:
         if command != "set-power":
             raise UnknownCommandError(f"{self.service} has no command '{command}'")
         return self._set("power-state", self._bool_arg(command, arg), now)
+
+    _cmd_heater = _cmd_lamp
 
     def _cmd_clock(self, command: str, arg: Any, now: int) -> list[Observation]:
         if command == "arm":

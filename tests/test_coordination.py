@@ -18,7 +18,6 @@ from fogloop.coordination import (
     aggregate,
     decide_round,
     delegate,
-    round_timeout_ms,
 )
 from fogloop.errors import ConfigError
 from fogloop.mape import (
@@ -29,7 +28,6 @@ from fogloop.mape import (
     TypeMismatchError,
 )
 from fogloop.model import ValueType
-from fogloop.simnet import Link, Node, Tier, Topology
 
 METER_INPUTS = (
     ("office1", "office1.energy_meter", "kwh-reading"),
@@ -216,22 +214,3 @@ def test_round_needs_every_member():
 def test_round_needs_two_members():
     with pytest.raises(ConfigError):
         decide_round("r6", ["a"], "execute", {"a": "x"})
-
-
-def test_round_timeout_scales_with_group_distance():
-    topo = Topology(
-        nodes=(
-            Node("fog1", Tier.FOG),
-            Node("fog2", Tier.FOG),
-            Node("fog3", Tier.FOG),
-            Node("cloud", Tier.CLOUD),
-        ),
-        links=(
-            Link("fog1", "fog2", 2),
-            Link("fog2", "fog3", 2),
-            Link("fog1", "fog3", 2),
-            Link("fog1", "cloud", 50),
-        ),
-    )
-    assert round_timeout_ms(topo, ["fog1", "fog2", "fog3"]) == 20
-    assert round_timeout_ms(topo, ["fog1", "fog2"]) == 20

@@ -13,6 +13,7 @@ import fogloop
 
 PACKAGE = Path(fogloop.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+RUN_OUTPUTS = Path(__file__).resolve().parent.parent / "docs" / "run_outputs.md"
 
 
 def _referenced_names(tree: ast.AST) -> Counter:
@@ -106,3 +107,35 @@ def test_every_name_perfbench_patches_still_exists():
         if not (hasattr(owner, name) or (ismodule(owner) and hasattr(builtins, name))):
             missing.append(f"{ast.unparse(owner_expr)}.{name}")
     assert not missing, "perfbench/tracer.py patches names that are gone: " + ", ".join(missing)
+
+
+def _emitted_kinds() -> set[str]:
+    """Every string literal passed as the first argument of an `.emit(...)`
+    call in the package."""
+    kinds = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "emit" and node.args \
+                    and isinstance(node.args[0], ast.Constant) \
+                    and isinstance(node.args[0].value, str):
+                kinds.add(node.args[0].value)
+    return kinds
+
+
+def _documented_kinds() -> set[str]:
+    """The first cell of every row of the event table in docs/run_outputs.md."""
+    lines = RUN_OUTPUTS.read_text().splitlines()
+    start = lines.index("| kind | emitted when | detail keys |")
+    kinds = set()
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        kinds.add(line.split("|")[1].strip().strip("`"))
+    return kinds
+
+
+def test_every_emitted_event_kind_is_documented_and_no_other():
+    emitted = _emitted_kinds()
+    assert {"send", "deliver", "round-open"} <= emitted
+    assert emitted == _documented_kinds()
