@@ -92,6 +92,7 @@ def cmd_run(path: str, mode: str | None, seed: int, horizon: int,
     except ConfigError as exc:
         return _fail(EXIT_INPUT, str(exc))
     metrics = compute_metrics(result)
+    summary = summary_text(result, metrics)
     out_dir = _default_out(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -104,10 +105,10 @@ def cmd_run(path: str, mode: str | None, seed: int, horizon: int,
         if "txt" in formats:
             with open(os.path.join(out_dir, "summary.txt"), "w",
                       encoding="utf-8") as fh:
-                fh.write(summary_text(result, metrics))
+                fh.write(summary)
     except OSError as exc:
         return _fail(EXIT_OUTPUT, f"cannot write outputs: {exc}")
-    print(summary_text(result, metrics), end="")
+    print(summary, end="")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, NamedTuple, Protocol
+from typing import Any, Callable, Iterator, NamedTuple, Protocol
 
 from fogloop.errors import ConfigError, FogloopError
 from fogloop.model import ValidationReport
@@ -217,6 +217,9 @@ SinkFactory = Callable[[dict[str, Any]], TraceSink]
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _SEND_KEYS = frozenset(("id", "interaction"))
 _DELIVER_KEYS = frozenset(("id", "interaction", "sent", "path"))
+# Rows per block of text `EventTrace.write` hands to the file: writing adds
+# at most one block to the memory the rows already hold.
+_ROWS_PER_CHUNK = 4096
 
 
 @dataclass
@@ -235,17 +238,27 @@ class EventTrace:
 
     def to_jsonl(self) -> str:
         """The header, then one line per row; each line equals
-        `json.dumps(row, sort_keys=True, separators=(",", ":"))`.
+        `json.dumps(row, sort_keys=True, separators=(",", ":"))`."""
+        return "".join(self._chunks())
+
+    def write(self, path: str) -> None:
+        """Write `to_jsonl()` to `path` one chunk at a time."""
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(self._chunks())
+
+    def _chunks(self) -> Iterator[str]:
+        """The header line, then blocks of at most `_ROWS_PER_CHUNK` lines,
+        each ending in a newline.
 
         A `send` or `deliver` row with exactly its usual detail keys and
         integer times and ids is filled into a fixed template. Its
         addresses, interaction and path are encoded once per object and
-        call: rows share them. Every other row goes through the encoder."""
+        pass: rows share them. Every other row goes through the encoder."""
         encode = _ENCODER.encode
         encoded: dict[int, str] = {}
 
         def cached(value: Any) -> str:
-            # The rows keep every value alive during the call, so an id
+            # The rows keep every value alive during the pass, so an id
             # names one object.
             text = encoded.get(id(value))
             if text is None:
@@ -274,13 +287,11 @@ class EventTrace:
                         f'"src":{cached(row["src"])},"t":{t}}}')
             return None
 
-        lines = [encode(self.header)]
-        lines.extend(templated(row) or encode(row) for row in self.events)
-        return "\n".join(lines) + "\n"
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+        yield encode(self.header) + "\n"
+        events, step = self.events, _ROWS_PER_CHUNK
+        for start in range(0, len(events), step):
+            yield "\n".join(templated(row) or encode(row)
+                            for row in events[start:start + step]) + "\n"
 
 
 Handler = Callable[[Message], None]

@@ -139,3 +139,18 @@ def test_every_emitted_event_kind_is_documented_and_no_other():
     emitted = _emitted_kinds()
     assert {"send", "deliver", "round-open"} <= emitted
     assert emitted == _documented_kinds()
+
+
+def test_cli_opens_files_only_in_with_statements():
+    # perfbench replaces `cli.open` with a wrapper that works only as the
+    # context expression of a `with` item; any other use would fail only
+    # in a traced benchmark run.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    in_with = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+    opens = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "open"]
+    assert opens
+    bare = [f"line {node.lineno}" for node in opens if id(node) not in in_with]
+    assert not bare, "cli.py calls open outside a with item: " + ", ".join(bare)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fogloop import simnet
 from fogloop.simnet import (
     Address,
     EventTrace,
@@ -362,3 +364,53 @@ def test_jsonl_lines_equal_json_dumps(rows, shared):
     assert len(lines) - 1 == len(expected)
     for line, row in zip(lines, expected):
         assert line == json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("rows", [0, 2, 3, 4, 6, 7])
+def test_write_equals_to_jsonl_at_chunk_boundaries(rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(simnet, "_ROWS_PER_CHUNK", 3)
+    route = ("a", "b")
+    # Templated rows alternate with rows that go through the encoder.
+    pool = [(1, "send", "a", "b", {"id": 1, "interaction": "x"}),
+            (1.5, "send", "a", "b", {"id": 1, "interaction": "x"}),
+            (2, "deliver", "a", "b", {"id": 1, "interaction": "x", "sent": 1,
+                                      "path": route}),
+            (2, "send", "a", "b", {"id": True, "interaction": "x"}),
+            (3, "send", "a\u00e9", None, {"id": 2, "interaction": "x"}),
+            (3, "deliver", "a", None, {"id": 2, "interaction": "x", "sent": False,
+                                       "path": route}),
+            (4, "deliver", "a", "b", {"id": 2, "interaction": "x", "sent": 3,
+                                      "path": route})]
+    trace = EventTrace(header={"kind": "header", "seed": 1, "nodes": {"a\u00e9": "fog"}})
+    for row in pool[:rows]:
+        trace.append(*row)
+    path = tmp_path / "trace.jsonl"
+    trace.write(str(path))
+    text = trace.to_jsonl()
+    assert path.read_bytes() == text.encode("utf-8")
+    assert text.split("\n") == [
+        json.dumps(row, sort_keys=True, separators=(",", ":"))
+        for row in (trace.header, *trace.events)] + [""]
+
+
+def test_write_memory_does_not_grow_with_the_trace(tmp_path):
+    route = ("dev", "fog1", "cloud")
+
+    def peak(rows: int) -> int:
+        tracemalloc.start()
+        try:
+            # Send and deliver rows sharing addresses and a route, as a run's do.
+            trace = EventTrace(header={"kind": "header", "seed": 1})
+            for i in range(rows // 2):
+                trace.append(2 * i, "send", "dev/a", "cloud/k",
+                             {"id": i, "interaction": "read"})
+                trace.append(2 * i + 1, "deliver", "dev/a", "cloud/k",
+                             {"id": i, "interaction": "read", "sent": 2 * i, "path": route})
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trace.write(str(tmp_path / "trace.jsonl"))
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40_000) <= 1.5 * peak(10_000)
