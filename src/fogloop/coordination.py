@@ -88,6 +88,70 @@ def _to_output(value: Fraction, output_type: ValueType) -> int | float:
     return float(value)
 
 
+def _exact(value: Any) -> Fraction | None:
+    """`value` as an exact number, or None where `_numeric` would raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):  # NaN and infinities
+        return None
+
+
+_SUMMED = (Combinator.SUM, Combinator.MEAN)
+
+
+@dataclass
+class _Running:
+    """One spec's inputs, counted with multiplicity."""
+
+    missing: int
+    non_numbers: int = 0
+    total: Fraction = Fraction(0)  # of the numeric inputs; kept for SUM and MEAN
+
+
+class AggregationInputs(dict):
+    """The latest forwarded value of every aggregation input, as
+    `aggregate`'s `states`, with running exact state per spec.
+
+    `record` is the only writer. It converts each value to an exact number
+    once, as it arrives, and moves the total of every SUM and MEAN spec by
+    the difference between the input's new and old number, so `aggregate`
+    neither converts nor re-sums the inputs.
+    """
+
+    def __init__(self, specs: Iterable[AggregationSpec]) -> None:
+        super().__init__()
+        self.numbers: dict[tuple[str, str, str], Fraction | None] = {}
+        self.running: dict[int, _Running] = {}  # by id(spec)
+        # input -> [(spec, its running state, how often the spec lists the input)]
+        self._uses: dict[tuple[str, str, str], list[tuple[AggregationSpec, _Running, int]]] = {}
+        for spec in specs:
+            run = self.running[id(spec)] = _Running(missing=len(spec.inputs))
+            for key in dict.fromkeys(spec.inputs):
+                self._uses.setdefault(key, []).append((spec, run, spec.inputs.count(key)))
+
+    def record(self, key: tuple[str, str, str], value: Any) -> list[AggregationSpec]:
+        """Store a forwarded value; return the specs that read it, in order."""
+        new = _exact(value)
+        first = key not in self
+        old = None if first else self.numbers[key]
+        self[key] = value
+        self.numbers[key] = new
+        uses = self._uses.get(key, ())
+        for spec, run, weight in uses:
+            if first:
+                run.missing -= weight
+            elif old is None:
+                run.non_numbers -= weight
+            if new is None:
+                run.non_numbers += weight
+            if spec.combinator in _SUMMED:
+                delta = (new or 0) - (old or 0)
+                run.total += delta if weight == 1 else weight * delta
+        return [spec for spec, _, _ in uses]
+
+
 def aggregate(
     spec: AggregationSpec,
     states: Mapping[tuple[str, str, str], Any],
@@ -99,8 +163,22 @@ def aggregate(
     Returns None while any input is missing: aggregation stalls until every
     declared input has been forwarded at least once. Arithmetic is exact
     (rationals), with one rounding step to the declared output type, so the
-    result is invariant under input permutation.
+    result is invariant under input permutation. When `states` is an
+    `AggregationInputs` that knows `spec` and every input is a number, its
+    exact numbers and totals are used as they stand.
     """
+    run = states.running.get(id(spec)) if isinstance(states, AggregationInputs) else None
+    if run is not None and run.missing:
+        return None
+    if run is not None and not run.non_numbers and spec.combinator is not Combinator.VECTOR:
+        if spec.combinator is Combinator.SUM:
+            result = run.total
+        elif spec.combinator is Combinator.MEAN:
+            result = run.total / len(spec.inputs)
+        else:
+            pick = max if spec.combinator is Combinator.MAX else min
+            result = pick(states.numbers[key] for key in spec.inputs)
+        return Observation(service, spec.output, _to_output(result, spec.output_type), now)
     values = []
     for key in spec.inputs:
         if key not in states:

@@ -4,7 +4,9 @@ The analyzer is a deterministic event-condition-action engine: a policy
 fires when every condition holds over the knowledge base's latest values
 and its cooldown has elapsed. Analysis results are pure: the knowledge base
 only memoises condition verdicts per entry, and re-trigger state (the
-last-raised map) is owned by the caller and passed in explicitly.
+last-raised map) is owned by the caller and passed in explicitly. A
+`PolicyIndex` spares analysis the policies no put since their last check
+can make fire.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from fogloop.errors import ConfigError, FogloopError
 from fogloop.model import ParameterSpec, value_conforms
@@ -51,10 +53,10 @@ class Observation:
     timestamp: int
 
 
-@dataclass(frozen=True)
-class KbEntry:
+class KbEntry(NamedTuple):
     """Latest value of one stream. `since` is when this value first appeared,
-    so unchanged periodic samples refresh `timestamp` but not `since`."""
+    so unchanged periodic samples refresh `timestamp` but not `since`. A tuple,
+    because every put builds one."""
 
     value: Any
     timestamp: int
@@ -217,6 +219,7 @@ def analyze(
     policies: Iterable[Policy],
     now: int,
     last_raised: Mapping[str, int] | None = None,
+    blocked: list[tuple[Policy, Condition]] | None = None,
 ) -> list[Symptom]:
     """One symptom per policy whose conditions all hold and whose cooldown has
     elapsed. Evaluation follows declaration order and stops at the first
@@ -224,7 +227,12 @@ def analyze(
 
     A condition's `holds_from` runs, type check included, only when the
     condition meets an entry it was not last evaluated on; the verdict is
-    memoised on the KB, so the result is that of a fresh evaluation."""
+    memoised on the KB, so the result is that of a fresh evaluation.
+
+    If `blocked` is given, it receives `(policy, condition)` for every policy
+    whose evaluation stopped at a condition that cannot hold while its
+    stream's latest entry stands: the stream has no entry, or `holds_from`
+    is None for it."""
     last_raised = last_raised or {}
     latest, verdicts = kb.latest, kb._verdicts
     symptoms: list[Symptom] = []
@@ -235,15 +243,71 @@ def analyze(
         for cond in policy.when:
             entry = latest.get((cond.service, cond.parameter))
             if entry is None:
+                if blocked is not None:
+                    blocked.append((policy, cond))
                 break
             verdict = verdicts.get(id(cond))
             if verdict is None or verdict[1] is not entry:
                 verdict = verdicts[id(cond)] = (cond, entry, cond.holds_from(entry))
-            if verdict[2] is None or verdict[2] > now:
+            if verdict[2] is None:
+                if blocked is not None:
+                    blocked.append((policy, cond))
+                break
+            if verdict[2] > now:
                 break
         else:
             symptoms.append(Symptom(policy.name, _snapshot(policy, kb, now), now))
     return symptoms
+
+
+class PolicyIndex:
+    """The policies of one loop that analysis must check after a put.
+
+    A policy sleeps once `analyze` reports it blocked, until a stream read by
+    the blocking condition, or by a condition before it, gets a new value.
+    Until then checking it can neither fire it nor raise: a condition's
+    verdict and type check depend only on its stream's value, of which only
+    the type and equality count, and on `since`, which moves only with the
+    value. Every other policy stays live and is checked at every put, on any
+    stream: one in cooldown, one waiting for an `elapsed_since` deadline, one
+    that just fired. `live` keeps declaration order, so
+    `analyze(kb, index.live, ...)` returns, or raises, what it would over
+    every policy.
+    """
+
+    def __init__(self, policies: Iterable[Policy]) -> None:
+        self.policies = tuple(policies)
+        self.live = list(self.policies)
+        # Policies are keyed by id: the tuple keeps them alive, and a policy
+        # listed twice sleeps and wakes with itself.
+        self._asleep: set[int] = set()
+        self._sleepers: dict[tuple[str, str], set[int]] = {}
+        # (id(policy), id(condition)) -> the streams read up to that condition.
+        self._wakers: dict[tuple[int, int], tuple[tuple[str, str], ...]] = {}
+        for policy in self.policies:
+            streams: list[tuple[str, str]] = []
+            for cond in policy.when:
+                if (cond.service, cond.parameter) not in streams:
+                    streams.append((cond.service, cond.parameter))
+                self._wakers.setdefault((id(policy), id(cond)), tuple(streams))
+
+    def put(self, key: tuple[str, str], before: KbEntry | None, value: Any) -> None:
+        """Stream `key` took `value`; `before` is the entry it replaced."""
+        if before is not None and before.value == value \
+                and type(before.value) is type(value):
+            return
+        woken = self._sleepers.pop(key, None)
+        if woken and not woken.isdisjoint(self._asleep):
+            self._asleep -= woken
+            self.live = [p for p in self.policies if id(p) not in self._asleep]
+
+    def sleep(self, blocked: list[tuple[Policy, Condition]]) -> None:
+        """Put to sleep the live policies `analyze` reported in `blocked`."""
+        for policy, cond in blocked:
+            self._asleep.add(id(policy))
+            for key in self._wakers[id(policy), id(cond)]:
+                self._sleepers.setdefault(key, set()).add(id(policy))
+        self.live = [p for p in self.policies if id(p) not in self._asleep]
 
 
 Reader = Callable[[], Any]

@@ -18,6 +18,7 @@ from typing import Any
 
 from fogloop.coordination import (
     COORDINATED_COMPONENTS,
+    AggregationInputs,
     CoordinationRound,
     DecentralizedControl,
     ForwardingFilter,
@@ -35,6 +36,7 @@ from fogloop.mape import (
     Observation,
     PlannedAction,
     Planner,
+    PolicyIndex,
     StaleObservationError,
     UnreachableTargetError,
     analyze,
@@ -160,6 +162,7 @@ class LoopActor:
         self.spec = spec
         self.scope = set(spec.scope)
         self.kb = KnowledgeBase()
+        self.index = PolicyIndex(spec.policies)
         self.last_raised: dict[str, int] = {}
         self.planner = Planner(prefix=spec.id)
         self.executor = Executor(self._transport)
@@ -172,7 +175,6 @@ class LoopActor:
                 f"loop '{spec.id}': analyze and knowledge must share a node"
             )
         self.is_master = runtime.master_id == spec.id
-        self.agg_states: dict[tuple[str, str, str], Any] = {}
         sim = runtime.sim
         sim.register(self.addr["monitor"], self._on_monitor)
         sim.register(self.addr["analyze"], self._on_analyze)
@@ -180,6 +182,7 @@ class LoopActor:
         sim.register(self.addr["execute"], self._on_execute)
         if self.is_master:
             sim.register(self.addr["knowledge"], self._on_knowledge)
+            self.agg_inputs = AggregationInputs(runtime.control.aggregations)
 
         self.forward_filter = ForwardingFilter()
         self.forward_keys: set[tuple[str, str]] = set()
@@ -219,11 +222,13 @@ class LoopActor:
 
     # --- analyze + knowledge ----------------------------------------------
 
-    def _put(self, obs: Observation) -> bool:
+    def put(self, obs: Observation) -> bool:
+        """The loop's one way into its knowledge base."""
+        key = (obs.service, obs.parameter)
+        before = self.kb.latest.get(key)
         try:
             self.kb.put(obs)
         except StaleObservationError:
-            entry = self.kb.get(obs.service, obs.parameter)
             self.runtime.sim.emit(
                 "stale-drop",
                 self.addr["knowledge"],
@@ -231,21 +236,25 @@ class LoopActor:
                 service=obs.service,
                 parameter=obs.parameter,
                 t_obs=obs.timestamp,
-                t_latest=entry.timestamp,
+                t_latest=before.timestamp,
             )
             return False
+        self.index.put(key, before, obs.value)
         return True
 
     def _on_analyze(self, msg: Message) -> None:
         if msg.kind == COORDINATION:
             self._on_round("analyze", msg.payload)
             return
-        if self._put(msg.payload):
+        if self.put(msg.payload):
             self._analyze_now()
 
     def _analyze_now(self) -> None:
         sim = self.runtime.sim
-        symptoms = analyze(self.kb, self.spec.policies, sim.now, self.last_raised)
+        blocked: list = []
+        symptoms = analyze(self.kb, self.index.live, sim.now, self.last_raised, blocked)
+        if blocked:
+            self.index.sleep(blocked)
         for symptom in symptoms:
             self.last_raised[symptom.policy] = sim.now
             sim.emit(
@@ -264,18 +273,16 @@ class LoopActor:
     def _on_knowledge(self, msg: Message) -> None:
         pay = msg.payload
         obs: Observation = pay["obs"]
-        if not self._put(obs):
+        if not self.put(obs):
             return
-        self.agg_states[(pay["loop"], obs.service, obs.parameter)] = obs.value
         sim = self.runtime.sim
         touched = False
-        for spec in self.runtime.control.aggregations:
-            if (pay["loop"], obs.service, obs.parameter) not in spec.inputs:
-                continue
-            combined = aggregate(spec, self.agg_states, sim.now, service=self.spec.id)
+        key = (pay["loop"], obs.service, obs.parameter)
+        for spec in self.agg_inputs.record(key, obs.value):
+            combined = aggregate(spec, self.agg_inputs, sim.now, service=self.spec.id)
             if combined is None:
                 continue
-            self._put(combined)
+            self.put(combined)
             touched = True
             sim.emit(
                 "aggregate",
@@ -593,14 +600,14 @@ class Runtime:
     def _inject_env(self, weather: str | None = None,
                     outside_temp: float | None = None) -> None:
         """Ambient context skips the network: every knowledge base learns
-        environment values the instant they change."""
+        environment values the instant they change. The values wait there for
+        the loop's next observation to be analyzed."""
         now = self.sim.now
         for actor in self.loops.values():
             if weather is not None:
-                actor.kb.put(Observation(ENV_SERVICE, "weather", weather, now))
+                actor.put(Observation(ENV_SERVICE, "weather", weather, now))
             if outside_temp is not None:
-                actor.kb.put(Observation(ENV_SERVICE, "outside-temp",
-                                         outside_temp, now))
+                actor.put(Observation(ENV_SERVICE, "outside-temp", outside_temp, now))
 
     def _apply_env(self, event: EnvironmentEvent) -> None:
         for office in self.offices.values():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fogloop.coordination import (
+    AggregationInputs,
     AggregationSpec,
     Combinator,
     CoordinationRound,
@@ -117,6 +118,54 @@ def test_numeric_aggregation_ignores_input_order(values, combinator, seed):
     if combinator is Combinator.MEAN:
         exact = sum(Fraction(v) for v in values) / len(values)
         assert forward.value == float(exact)
+
+
+AGG_KEYS = (("l1", "s", "x"), ("l2", "s", "x"), ("l3", "s", "y"))
+NUMBERS = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.1, -0.0, 1e308, float("inf"), float("nan")]),
+)
+NON_NUMBERS = st.sampled_from(["on", True, False, None, [1]])
+
+
+@st.composite
+def agg_specs(draw, combinator: Combinator, output_type: ValueType):
+    """A spec with the given combinator and type, then up to two more over the
+    same keys; inputs may repeat a key."""
+    kinds = [(combinator, output_type)] + draw(st.lists(
+        st.tuples(st.sampled_from(list(Combinator)),
+                  st.sampled_from([ValueType.INTEGER, ValueType.REAL])), max_size=2))
+    return [AggregationSpec(f"agg{n}", tuple(draw(st.lists(st.sampled_from(AGG_KEYS),
+                                                            min_size=1, max_size=4))),
+                            kind, f"out{n}", out_type)
+            for n, (kind, out_type) in enumerate(kinds)]
+
+
+def aggregated(spec, states, now):
+    try:
+        return aggregate(spec, states, now, service="master")
+    except (TypeMismatchError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("output_type", [ValueType.INTEGER, ValueType.REAL])
+@pytest.mark.parametrize("combinator", list(Combinator))
+@given(data=st.data())
+def test_running_aggregation_matches_recomputing(combinator, output_type, data):
+    """After each forwarded reading, aggregation over running inputs equals
+    aggregation recomputed from the plain values, including the reading at
+    which a non-number raises, for every spec."""
+    specs = data.draw(agg_specs(combinator, output_type))
+    readings = data.draw(st.lists(st.tuples(st.sampled_from(AGG_KEYS),
+                                            st.one_of(NUMBERS, NUMBERS, NON_NUMBERS)),
+                                  min_size=1, max_size=25))
+    inputs = AggregationInputs(specs)
+    for now, (key, value) in enumerate(readings):
+        affected = inputs.record(key, value)
+        assert affected == [spec for spec in specs if key in spec.inputs]
+        for spec in specs:
+            assert aggregated(spec, inputs, now) == aggregated(spec, dict(inputs), now)
 
 
 def test_forwarding_filter_sends_only_changes():

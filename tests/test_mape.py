@@ -18,6 +18,7 @@ from fogloop.mape import (
     Planner,
     PlannedAction,
     Policy,
+    PolicyIndex,
     StaleObservationError,
     Symptom,
     ThresholdCondition,
@@ -391,3 +392,146 @@ def test_memoised_analysis_matches_fresh_kb(policies, steps):
         if not isinstance(expected, str):
             for symptom in expected:
                 last_raised[symptom.policy] = symptom.raised_at
+
+
+NOOP = (PlannedAction("s", "noop"),)
+# An elapsed-time rule after the shape of `-lights-off-after-lock`: once the
+# deadline passes it fires at the next put, whatever the stream.
+AFTER_LOCK = Policy("after-lock", (ElapsedSinceCondition("s", "word", "on", 10),
+                                   ThresholdCondition("s", "count", Comparator.EQ, 1)),
+                    NOOP, cooldown_ms=100)
+# Values equal across types (1 == 1.0 == True). True is no number, so a put
+# can change a condition's type check without changing equality.
+ODD_VALUES = st.sampled_from([1, 1.0, True, False, "on"])
+
+
+@st.composite
+def index_policies(draw):
+    """Like `memo_policies`, but most thresholds can be compared with their
+    stream's values, so most runs go on past their first type mismatch."""
+    conditions = []
+    for _ in range(draw(st.integers(1, 6))):
+        service, parameter = draw(st.sampled_from(STREAMS))
+        if draw(st.booleans()):
+            threshold = draw(st.one_of(VALUES[parameter], VALUES[parameter], THRESHOLDS))
+            fitting = [Comparator.EQ, Comparator.NE] if isinstance(threshold, str) \
+                else list(Comparator)
+            comparator = draw(st.one_of(st.sampled_from(fitting), st.sampled_from(fitting),
+                                        st.sampled_from(list(Comparator))))
+            conditions.append(ThresholdCondition(service, parameter, comparator, threshold))
+        else:
+            conditions.append(ElapsedSinceCondition(
+                service, parameter, draw(VALUES[parameter]), draw(st.integers(0, 40)),
+            ))
+    policies = []
+    for index in range(draw(st.integers(1, 4))):
+        picked = draw(st.lists(st.sampled_from(conditions), min_size=1, max_size=3))
+        policies.append(Policy(f"p{index}", tuple(picked), NOOP,
+                               cooldown_ms=draw(st.integers(0, 30))))
+    return policies
+
+
+@st.composite
+def index_steps(draw):
+    """(service, parameter, value, dt, back, look_ahead, analyzed): a put
+    stamped `back` ms before the clock, which is stale when it regresses its
+    stream, then analysis at the clock plus `look_ahead` if `analyzed`."""
+    steps = []
+    for _ in range(draw(st.integers(1, 40))):
+        service, parameter = draw(st.sampled_from(STREAMS))
+        value = draw(st.one_of(VALUES[parameter], VALUES[parameter], ODD_VALUES))
+        steps.append((service, parameter, value, draw(st.integers(0, 15)),
+                      draw(st.sampled_from([0, 0, 0, 7])), draw(st.integers(0, 50)),
+                      draw(st.booleans())))
+    return steps
+
+
+def indexed_outcome(kb: KnowledgeBase, index: PolicyIndex, now: int, last_raised: dict):
+    blocked: list = []
+    try:
+        symptoms = analyze(kb, index.live, now, last_raised, blocked)
+    except TypeMismatchError as exc:
+        return str(exc)
+    index.sleep(blocked)
+    return symptoms
+
+
+@example(policies=[AFTER_LOCK],
+         steps=[("s", "word", "on", 1, 0, 0, True), ("s", "count", 1, 1, 0, 0, True),
+                ("s", "mixed", "off", 18, 0, 0, True)])
+@example(  # a condition before the blocking one meets a value it cannot compare
+    policies=[Policy("p", (ThresholdCondition("s", "mixed", Comparator.GE, 1),
+                           ThresholdCondition("s", "word", Comparator.EQ, "on")), NOOP)],
+    steps=[("s", "mixed", 2, 1, 0, 0, True), ("s", "word", "off", 1, 0, 0, True),
+           ("s", "mixed", "on", 1, 0, 0, True)],
+)
+@example(  # an equal value of another type: 1 == True, yet True is no number
+    policies=[Policy("p", (ThresholdCondition("s", "mixed", Comparator.GE, 0),
+                           ThresholdCondition("s", "word", Comparator.EQ, "on")), NOOP)],
+    steps=[("s", "mixed", 1, 1, 0, 0, True), ("s", "word", "off", 1, 0, 0, True),
+           ("s", "mixed", True, 1, 0, 0, True)],
+)
+@given(policies=index_policies(), steps=index_steps())
+def test_indexed_analysis_matches_analysis_of_every_policy(policies, steps):
+    """Analysis of the index's live policies returns what analysis of every
+    policy returns, including the call at which a type mismatch raises, over
+    puts that are stale or not followed by analysis, cooldowns, deadlines
+    and analysis ahead of the newest put."""
+    kb = KnowledgeBase()
+    index = PolicyIndex(policies)
+    last_raised: dict[str, int] = {}
+    now = 0
+    for service, parameter, value, dt, back, look_ahead, analyzed in steps:
+        now += dt
+        key = (service, parameter)
+        before = kb.latest.get(key)
+        try:
+            kb.put(Observation(service, parameter, value, now - back))
+        except StaleObservationError:
+            continue
+        index.put(key, before, value)
+        if not analyzed:
+            continue
+        fresh = KnowledgeBase()
+        fresh.latest = dict(kb.latest)
+        at = now + look_ahead
+        expected = outcome(fresh, policies, at, dict(last_raised))
+        assert indexed_outcome(kb, index, at, last_raised) == expected
+        if not isinstance(expected, str):
+            for symptom in expected:
+                last_raised[symptom.policy] = symptom.raised_at
+
+
+def test_index_keeps_a_policy_waiting_for_a_deadline_live():
+    """`-lights-off-after-lock`'s trap: the deadline passes with no put on
+    either stream the policy reads, and the next put, on another stream,
+    fires it."""
+    blocked_rule = Policy("sunny", (ThresholdCondition("s", "word", Comparator.EQ, "off"),),
+                          NOOP)
+    kb = KnowledgeBase()
+    index = PolicyIndex([blocked_rule, AFTER_LOCK])
+    for obs in (Observation("s", "word", "on", 1), Observation("s", "count", 1, 2)):
+        before = kb.latest.get((obs.service, obs.parameter))
+        kb.put(obs)
+        index.put((obs.service, obs.parameter), before, obs.value)
+        assert indexed_outcome(kb, index, obs.timestamp, {}) == []
+    assert index.live == [AFTER_LOCK]
+    kb.put(Observation("s", "mixed", 0, 20))
+    index.put(("s", "mixed"), None, 0)
+    assert [s.policy for s in indexed_outcome(kb, index, 20, {})] == ["after-lock"]
+
+
+def test_index_wakes_a_policy_only_when_a_stream_it_waits_on_changes_value():
+    kb = kb_with(Observation("environment", "weather", "cloudy", 0),
+                 Observation("office1.window", "position", "open", 0),
+                 Observation("office1.lamp", "power-state", True, 0))
+    index = PolicyIndex([LIGHTS_OFF_SUNNY])
+    assert indexed_outcome(kb, index, 1, {}) == []
+    assert index.live == []
+    for service, parameter, value in (("office1.window", "position", "open"),
+                                      ("office1.lamp", "power-state", False),
+                                      ("environment", "weather", "cloudy")):
+        index.put((service, parameter), kb.get(service, parameter), value)
+        assert index.live == []
+    index.put(("environment", "weather"), kb.get("environment", "weather"), "sunny")
+    assert index.live == [LIGHTS_OFF_SUNNY]

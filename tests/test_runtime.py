@@ -91,6 +91,28 @@ class TestTiming:
         assert events[0]["t"] == CLOCK_MS + 2
         assert result.devices["office1.lamp"].read("power-state") is False
 
+    def test_weather_flip_fires_at_the_next_sample_of_an_unrelated_stream(self):
+        """An environment change is not analyzed on its own: the loop's next
+        observation is, whatever its stream. Lamp and window sample only every
+        100 s here, so that observation comes from the door, heater, meter or
+        clock."""
+        data = quiet_one_office(events=[{"t": 300_500, "weather": "sunny"}])
+        for task in data["domain"]["tasks"]:
+            for service in task["services"]:
+                if service["name"] in ("office1.lamp", "office1.window"):
+                    for parameter in service["parameters"]:
+                        parameter["sample_interval_ms"] = 100_000
+        result = run_scenario(parse_scenario(data), seed=42, horizon=320_000)
+        first = next(e for e in result.trace.of_kind("deliver")
+                     if e["dst"].endswith("/office1.analyze") and e["t"] > 300_500)
+        symptoms = [e["t"] for e in result.trace.of_kind("symptom")
+                    if e["detail"]["policy"] == "office1-lights-off-sunny"]
+        assert symptoms == [first["t"]] == [301_001]
+        assert not [e for e in result.trace.of_kind("send")
+                    if e["src"].endswith(("/office1.lamp", "/office1.window"))
+                    and 300_500 <= e["t"] <= first["t"]]
+        assert result.devices["office1.lamp"].read("power-state") is False
+
     def test_changed_state_reannounced_without_waiting_for_the_grid(self):
         data = quiet_one_office(events=[{"t": 300_000, "weather": "sunny"}])
         result = run_scenario(parse_scenario(data), seed=42, horizon=320_000)
