@@ -98,58 +98,22 @@ def _exact(value: Any) -> Fraction | None:
         return None
 
 
-_SUMMED = (Combinator.SUM, Combinator.MEAN)
-
-
-@dataclass
-class _Running:
-    """One spec's inputs, counted with multiplicity."""
-
-    missing: int
-    non_numbers: int = 0
-    total: Fraction = Fraction(0)  # of the numeric inputs; kept for SUM and MEAN
-
-
 class AggregationInputs(dict):
     """The latest forwarded value of every aggregation input, as
-    `aggregate`'s `states`, with running exact state per spec.
+    `aggregate`'s `states`.
 
-    `record` is the only writer. It converts each value to an exact number
-    once, as it arrives, and moves the total of every SUM and MEAN spec by
-    the difference between the input's new and old number, so `aggregate`
-    neither converts nor re-sums the inputs.
+    `record` is the only writer. It also converts each value to an exact
+    number once, as it arrives, so `aggregate` does not convert every input
+    again at each reading.
     """
 
-    def __init__(self, specs: Iterable[AggregationSpec]) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.numbers: dict[tuple[str, str, str], Fraction | None] = {}
-        self.running: dict[int, _Running] = {}  # by id(spec)
-        # input -> [(spec, its running state, how often the spec lists the input)]
-        self._uses: dict[tuple[str, str, str], list[tuple[AggregationSpec, _Running, int]]] = {}
-        for spec in specs:
-            run = self.running[id(spec)] = _Running(missing=len(spec.inputs))
-            for key in dict.fromkeys(spec.inputs):
-                self._uses.setdefault(key, []).append((spec, run, spec.inputs.count(key)))
 
-    def record(self, key: tuple[str, str, str], value: Any) -> list[AggregationSpec]:
-        """Store a forwarded value; return the specs that read it, in order."""
-        new = _exact(value)
-        first = key not in self
-        old = None if first else self.numbers[key]
+    def record(self, key: tuple[str, str, str], value: Any) -> None:
         self[key] = value
-        self.numbers[key] = new
-        uses = self._uses.get(key, ())
-        for spec, run, weight in uses:
-            if first:
-                run.missing -= weight
-            elif old is None:
-                run.non_numbers -= weight
-            if new is None:
-                run.non_numbers += weight
-            if spec.combinator in _SUMMED:
-                delta = (new or 0) - (old or 0)
-                run.total += delta if weight == 1 else weight * delta
-        return [spec for spec, _, _ in uses]
+        self.numbers[key] = _exact(value)
 
 
 def aggregate(
@@ -164,21 +128,8 @@ def aggregate(
     declared input has been forwarded at least once. Arithmetic is exact
     (rationals), with one rounding step to the declared output type, so the
     result is invariant under input permutation. When `states` is an
-    `AggregationInputs` that knows `spec` and every input is a number, its
-    exact numbers and totals are used as they stand.
+    `AggregationInputs`, the exact numbers it holds are used as they stand.
     """
-    run = states.running.get(id(spec)) if isinstance(states, AggregationInputs) else None
-    if run is not None and run.missing:
-        return None
-    if run is not None and not run.non_numbers and spec.combinator is not Combinator.VECTOR:
-        if spec.combinator is Combinator.SUM:
-            result = run.total
-        elif spec.combinator is Combinator.MEAN:
-            result = run.total / len(spec.inputs)
-        else:
-            pick = max if spec.combinator is Combinator.MAX else min
-            result = pick(states.numbers[key] for key in spec.inputs)
-        return Observation(service, spec.output, _to_output(result, spec.output_type), now)
     values = []
     for key in spec.inputs:
         if key not in states:
@@ -186,7 +137,11 @@ def aggregate(
         values.append(states[key])
     if spec.combinator is Combinator.VECTOR:
         return Observation(service, spec.output, list(values), now)
-    numbers = [_numeric(v, spec) for v in values]
+    exact = states.numbers if isinstance(states, AggregationInputs) else {}
+    numbers = []
+    for key, value in zip(spec.inputs, values):
+        number = exact.get(key)
+        numbers.append(_numeric(value, spec) if number is None else number)
     if spec.combinator is Combinator.SUM:
         result = sum(numbers, Fraction(0))
     elif spec.combinator is Combinator.MEAN:

@@ -175,6 +175,7 @@ class LoopActor:
                 f"loop '{spec.id}': analyze and knowledge must share a node"
             )
         self.is_master = runtime.master_id == spec.id
+        self.agg_inputs = AggregationInputs()
         sim = runtime.sim
         sim.register(self.addr["monitor"], self._on_monitor)
         sim.register(self.addr["analyze"], self._on_analyze)
@@ -182,7 +183,6 @@ class LoopActor:
         sim.register(self.addr["execute"], self._on_execute)
         if self.is_master:
             sim.register(self.addr["knowledge"], self._on_knowledge)
-            self.agg_inputs = AggregationInputs(runtime.control.aggregations)
 
         self.forward_filter = ForwardingFilter()
         self.forward_keys: set[tuple[str, str]] = set()
@@ -278,7 +278,10 @@ class LoopActor:
         sim = self.runtime.sim
         touched = False
         key = (pay["loop"], obs.service, obs.parameter)
-        for spec in self.agg_inputs.record(key, obs.value):
+        self.agg_inputs.record(key, obs.value)
+        for spec in self.runtime.control.aggregations:
+            if key not in spec.inputs:
+                continue
             combined = aggregate(spec, self.agg_inputs, sim.now, service=self.spec.id)
             if combined is None:
                 continue
