@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
 from fogloop.errors import ConfigError, FogloopError
-from fogloop.mape import AdaptationPlan, Observation, TypeMismatchError
+from fogloop.mape import AdaptationPlan, Observation
 from fogloop.model import ValueType
 
 
@@ -44,6 +44,10 @@ class OrphanActionError(FogloopError):
 
 class IncompleteRoundError(FogloopError):
     """A round was decided before every member proposed or abstained."""
+
+
+class TypeMismatchError(ConfigError):
+    """An aggregation input is not a number; the run must halt."""
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 The analyzer is a deterministic event-condition-action engine: a policy
 fires when every condition holds over the knowledge base's latest values
-and its cooldown has elapsed. Analysis results are pure: the knowledge base
-only memoises condition verdicts per entry, and re-trigger state (the
+and its cooldown has elapsed. Analysis is pure: re-trigger state (the
 last-raised map) is owned by the caller and passed in explicitly. A
 `PolicyIndex` spares analysis the policies no put since their last check
-can make fire.
+can make fire. Value types are checked once, by `validate_scenario`, so
+nothing here checks them again.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from fogloop.errors import ConfigError, FogloopError
-from fogloop.model import ParameterSpec, value_conforms
+from fogloop.errors import FogloopError
 
 
 class StaleObservationError(FogloopError):
@@ -39,10 +38,6 @@ class UnreachableTargetError(FogloopError):
 
 class DoubleDispatchError(FogloopError):
     """A plan was executed a second time."""
-
-
-class TypeMismatchError(ConfigError):
-    """A condition compares incompatible value types; the run must halt."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +61,6 @@ class KbEntry(NamedTuple):
 class KnowledgeBase:
     def __init__(self) -> None:
         self.latest: dict[tuple[str, str], KbEntry] = {}
-        # analyze's memo: id(condition) -> (condition, entry, holds_from(entry)).
-        # Entries are frozen and replaced on every put, so the same entry object
-        # means the same verdict; holding both objects keeps their ids unique.
-        self._verdicts: dict[int, tuple[Condition, KbEntry, float | None]] = {}
 
     def get(self, service: str, parameter: str) -> KbEntry | None:
         return self.latest.get((service, parameter))
@@ -103,32 +94,9 @@ _COMPARE: dict[Comparator, Callable[[Any, Any], bool]] = {
     Comparator.GT: operator.gt,
 }
 
-_ORDERED = (Comparator.LT, Comparator.LE, Comparator.GE, Comparator.GT)
-
-
-def _family(value: Any) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    return type(value).__name__
-
-
-class _StreamCondition:
-    """A condition on the latest entry of one (service, parameter) stream,
-    decided by `holds_from`: the earliest time it holds while that entry is
-    the latest, or None if it cannot hold."""
-
-    def holds(self, kb: KnowledgeBase, now: int) -> bool:
-        entry = kb.get(self.service, self.parameter)
-        start = None if entry is None else self.holds_from(entry)
-        return start is not None and start <= now
-
 
 @dataclass(frozen=True)
-class ThresholdCondition(_StreamCondition):
+class ThresholdCondition:
     service: str
     parameter: str
     comparator: Comparator
@@ -136,17 +104,11 @@ class ThresholdCondition(_StreamCondition):
 
     def holds_from(self, entry: KbEntry) -> float | None:
         """Always or never: a threshold does not depend on time."""
-        left, right = _family(entry.value), _family(self.threshold)
-        if left != right or (self.comparator in _ORDERED and left != "number"):
-            raise TypeMismatchError(
-                f"{self.service}.{self.parameter}: cannot compare {left} "
-                f"{self.comparator.value} {right}"
-            )
         return -math.inf if _COMPARE[self.comparator](entry.value, self.threshold) else None
 
 
 @dataclass(frozen=True)
-class ElapsedSinceCondition(_StreamCondition):
+class ElapsedSinceCondition:
     """Holds once `parameter` has kept `value` for at least `duration_ms`."""
 
     service: str
@@ -161,6 +123,9 @@ class ElapsedSinceCondition(_StreamCondition):
         return entry.since + self.duration_ms
 
 
+# A condition reads the latest entry of one (service, parameter) stream.
+# `holds_from(entry)` is the earliest time it holds while that entry is the
+# latest, or None if it cannot hold.
 Condition = ThresholdCondition | ElapsedSinceCondition
 
 
@@ -225,16 +190,17 @@ def analyze(
     elapsed. Evaluation follows declaration order and stops at the first
     condition that does not hold; the KB's entries are never changed.
 
-    A condition's `holds_from` runs, type check included, only when the
-    condition meets an entry it was not last evaluated on; the verdict is
-    memoised on the KB, so the result is that of a fresh evaluation.
+    Conditions compare values as they stand. `validate_scenario` checks
+    once that every stream holds one type and that every condition fits
+    it; policies and values that skipped validation are the caller's to
+    vouch for.
 
     If `blocked` is given, it receives `(policy, condition)` for every policy
     whose evaluation stopped at a condition that cannot hold while its
     stream's latest entry stands: the stream has no entry, or `holds_from`
     is None for it."""
     last_raised = last_raised or {}
-    latest, verdicts = kb.latest, kb._verdicts
+    latest = kb.latest
     symptoms: list[Symptom] = []
     for policy in policies:
         last = last_raised.get(policy.name)
@@ -246,14 +212,12 @@ def analyze(
                 if blocked is not None:
                     blocked.append((policy, cond))
                 break
-            verdict = verdicts.get(id(cond))
-            if verdict is None or verdict[1] is not entry:
-                verdict = verdicts[id(cond)] = (cond, entry, cond.holds_from(entry))
-            if verdict[2] is None:
+            start = cond.holds_from(entry)
+            if start is None:
                 if blocked is not None:
                     blocked.append((policy, cond))
                 break
-            if verdict[2] > now:
+            if start > now:
                 break
         else:
             symptoms.append(Symptom(policy.name, _snapshot(policy, kb, now), now))
@@ -265,14 +229,13 @@ class PolicyIndex:
 
     A policy sleeps once `analyze` reports it blocked, until a stream read by
     the blocking condition, or by a condition before it, gets a new value.
-    Until then checking it can neither fire it nor raise: a condition's
-    verdict and type check depend only on its stream's value, of which only
-    the type and equality count, and on `since`, which moves only with the
-    value. Every other policy stays live and is checked at every put, on any
-    stream: one in cooldown, one waiting for an `elapsed_since` deadline, one
-    that just fired. `live` keeps declaration order, so
-    `analyze(kb, index.live, ...)` returns, or raises, what it would over
-    every policy.
+    Until then checking it cannot fire it: a condition's verdict depends
+    only on its stream's value, of which only equality counts on a stream
+    of one type, and on `since`, which moves only with the value. Every
+    other policy stays live and is checked at every put, on any stream: one
+    in cooldown, one waiting for an `elapsed_since` deadline, one that just
+    fired. `live` keeps declaration order, so `analyze(kb, index.live, ...)`
+    returns what it would over every policy.
     """
 
     def __init__(self, policies: Iterable[Policy]) -> None:
@@ -293,8 +256,7 @@ class PolicyIndex:
 
     def put(self, key: tuple[str, str], before: KbEntry | None, value: Any) -> None:
         """Stream `key` took `value`; `before` is the entry it replaced."""
-        if before is not None and before.value == value \
-                and type(before.value) is type(value):
+        if before is not None and before.value == value:
             return
         woken = self._sleepers.pop(key, None)
         if woken and not woken.isdisjoint(self._asleep):
@@ -314,25 +276,23 @@ Reader = Callable[[], Any]
 
 
 class Monitor:
-    """Sensor-side touchpoint registry: read a device value, stamp the clock."""
+    """Sensor-side touchpoint registry: read a device value, stamp the clock.
+
+    A reading is not type-checked: validation holds every declared parameter
+    to the type its device kind reads."""
 
     def __init__(self) -> None:
-        self._touchpoints: dict[tuple[str, str], tuple[ParameterSpec, Reader]] = {}
+        self._readers: dict[tuple[str, str], Reader] = {}
 
-    def register_touchpoint(self, service: str, spec: ParameterSpec, reader: Reader) -> None:
-        self._touchpoints[(service, spec.name)] = (spec, reader)
+    def register_touchpoint(self, service: str, parameter: str, reader: Reader) -> None:
+        self._readers[(service, parameter)] = reader
 
     def sample(self, service: str, parameter: str, now: int) -> Observation:
         try:
-            spec, reader = self._touchpoints[(service, parameter)]
+            reader = self._readers[(service, parameter)]
         except KeyError:
             raise UnknownTouchpointError(f"{service}.{parameter} is not registered") from None
-        value = reader()
-        if not value_conforms(value, spec.value_type):
-            raise TypeMismatchError(
-                f"{service}.{parameter}: read {value!r}, expected {spec.value_type.value}"
-            )
-        return Observation(service, parameter, value, now)
+        return Observation(service, parameter, reader(), now)
 
 
 class Planner:

@@ -64,12 +64,6 @@ class Service:
     parameters: tuple[ParameterSpec, ...] = ()
     commands: tuple[CommandSpec, ...] = ()
 
-    def parameter(self, name: str) -> ParameterSpec | None:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        return None
-
     def command(self, name: str) -> CommandSpec | None:
         for c in self.commands:
             if c.name == name:
@@ -157,6 +151,8 @@ def validate_domain(domain: Domain) -> ValidationReport:
         report.add("tasks", "at least one task")
 
     seen_tasks: set[str] = set()
+    # Service names are unique across tasks: a name is one set of streams.
+    seen_services: set[str] = set()
     for ti, task in enumerate(domain.tasks):
         tpath = f"tasks[{ti}]"
         if not task.name:
@@ -170,9 +166,10 @@ def validate_domain(domain: Domain) -> ValidationReport:
             spath = f"{tpath}.services[{si}]"
             if not svc.name:
                 report.add(spath, "service name must be non-empty")
-            if svc.name in declared:
+            if svc.name in seen_services:
                 report.add(spath, f"duplicate service name '{svc.name}'")
             declared.add(svc.name)
+            seen_services.add(svc.name)
             if svc.kind is ServiceKind.PHYSICAL_DEVICE and not (svc.parameters or svc.commands):
                 report.add(spath, "physical device must expose at least one parameter or command")
             pnames: set[str] = set()

@@ -41,6 +41,7 @@ from fogloop.mape import (
     UnreachableTargetError,
     analyze,
 )
+from fogloop.model import ValueType
 from fogloop.placement import COMPONENTS, LoopSpec, Placement, place
 from fogloop.scenario import Scenario, validate_scenario
 from fogloop.simnet import (
@@ -53,8 +54,9 @@ from fogloop.simnet import (
     TraceSink,
 )
 from fogloop.smartbuilding import (
+    ENVIRONMENT_SERVICE,
+    READINGS,
     Device,
-    DeviceKind,
     Environment,
     EnvironmentEvent,
     OfficeState,
@@ -66,18 +68,6 @@ ACTUATE = InteractionKind.MANAGER_TO_ELEMENT_ACTUATE.value
 PIPELINE = InteractionKind.INTER_COMPONENT.value
 DELEGATION = InteractionKind.INTRA_DELEGATION.value
 COORDINATION = InteractionKind.INTRA_COORDINATION.value
-
-ENV_SERVICE = "environment"
-
-# Discrete, comparable device state; continuous readings are excluded.
-_SNAPSHOT_KEYS: dict[DeviceKind, tuple[str, ...]] = {
-    DeviceKind.DOOR: ("lock-state",),
-    DeviceKind.WINDOW: ("position",),
-    DeviceKind.HEATER: ("power-state",),
-    DeviceKind.ENERGY_METER: (),
-    DeviceKind.LAMP: ("power-state",),
-    DeviceKind.CLOCK: ("armed",),
-}
 
 
 class DeviceActor:
@@ -95,7 +85,8 @@ class DeviceActor:
         service = runtime.scenario.domain.find_service(device.service)
         self.parameters = service.parameters
         for spec in service.parameters:
-            self.monitor.register_touchpoint(device.service, spec, device.reader(spec.name))
+            self.monitor.register_touchpoint(device.service, spec.name,
+                                             device.reader(spec.name))
         runtime.sim.register(self.addr, self.on_message)
 
     def announce(self) -> None:
@@ -515,7 +506,14 @@ class LoopActor:
 
 
 class Runtime:
-    """A fully wired scenario, ready to run."""
+    """A fully wired scenario, ready to run.
+
+    With `check`, the scenario must pass `validate_scenario` first. That is
+    the one place value types are checked: samples, aggregation outputs and
+    environment values then reach knowledge bases unchecked. A `check=False`
+    runtime trusts its caller to have validated the scenario, as the CLI
+    does before each of its runs.
+    """
 
     def __init__(self, scenario: Scenario, seed: int, check: bool = True,
                  sink: SinkFactory = EventTrace):
@@ -608,9 +606,10 @@ class Runtime:
         now = self.sim.now
         for actor in self.loops.values():
             if weather is not None:
-                actor.put(Observation(ENV_SERVICE, "weather", weather, now))
+                actor.put(Observation(ENVIRONMENT_SERVICE, "weather", weather, now))
             if outside_temp is not None:
-                actor.put(Observation(ENV_SERVICE, "outside-temp", outside_temp, now))
+                actor.put(Observation(ENVIRONMENT_SERVICE, "outside-temp", outside_temp,
+                                      now))
 
     def _apply_env(self, event: EnvironmentEvent) -> None:
         for office in self.offices.values():
@@ -640,6 +639,8 @@ class RunResult:
 
 def run_scenario(scenario: Scenario, seed: int, horizon: int, check: bool = True,
                  sink: SinkFactory = EventTrace) -> RunResult:
+    """Run `scenario` to `horizon`. As for `Runtime`, types are validated
+    once, up front, and `check=False` trusts the caller to have done so."""
     runtime = Runtime(scenario, seed, check=check, sink=sink)
     runtime.sim.run_until(horizon)
     runtime.finalize(horizon)
@@ -655,10 +656,11 @@ def run_scenario(scenario: Scenario, seed: int, horizon: int, check: bool = True
 
 
 def discrete_snapshot(result: RunResult) -> dict[str, dict[str, Any]]:
-    """Comparable end state: every discrete device reading, no continuous ones."""
+    """Comparable end state: every discrete device reading, no continuous
+    (real-valued) ones."""
     snapshot: dict[str, dict[str, Any]] = {}
     for name in sorted(result.devices):
         device = result.devices[name]
-        keys = _SNAPSHOT_KEYS.get(device.kind, ())
-        snapshot[name] = {key: device.read(key) for key in keys}
+        snapshot[name] = {key: device.read(key) for key, vtype in READINGS[device.kind].items()
+                          if vtype is not ValueType.REAL}
     return snapshot

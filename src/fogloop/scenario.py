@@ -58,12 +58,14 @@ from fogloop.placement import (
 from fogloop.simnet import Link, Node, Tier, Topology
 from fogloop.smartbuilding import (
     _DEFAULT_STATE,
+    ENVIRONMENT_READINGS,
+    ENVIRONMENT_SERVICE,
+    READINGS,
     Building,
     BuildingDefaults,
     DeviceKind,
     DeviceSetup,
     EnvironmentEvent,
-    readable_parameters,
 )
 
 WEATHER_VALUES = ("sunny", "not-sunny")
@@ -410,6 +412,9 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(data)
 
 
+_NUMERIC = (ValueType.INTEGER, ValueType.REAL)
+
+
 def _stream_types(scenario: Scenario) -> dict[tuple[str, str], ValueType]:
     """Every observable stream: declared parameters plus aggregation outputs."""
     streams: dict[tuple[str, str], ValueType] = {}
@@ -445,7 +450,7 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
                                   f"to {vtype.value}")
             if cond.comparator in (Comparator.LT, Comparator.LE,
                                    Comparator.GE, Comparator.GT) \
-                    and vtype not in (ValueType.INTEGER, ValueType.REAL):
+                    and vtype not in _NUMERIC:
                 report.add(cpath, f"ordered comparison on {vtype.value} stream")
         else:
             if not value_conforms(cond.value, vtype):
@@ -471,6 +476,19 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
                               f"to {command.argument_type.value}")
         if action.delay_ms < 0:
             report.add(apath, "delay must be >= 0")
+
+
+def _check_readings(path: str, source: str, readings: Mapping[str, ValueType],
+                    service: Service | None, report: ValidationReport) -> None:
+    """Every parameter `service` declares is one its source reads, with the
+    type of what it reads."""
+    for spec in service.parameters if service is not None else ():
+        vtype = readings.get(spec.name)
+        if vtype is None:
+            report.add(path, f"{source} cannot read declared parameter '{spec.name}'")
+        elif spec.value_type is not vtype:
+            report.add(path, f"{source} reads '{spec.name}' as {vtype.value}, "
+                             f"not {spec.value_type.value}")
 
 
 def validate_scenario(scenario: Scenario) -> ValidationReport:
@@ -524,18 +542,15 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         bad = sorted(set(setup.initial) - set(_DEFAULT_STATE[setup.kind]))
         if bad:
             report.add(path, f"unknown initial state keys {bad}")
-        declared = {spec.name: spec for spec in
-                    scenario.domain.find_service(setup.service).parameters}
-        readable = readable_parameters(setup.kind)
-        for name in declared:
-            if name not in readable:
-                report.add(path, f"a {setup.kind.value} cannot read declared "
-                                 f"parameter '{name}'")
+        readings = READINGS[setup.kind]
+        _check_readings(path, f"a {setup.kind.value}", readings,
+                        scenario.domain.find_service(setup.service), report)
         for key, value in setup.initial.items():
-            spec = declared.get(key)
-            if spec is not None and not value_conforms(value, spec.value_type):
-                report.add(path, f"initial {key} {value!r} is not "
-                                 f"{spec.value_type.value}")
+            vtype = readings.get(key)
+            if vtype is not None and not value_conforms(value, vtype):
+                report.add(path, f"initial {key} {value!r} is not {vtype.value}")
+    _check_readings(ENVIRONMENT_SERVICE, "the environment", ENVIRONMENT_READINGS,
+                    scenario.domain.find_service(ENVIRONMENT_SERVICE), report)
 
     if isinstance(scenario.control, CentralizedControl):
         master = scenario.control.master
@@ -546,10 +561,20 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         if scenario.control.node is not None \
                 and scenario.control.node not in scenario.topology.by_id:
             report.add("control.master", f"unknown node '{scenario.control.node}'")
+        # Outputs are streams of a service named after the master loop, one
+        # type each: no output reuses a declared parameter or another output.
+        service = scenario.domain.find_service(master)
+        taken = {p.name for p in service.parameters} if service is not None else set()
         for ai, agg in enumerate(scenario.control.aggregations):
             path = f"control.master.aggregations[{ai}]"
             if not agg.inputs:
                 report.add(path, "inputs must be non-empty")
+            if agg.combinator is not Combinator.VECTOR and agg.output_type not in _NUMERIC:
+                report.add(path, f"{agg.combinator.value} yields a number, not "
+                                 f"{agg.output_type.value}")
+            if agg.output in taken:
+                report.add(path, f"output '{agg.output}' is already a stream of '{master}'")
+            taken.add(agg.output)
             for loop_id, svc, parameter in agg.inputs:
                 loop = scenario.loop(loop_id)
                 if loop is None:
@@ -560,8 +585,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 vtype = streams.get((svc, parameter))
                 if vtype is None:
                     report.add(path, f"unknown stream '{svc}.{parameter}'")
-                elif agg.combinator is not Combinator.VECTOR \
-                        and vtype not in (ValueType.INTEGER, ValueType.REAL):
+                elif agg.combinator is not Combinator.VECTOR and vtype not in _NUMERIC:
                     report.add(path, f"{agg.combinator.value} needs numeric inputs, "
                                      f"'{svc}.{parameter}' is {vtype.value}")
     elif isinstance(scenario.control, DecentralizedControl):

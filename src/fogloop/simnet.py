@@ -17,7 +17,7 @@ from enum import Enum
 from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple, Protocol
 
-from fogloop.errors import ConfigError, FogloopError
+from fogloop.errors import FogloopError
 from fogloop.model import ValidationReport
 
 
@@ -96,12 +96,6 @@ class Topology:
         for peers in self._adjacent.values():
             peers.sort(key=lambda pair: pair[0])
         self._path_cache: dict[tuple[str, str], Route | None] = {}
-
-    def node(self, node_id: str) -> Node:
-        try:
-            return self.by_id[node_id]
-        except KeyError:
-            raise ConfigError(f"unknown node '{node_id}'") from None
 
     def host_of(self, service: str) -> str | None:
         for node in self.nodes:

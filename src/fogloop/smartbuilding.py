@@ -81,18 +81,27 @@ _DEFAULT_STATE: dict[DeviceKind, dict[str, Any]] = {
     DeviceKind.CLOCK: {"armed-at": None, "duration-ms": None},
 }
 
-# Readings a device takes from its office or derives from its state; every
-# other parameter a device reads is one of its state keys.
-_DERIVED_READINGS: dict[DeviceKind, tuple[str, ...]] = {
-    DeviceKind.HEATER: ("room-temp",),
-    DeviceKind.ENERGY_METER: ("kwh-reading",),
-    DeviceKind.CLOCK: ("armed",),
+# Every parameter a device of each kind reads, with the type of every value
+# it reads. A reading is a state key, or taken from the office (`room-temp`,
+# `kwh-reading`), or derived from state (`armed`). Validation holds declared
+# parameters and initial state to these types, and every command keeps them.
+READINGS: dict[DeviceKind, dict[str, ValueType]] = {
+    DeviceKind.DOOR: {"lock-state": ValueType.ENUM_OF_STRINGS},
+    DeviceKind.WINDOW: {"position": ValueType.ENUM_OF_STRINGS},
+    DeviceKind.HEATER: {"power-state": ValueType.BOOLEAN, "setpoint-c": ValueType.REAL,
+                        "room-temp": ValueType.REAL},
+    DeviceKind.ENERGY_METER: {"kwh-reading": ValueType.REAL},
+    DeviceKind.LAMP: {"power-state": ValueType.BOOLEAN},
+    DeviceKind.CLOCK: {"armed": ValueType.BOOLEAN},
 }
 
-
-def readable_parameters(kind: DeviceKind) -> frozenset[str]:
-    """Every parameter a device of this kind reads."""
-    return frozenset(_DEFAULT_STATE[kind]).union(_DERIVED_READINGS.get(kind, ()))
+# Ambient context: the service whose streams the environment feeds to every
+# knowledge base, and the type of each of them.
+ENVIRONMENT_SERVICE = "environment"
+ENVIRONMENT_READINGS: dict[str, ValueType] = {
+    "weather": ValueType.ENUM_OF_STRINGS,
+    "outside-temp": ValueType.REAL,
+}
 
 
 class Device:
@@ -131,7 +140,7 @@ class Device:
         state = self.state
         if self.kind is DeviceKind.CLOCK and parameter == "armed":
             return lambda: state["armed-at"] is not None
-        if parameter in state:
+        if parameter in state and parameter in READINGS[self.kind]:
             return lambda: state[parameter]
         raise ConfigError(f"{self.service} has no readable parameter '{parameter}'")
 
@@ -349,46 +358,47 @@ _KIND_BY_SHORT = {
 
 
 def _office_services(office: str, interval: int) -> tuple[Service, ...]:
-    def param(name: str, vtype: ValueType, unit: str | None = None) -> ParameterSpec:
-        return ParameterSpec(name, vtype, unit=unit, sample_interval_ms=interval)
+    def param(kind: DeviceKind, name: str, unit: str | None = None) -> ParameterSpec:
+        return ParameterSpec(name, READINGS[kind][name], unit=unit,
+                             sample_interval_ms=interval)
 
     return (
         Service(
             f"{office}.door",
             ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param("lock-state", ValueType.ENUM_OF_STRINGS),),
+            parameters=(param(DeviceKind.DOOR, "lock-state"),),
             commands=(CommandSpec("lock"), CommandSpec("unlock")),
         ),
         Service(
             f"{office}.window",
             ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param("position", ValueType.ENUM_OF_STRINGS),),
+            parameters=(param(DeviceKind.WINDOW, "position"),),
             commands=(CommandSpec("set-position", ValueType.ENUM_OF_STRINGS),),
         ),
         Service(
             f"{office}.heater",
             ServiceKind.PHYSICAL_DEVICE,
             parameters=(
-                param("power-state", ValueType.BOOLEAN),
-                param("room-temp", ValueType.REAL, unit="celsius"),
+                param(DeviceKind.HEATER, "power-state"),
+                param(DeviceKind.HEATER, "room-temp", unit="celsius"),
             ),
             commands=(CommandSpec("set-power", ValueType.BOOLEAN),),
         ),
         Service(
             f"{office}.meter",
             ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param("kwh-reading", ValueType.REAL, unit="kWh"),),
+            parameters=(param(DeviceKind.ENERGY_METER, "kwh-reading", unit="kWh"),),
         ),
         Service(
             f"{office}.lamp",
             ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param("power-state", ValueType.BOOLEAN),),
+            parameters=(param(DeviceKind.LAMP, "power-state"),),
             commands=(CommandSpec("set-power", ValueType.BOOLEAN),),
         ),
         Service(
             f"{office}.clock",
             ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param("armed", ValueType.BOOLEAN),),
+            parameters=(param(DeviceKind.CLOCK, "armed"),),
             commands=(CommandSpec("arm", ValueType.INTEGER), CommandSpec("disarm")),
         ),
     )
@@ -406,7 +416,7 @@ def office_policies(office: str, defaults: BuildingDefaults) -> tuple[Policy, ..
         Policy(
             f"{office}-lights-off-sunny",
             when=(
-                ThresholdCondition("environment", "weather", Comparator.EQ, "sunny"),
+                ThresholdCondition(ENVIRONMENT_SERVICE, "weather", Comparator.EQ, "sunny"),
                 ThresholdCondition(svc("window"), "position", Comparator.EQ, "open"),
                 ThresholdCondition(svc("lamp"), "power-state", Comparator.EQ, True),
             ),
@@ -572,11 +582,12 @@ def build_smart_building(
             "environment",
             services=(
                 Service(
-                    "environment",
+                    ENVIRONMENT_SERVICE,
                     ServiceKind.VIRTUAL,
                     parameters=(
-                        ParameterSpec("weather", ValueType.ENUM_OF_STRINGS),
-                        ParameterSpec("outside-temp", ValueType.REAL, unit="celsius"),
+                        ParameterSpec("weather", ENVIRONMENT_READINGS["weather"]),
+                        ParameterSpec("outside-temp", ENVIRONMENT_READINGS["outside-temp"],
+                                      unit="celsius"),
                     ),
                 ),
             ),

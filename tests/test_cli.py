@@ -62,6 +62,13 @@ class TestValidate:
         assert main(["validate", write_scenario(tmp_path, data)]) == 2
         assert "devices.office1.lamp.office: expected string" in capsys.readouterr().err
 
+    def test_stream_of_the_wrong_type_is_a_validation_error(self, tmp_path, capsys,
+                                                             type_gap):
+        data, path = type_gap
+        assert main(["validate", write_scenario(tmp_path, data)]) == 1
+        assert any(line.startswith(f"{path}: ")
+                   for line in capsys.readouterr().out.splitlines())
+
     def test_violations_print_one_per_line(self, tmp_path, capsys):
         data = json.loads(Path(ONE_OFFICE).read_text())
         split = with_offering(data, "apaas_split")
@@ -204,6 +211,18 @@ class TestRun:
         ])
         assert code == 1
         assert "cannot read declared parameter 'bogus-param'" in capsys.readouterr().out
+
+    def test_stream_of_the_wrong_type_is_a_validation_error(self, tmp_path, capsys,
+                                                             type_gap):
+        data, path = type_gap
+        code = main([
+            "run", "--scenario", write_scenario(tmp_path, data), "--seed", "1",
+            "--until-ms", "1000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert any(line.startswith(f"{path}: ")
+                   for line in capsys.readouterr().out.splitlines())
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_building_the_runtime_is_an_input_error(
             self, tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from fogloop.coordination import (
     ForwardingFilter,
     IncompleteRoundError,
     OrphanActionError,
+    TypeMismatchError,
     aggregate,
     decide_round,
     delegate,
@@ -26,7 +27,6 @@ from fogloop.mape import (
     Observation,
     PlannedAction,
     Symptom,
-    TypeMismatchError,
 )
 from fogloop.model import ValueType
 

@@ -164,6 +164,4 @@ def test_lookups_by_name():
     assert lamp is not None
     assert lamp.command("set-power") is not None
     assert lamp.command("explode") is None
-    assert lamp.parameter("power-state") is not None
-    assert lamp.parameter("hue") is None
     assert len(domain.all_services()) == 6

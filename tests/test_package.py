@@ -1,4 +1,5 @@
-"""Package hygiene: every top-level definition is exported or used."""
+"""Package hygiene: every top-level definition is exported or used, and
+every method and property is used."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import ast
 import builtins
 import importlib
 from collections import Counter
+from fnmatch import fnmatch
 from inspect import ismodule
 from pathlib import Path
 
@@ -44,6 +46,39 @@ def test_every_top_level_definition_is_exported_or_referenced():
             if everywhere[node.name] - _referenced_names(node)[node.name] <= 0:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "defined in src/fogloop but never used or exported: " + ", ".join(unused)
+
+
+# (class, method pattern) -> why the method stays although no module in the
+# package names it.
+UNCALLED_METHODS = {
+    ("EventTrace", "to_jsonl"): "perfbench patches it",
+    ("EventTrace", "of_kind"): "a trace query the tests use",
+    ("Device", "_cmd_*"): "Device.apply reaches the handlers through getattr",
+}
+
+
+def test_every_method_and_property_is_used():
+    """A method or property counts as used when its name appears anywhere in
+    the package outside its own body. Dunders, the `TraceSink` protocol,
+    which other sinks implement, and `UNCALLED_METHODS` are exempt."""
+    modules = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere: Counter = Counter()
+    for tree in modules.values():
+        everywhere += _referenced_names(tree)
+
+    unused = []
+    for path, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name == "TraceSink":
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("__") \
+                        or any(cls.name == owner and fnmatch(node.name, pattern)
+                               for owner, pattern in UNCALLED_METHODS):
+                    continue
+                if everywhere[node.name] - _referenced_names(node)[node.name] <= 0:
+                    unused.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    assert not unused, "methods in src/fogloop that nothing uses: " + ", ".join(unused)
 
 
 def _tracer_install() -> ast.FunctionDef:

@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from fogloop.errors import ConfigError
-from fogloop.mape import Observation
+from fogloop.mape import KnowledgeBase, Observation
+from fogloop.model import value_conforms
 from fogloop.runtime import Runtime, discrete_snapshot, run_scenario
 from fogloop.scenario import (
+    _stream_types,
     building_to_dict,
     parse_scenario,
     validate_scenario,
     with_offering,
 )
-from fogloop.smartbuilding import BuildingDefaults, build_smart_building
+from fogloop.smartbuilding import ENVIRONMENT_SERVICE, BuildingDefaults, build_smart_building
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 CLOCK_MS = 600_000
 
@@ -393,6 +398,69 @@ class TestRobustness:
             if e["src"] == "fog1/office1.spare"
         ]
         assert sampled == []
+
+
+def bundled(name: str) -> dict:
+    return json.loads((SCENARIOS / f"smart_building_{name}.json").read_text())
+
+
+def central_integer_sum() -> dict:
+    """Two offices whose master sums meter readings to an integer, read by a
+    master rule."""
+    data = scenario_dict(2, "centralized")
+    (agg,) = data["control"]["master"]["aggregations"]
+    agg["output_type"] = "integer"
+    data["policies"].append({
+        "name": "building-over-budget",
+        "when": [{"service": "building", "parameter": "total-kwh", "op": ">=", "value": 0}],
+        "then": [{"service": "office1.lamp", "command": "set-power", "arg": False}],
+        "cooldown_ms": 60_000,
+    })
+    data["loops"][-1]["policies"] = ["building-over-budget"]
+    return data
+
+
+def weather_and_heat_events() -> dict:
+    return scenario_dict(1, events=[
+        {"t": 30_000, "weather": "sunny"},
+        {"t": 60_000, "outside_temp_c": 27},
+        {"t": 90_000, "weather": "not-sunny", "outside_temp_c": -3.5},
+        {"t": 120_000, "weather": "sunny"},
+    ])
+
+
+class TestTypeBoundary:
+    """`validate_scenario` is the only type check: every value that reaches a
+    knowledge base, whether a device sample, an aggregation output or an
+    environment value, already has its stream's type."""
+
+    @pytest.mark.parametrize("data, sources", [
+        (bundled("1office"), {"device", "environment"}),
+        (bundled("3office_centralized"), {"device", "environment", "aggregate"}),
+        (bundled("3office_decentralized"), {"device", "environment"}),
+        (central_integer_sum(), {"device", "environment", "aggregate"}),
+        (weather_and_heat_events(), {"device", "environment"}),
+    ], ids=["1office", "3office-centralized", "3office-decentralized", "integer-sum",
+            "environment-events"])
+    def test_every_value_put_has_its_stream_type(self, monkeypatch, data, sources):
+        scenario = parse_scenario(data)
+        put = KnowledgeBase.put
+        seen: list[Observation] = []
+
+        def recording_put(kb: KnowledgeBase, obs: Observation) -> None:
+            seen.append(obs)
+            put(kb, obs)
+
+        monkeypatch.setattr(KnowledgeBase, "put", recording_put)
+        run_scenario(scenario, seed=3, horizon=700_000)
+        streams = _stream_types(scenario)
+        found = set()
+        for obs in seen:
+            vtype = streams[(obs.service, obs.parameter)]
+            assert value_conforms(obs.value, vtype), (obs, vtype)
+            found.add("environment" if obs.service == ENVIRONMENT_SERVICE
+                      else "aggregate" if obs.service == scenario.master_id else "device")
+        assert found == sources
 
 
 class TestSnapshot:

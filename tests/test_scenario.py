@@ -299,6 +299,61 @@ class TestValidation:
             "devices.office1.heater: a heater cannot read declared parameter 'bogus-param'"
         ]
 
+    def test_stream_declared_with_a_type_its_source_never_reads(self, type_gap):
+        data, path = type_gap
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() and all(line.startswith(f"{path}: ")
+                                      for line in report.lines()), report.lines()
+
+    def test_environment_declares_only_what_the_environment_reads(self):
+        data = scenario_dict(1)
+        environment = next(svc for task in data["domain"]["tasks"]
+                           for svc in task["services"] if svc["name"] == "environment")
+        environment["parameters"].append({"name": "humidity", "value_type": "real",
+                                          "sample_interval_ms": 1000})
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            "environment: the environment cannot read declared parameter 'humidity'"]
+
+    def test_sum_aggregation_must_yield_a_number(self):
+        data = scenario_dict(2, "centralized")
+        data["control"]["master"]["aggregations"][0]["output_type"] = "boolean"
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            "control.master.aggregations[0]: sum yields a number, not boolean"]
+
+    def test_aggregation_output_may_not_shadow_a_declared_parameter(self):
+        # A vector output is a list, whatever the shadowed parameter declares.
+        data = scenario_dict(2, "centralized")
+        data["control"]["master"]["aggregations"][0]["combinator"] = "vector"
+        data["domain"]["tasks"].append({"name": "overview", "services": [{
+            "name": "building", "kind": "virtual", "parameters": [{
+                "name": "total-kwh", "value_type": "boolean", "sample_interval_ms": 1000}],
+        }]})
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            "control.master.aggregations[0]: output 'total-kwh' is already a stream "
+            "of 'building'"]
+
+    def test_aggregation_outputs_are_unique(self):
+        data = scenario_dict(2, "centralized")
+        aggregations = data["control"]["master"]["aggregations"]
+        aggregations.append(dict(aggregations[0], name="total-kwh-rounded",
+                                 output_type="integer"))
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            "control.master.aggregations[1]: output 'total-kwh' is already a stream "
+            "of 'building'"]
+
+    def test_service_names_are_unique_across_tasks(self):
+        data = scenario_dict(1)
+        lamp = next(svc for svc in data["domain"]["tasks"][0]["services"]
+                    if svc["name"] == "office1.lamp")
+        data["domain"]["tasks"].append({"name": "spare", "services": [lamp]})
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            "tasks[2].services[0]: duplicate service name 'office1.lamp'"]
+
     def test_execute_forced_to_cloud_is_flagged(self):
         data = scenario_dict(1)
         data["loops"][0]["offering"] = "apaas_split"

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fogloop.coordination import CentralizedControl, Combinator, DecentralizedControl
 from fogloop.errors import ConfigError
 from fogloop.mape import ElapsedSinceCondition
-from fogloop.model import validate_domain
+from fogloop.model import ValueType, validate_domain, value_conforms
 from fogloop.runtime import Runtime
-from fogloop.scenario import building_to_dict, parse_scenario
+from fogloop.scenario import building_to_dict, parse_scenario, validate_scenario
 from fogloop.simnet import Tier
 from fogloop.smartbuilding import (
+    READINGS,
     BadArgumentError,
     BuildingDefaults,
     Device,
@@ -25,7 +26,6 @@ from fogloop.smartbuilding import (
     UnknownCommandError,
     build_smart_building,
     instantiate_office,
-    readable_parameters,
     step_thermal,
 )
 
@@ -206,10 +206,79 @@ def test_readable_parameters_are_what_an_office_device_reads():
     )
     for kind in DeviceKind:
         dev = office.devices[f"office1.{kind.value}"]
-        for parameter in readable_parameters(kind):
-            dev.reader(parameter)()
+        for parameter, vtype in READINGS[kind].items():
+            assert value_conforms(dev.reader(parameter)(), vtype), (kind, parameter)
         with pytest.raises(ConfigError, match="no readable parameter 'bogus-param'"):
             dev.reader("bogus-param")
+    clock = office.devices["office1.clock"]
+    for parameter in ("armed-at", "duration-ms"):
+        with pytest.raises(ConfigError, match=f"no readable parameter '{parameter}'"):
+            clock.reader(parameter)
+
+
+# Values of every JSON scalar type, some of which fit no reading; and, per
+# value type, values that fit it, so most drawn initial states validate.
+ANY_SCALAR = st.sampled_from([None, True, False, 0, -5, 3, 2.5, 600_000,
+                              "locked", "unlocked", "open", "closed", "ajar"])
+FITTING = {
+    ValueType.BOOLEAN: st.booleans(),
+    ValueType.REAL: st.one_of(st.integers(-50, 50), st.floats(-50, 50)),
+    ValueType.ENUM_OF_STRINGS: st.sampled_from(["locked", "unlocked", "open", "closed"]),
+}
+
+
+@st.composite
+def validated_office(draw):
+    """A 1-office scenario whose devices start from drawn initial states,
+    kept only when `validate_scenario` accepts it."""
+    data = building_to_dict(build_smart_building(1), name="drawn")
+    for service, entry in data["devices"].items():
+        kind = DeviceKind(entry["kind"])
+        initial = {}
+        for key in Device(service, kind).state:
+            if draw(st.booleans()):
+                vtype = READINGS[kind].get(key)
+                fitting = [FITTING[vtype]] if vtype is not None else []
+                initial[key] = draw(st.one_of(*fitting, ANY_SCALAR))
+        entry["initial"] = initial
+    scenario = parse_scenario(data)
+    assume(validate_scenario(scenario).ok)
+    return scenario
+
+
+@st.composite
+def commands(draw, scenario):
+    """(service, command, argument, dt) steps over every command every device
+    declares, plus one no device has, with arguments of any type."""
+    names = {svc.name: [c.name for c in svc.commands] + ["bogus"]
+             for svc in scenario.domain.all_services() if svc.name.startswith("office1.")}
+    steps = []
+    for _ in range(draw(st.integers(1, 30))):
+        service = draw(st.sampled_from(sorted(names)))
+        steps.append((service, draw(st.sampled_from(names[service])), draw(ANY_SCALAR),
+                      draw(st.integers(0, 120_000))))
+    return steps
+
+
+@given(data=st.data())
+def test_every_reading_keeps_its_type_under_any_command(data):
+    """From any initial state validation accepts, every command, accepted or
+    rejected, leaves each readable parameter of its table type: so the
+    samples a run takes need no type check of their own."""
+    scenario = data.draw(validated_office())
+    office = instantiate_office("office1", scenario.devices, scenario.defaults)
+    now = 0
+    for service, command, argument, dt in data.draw(commands(scenario)):
+        now += dt
+        office.sync(now)
+        try:
+            office.devices[service].apply(command, argument, now)
+        except (BadArgumentError, UnknownCommandError):
+            pass
+        for dev in office.devices.values():
+            for parameter, vtype in READINGS[dev.kind].items():
+                value = dev.read(parameter)
+                assert value_conforms(value, vtype), (dev.service, parameter, value)
 
 
 def test_single_office_building_shape():
