@@ -40,8 +40,9 @@ class DoubleDispatchError(FogloopError):
     """A plan was executed a second time."""
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
+    """One reading of a stream. A tuple, because every sample builds one."""
+
     service: str
     parameter: str
     value: Any

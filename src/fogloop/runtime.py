@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Any
 
@@ -104,7 +105,7 @@ class DeviceActor:
         if self.owner is None:
             return
         for spec in self.parameters:
-            self.runtime.sim.schedule(0, lambda s=spec: self._tick(s))
+            self.runtime.sim.schedule(0, partial(self._tick, spec))
 
     def _tick(self, spec) -> None:
         sim = self.runtime.sim
@@ -112,7 +113,7 @@ class DeviceActor:
             self.office.sync(sim.now)
         obs = self.monitor.sample(self.device.service, spec.name, sim.now)
         sim.send(SENSE, self.addr, self.owner.addr["monitor"], obs)
-        sim.schedule(sim.now + spec.sample_interval_ms, lambda: self._tick(spec))
+        sim.schedule(sim.now + spec.sample_interval_ms, partial(self._tick, spec))
 
     def on_message(self, msg: Message) -> None:
         sim = self.runtime.sim

@@ -287,6 +287,8 @@ def _dump(record: Any) -> dict:
 
 
 _DEFAULTS_READER = {bool: _bool, int: _int, float: _number, str: _str}
+_DEFAULT_TYPES = {bool: ValueType.BOOLEAN, int: ValueType.INTEGER, float: ValueType.REAL,
+                  str: ValueType.ENUM_OF_STRINGS}
 
 # The scenario format, one entry per record type. A loop's policies are
 # names here; parse_scenario resolves them against the policies section.
@@ -491,6 +493,30 @@ def _check_readings(path: str, source: str, readings: Mapping[str, ValueType],
                              f"not {spec.value_type.value}")
 
 
+def _validate_environment(scenario: Scenario, report: ValidationReport) -> None:
+    """The environment events and the building defaults. The parser checks
+    their types too, but a Scenario built in Python skips it."""
+    last_t = -1
+    for ei, event in enumerate(scenario.environment_events):
+        path = f"environment[{ei}]"
+        if event.t <= last_t:
+            report.add(path, "event times must be strictly increasing")
+        last_t = event.t
+        if event.weather is None and event.outside_temp_c is None:
+            report.add(path, "event changes nothing")
+        if event.weather is not None and event.weather not in WEATHER_VALUES:
+            report.add(path, f"weather must be one of {list(WEATHER_VALUES)}")
+        if event.outside_temp_c is not None \
+                and not value_conforms(event.outside_temp_c, ValueType.REAL):
+            report.add(path, f"outside_temp_c {event.outside_temp_c!r} is not real")
+    for f in fields(BuildingDefaults):
+        value, vtype = getattr(scenario.defaults, f.name), _DEFAULT_TYPES[type(f.default)]
+        if not value_conforms(value, vtype):
+            report.add(f"defaults.{f.name}", f"{value!r} is not {vtype.value}")
+    if scenario.defaults.weather not in WEATHER_VALUES:
+        report.add("defaults.weather", f"weather must be one of {list(WEATHER_VALUES)}")
+
+
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Every semantic check across sections; violations are data, not errors."""
     report = ValidationReport()
@@ -601,18 +627,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                            f"cannot coordinate '{component}': only "
                            f"{' and '.join(COORDINATED_COMPONENTS)} hold rounds")
 
-    last_t = -1
-    for ei, event in enumerate(scenario.environment_events):
-        path = f"environment[{ei}]"
-        if event.t <= last_t:
-            report.add(path, "event times must be strictly increasing")
-        last_t = event.t
-        if event.weather is None and event.outside_temp_c is None:
-            report.add(path, "event changes nothing")
-        if event.weather is not None and event.weather not in WEATHER_VALUES:
-            report.add(path, f"weather must be one of {list(WEATHER_VALUES)}")
-    if scenario.defaults.weather not in WEATHER_VALUES:
-        report.add("defaults.weather", f"weather must be one of {list(WEATHER_VALUES)}")
+    _validate_environment(scenario, report)
 
     if report.ok:
         try:

@@ -144,6 +144,10 @@ class Topology:
             if node.id in seen:
                 report.add(f"nodes[{ni}]", f"duplicate node id '{node.id}'")
             seen.add(node.id)
+            # An address's text `node/component` names it, in the trace and
+            # as the simulator's handler key, only if the node id has no '/'.
+            if "/" in node.id:
+                report.add(f"nodes[{ni}]", f"node id '{node.id}' contains '/'")
         clouds = [n for n in self.nodes if n.tier is Tier.CLOUD]
         if len(clouds) != 1:
             report.add("nodes", f"exactly one cloud node required, found {len(clouds)}")
@@ -298,6 +302,10 @@ class Simulator:
     at a future tick (timers, periodic sampling); `send` routes a message and
     schedules its delivery. Everything lands in the trace, a sink built by
     `sink` from the run header: an `EventTrace` keeps every row.
+
+    `send` appends its row to the sink directly, the cheapest path for the
+    most frequent row. The `deliver` row and every other row go through
+    `emit`, where perfbench counts outcomes (see `_deliver`).
     """
 
     def __init__(self, topology: Topology, seed: int, config_digest: str = "",
@@ -309,7 +317,7 @@ class Simulator:
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._msg_ids = itertools.count(1)
-        self._handlers: dict[tuple[str, str], Handler] = {}
+        self._handlers: dict[str, Handler] = {}
         self.trace = sink({
             "kind": "header",
             "seed": seed,
@@ -319,15 +327,15 @@ class Simulator:
         })
 
     def register(self, address: Address, handler: Handler) -> None:
-        self._handlers[(address.node, address.component)] = handler
+        self._handlers[address._text] = handler
 
     def emit(self, kind: str, src: Address | str | None = None,
              dst: Address | str | None = None, /, **detail: Any) -> None:
         self.trace.append(
             self.now,
             kind,
-            None if src is None else str(src),
-            None if dst is None else str(dst),
+            src._text if type(src) is Address else src,
+            dst._text if type(dst) is Address else dst,
             detail,
         )
 
@@ -342,21 +350,28 @@ class Simulator:
             raise NoRouteError(f"no route from '{src.node}' to '{dst.node}'")
         path, latency, jitters = route
         for jitter in jitters:
-            latency += self.rng.randint(0, jitter)
+            # The value `randint(0, jitter)` draws, without its two extra
+            # frames; tests/test_simnet.py replays the draws with `randint`.
+            latency += self.rng._randbelow(jitter + 1)
         now = self.now
-        msg = Message(next(self._msg_ids), kind, payload, src, dst, now, now + latency, path)
-        self.emit("send", src, dst, id=msg.id, interaction=kind)
-        self.schedule(msg.delivery_time, partial(self._deliver, msg))
+        msg_id = next(self._msg_ids)
+        msg = Message(msg_id, kind, payload, src, dst, now, now + latency, path)
+        self.trace.append(now, "send", src._text, dst._text,
+                          {"id": msg_id, "interaction": kind})
+        self.schedule(now + latency, partial(self._deliver, msg))
         return msg
 
     def _deliver(self, msg: Message) -> None:
-        handler = self._handlers.get((msg.dst.node, msg.dst.component))
+        handler = self._handlers.get(msg.dst._text)
         if handler is None:
             raise NoHandlerError(f"no handler registered at {msg.dst}")
+        # Through `emit`, unlike `send`'s row: perfbench counts fog-to-cloud
+        # hops from the `deliver` rows passed to `emit`, until it counts from
+        # the sink (ROADMAP item 1).
         self.emit(
             "deliver",
-            msg.src,
-            msg.dst,
+            msg.src._text,
+            msg.dst._text,
             id=msg.id,
             interaction=msg.kind,
             sent=msg.send_time,
@@ -367,8 +382,9 @@ class Simulator:
     def run_until(self, horizon: int) -> TraceSink:
         """Process every event with time <= horizon, in (time, seq) order."""
         self.trace.header["horizon"] = horizon
-        while self._queue and self._queue[0][0] <= horizon:
-            at, _, fn = heapq.heappop(self._queue)
+        queue, pop = self._queue, heapq.heappop
+        while queue and queue[0][0] <= horizon:
+            at, _, fn = pop(queue)
             self.now = at
             fn()
         return self.trace

@@ -145,16 +145,24 @@ def test_every_name_perfbench_patches_still_exists():
 
 
 def _emitted_kinds() -> set[str]:
-    """Every string literal passed as the first argument of an `.emit(...)`
-    call in the package."""
+    """Every string literal passed as the kind of an `.emit(<kind>, ...)` call
+    or of a direct `.trace.append(<t>, <kind>, ...)` call in the package."""
     kinds = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "emit" and node.args \
-                    and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                kinds.add(node.args[0].value)
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            func = node.func
+            if func.attr == "emit":
+                kind = 0
+            elif func.attr == "append" and isinstance(func.value, ast.Attribute) \
+                    and func.value.attr == "trace":
+                kind = 1
+            else:
+                continue
+            if len(node.args) > kind and isinstance(node.args[kind], ast.Constant) \
+                    and isinstance(node.args[kind].value, str):
+                kinds.add(node.args[kind].value)
     return kinds
 
 

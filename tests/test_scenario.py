@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from fogloop.coordination import CentralizedControl, DecentralizedControl
 from fogloop.errors import ConfigError
 from fogloop.placement import Offering
+from fogloop.runtime import run_scenario
 from fogloop.scenario import (
     building_to_dict,
     canonical_json,
@@ -260,6 +262,31 @@ class TestValidation:
         data["environment"] = [{"t": 100, "weather": "drizzle"}]
         report = validate_scenario(parse_scenario(data))
         assert any("weather must be one of" in line for line in report.lines())
+
+    def test_environment_temperature_must_be_real(self):
+        # A Scenario built in Python skips the parser's type checks.
+        scenario = parse_scenario(scenario_dict(1))
+        scenario.environment_events = (EnvironmentEvent(1_000, outside_temp_c="warm"),)
+        assert validate_scenario(scenario).lines() == [
+            "environment[0]: outside_temp_c 'warm' is not real"]
+        with pytest.raises(ConfigError, match="environment\\[0\\]"):
+            run_scenario(scenario, seed=1, horizon=2_000)
+
+    @pytest.mark.parametrize("name, value, expected", [
+        ("outside_temp_c", "warm", "real"),
+        ("outside_temp_c", True, "real"),
+        ("setpoint_c", None, "real"),
+        ("sample_interval_ms", 1000.0, "integer"),
+        ("heater_w", True, "integer"),
+        ("door_locked", 1, "boolean"),
+    ])
+    def test_defaults_must_have_their_declared_types(self, name, value, expected):
+        scenario = parse_scenario(scenario_dict(1))
+        scenario.defaults = replace(scenario.defaults, **{name: value})
+        assert validate_scenario(scenario).lines() == [
+            f"defaults.{name}: {value!r} is not {expected}"]
+        with pytest.raises(ConfigError, match=f"defaults.{name}"):
+            run_scenario(scenario, seed=1, horizon=2_000)
 
     def test_missing_device_setup(self):
         data = scenario_dict(1)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogloop import simnet
+from fogloop.runtime import run_scenario
+from fogloop.scenario import parse_scenario, validate_scenario, with_offering
 from fogloop.simnet import (
     Address,
     EventTrace,
@@ -21,6 +26,8 @@ from fogloop.simnet import (
     Tier,
     Topology,
 )
+
+ONE_OFFICE = Path(__file__).resolve().parent.parent / "scenarios" / "smart_building_1office.json"
 
 
 def three_tier() -> Topology:
@@ -271,6 +278,48 @@ def test_jitter_stays_within_bounds_and_is_causal(seed: int, jitter: int):
         assert msg.send_time + 20 <= msg.delivery_time <= msg.send_time + 20 + jitter
 
 
+JITTER_SEED = 7
+JITTER_HORIZON = 5_000
+# sha256 prefix of the jittered run's `to_jsonl()`.
+JITTER_TRACE = "39957f091286d43f"
+
+
+def test_every_delivery_takes_base_latency_plus_the_replayed_jitter_draws():
+    """Every link jitters by up to its latency, and a relay fog between fog1
+    and the cloud gives apaas_split's fog-cloud sends two jittered hops. Each
+    send draws `randint(0, j)` once per jittered hop of its route, in send
+    order and path order, from `Random(seed)`."""
+    data = with_offering(json.loads(ONE_OFFICE.read_text()), "apaas_split")
+    topology = data["topology"]
+    topology["nodes"].append({"id": "relay", "tier": "fog"})
+    topology["links"] = [link for link in topology["links"] if link["b"] != "cloud"] + [
+        {"a": "fog1", "b": "relay", "latency_ms": 2},
+        {"a": "relay", "b": "cloud", "latency_ms": 48},
+    ]
+    for link in topology["links"]:
+        link["jitter_ms"] = link["latency_ms"]
+    scenario = parse_scenario(data)
+    assert validate_scenario(scenario).ok
+    trace = run_scenario(scenario, JITTER_SEED, JITTER_HORIZON).trace
+
+    replay = random.Random(JITTER_SEED)
+    expected: dict[int, int] = {}
+    hops: dict[int, int] = {}
+    for row in trace.of_kind("send"):
+        _, base, jitters = scenario.topology.route(row["src"].partition("/")[0],
+                                                   row["dst"].partition("/")[0])
+        expected[row["detail"]["id"]] = base + sum(replay.randint(0, j) for j in jitters)
+        hops[row["detail"]["id"]] = len(jitters)
+    delivered = trace.of_kind("deliver")
+    assert {hops[row["detail"]["id"]] for row in delivered} == {0, 1, 2}
+    delays = [(row["t"] - row["detail"]["sent"], expected[row["detail"]["id"]])
+              for row in delivered]
+    assert [delay for delay, _ in delays] == [want for _, want in delays]
+    assert len({delay for delay, _ in delays}) > 10
+    digest = hashlib.sha256(trace.to_jsonl().encode()).hexdigest()[:16]
+    assert digest == JITTER_TRACE
+
+
 def test_topology_validation_catches_structural_faults():
     report = Topology(
         nodes=(
@@ -278,11 +327,13 @@ def test_topology_validation_catches_structural_faults():
             Node("d", Tier.FOG),
             Node("c1", Tier.CLOUD),
             Node("c2", Tier.CLOUD),
+            Node("fog/1", Tier.FOG),
         ),
         links=(Link("d", "c1", 5, jitter_ms=9), Link("x", "c1", 1), Link("d", "d", 1)),
     ).validate(device_services={"d"})
     messages = " | ".join(report.lines())
     assert "duplicate node id 'd'" in messages
+    assert "node id 'fog/1' contains '/'" in messages
     assert "exactly one cloud node" in messages
     assert "jitter must not exceed latency" in messages
     assert "unknown endpoint 'x'" in messages
