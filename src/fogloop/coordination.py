@@ -2,8 +2,9 @@
 delegation, and deterministic peer-coordination rounds.
 
 Centralized control has slave loops forward changed observations to a master
-whose knowledge base aggregates them into system-state parameters; master
-plans are delegated back as per-slave sub-plans. Decentralized control runs
+whose knowledge base aggregates them into system-state parameters, summing
+and comparing in exact integer arithmetic and rounding once; master plans are
+delegated back as per-slave sub-plans. Decentralized control runs
 leader-based rounds: peers propose, the lowest-id non-abstaining proposal is
 decided, and each decided action executes exactly once at its owner.
 """
@@ -46,10 +47,6 @@ class IncompleteRoundError(FogloopError):
     """A round was decided before every member proposed or abstained."""
 
 
-class TypeMismatchError(ConfigError):
-    """An aggregation input is not a number; the run must halt."""
-
-
 @dataclass(frozen=True)
 class AggregationSpec:
     name: str
@@ -78,46 +75,10 @@ ControlMode = CentralizedControl | DecentralizedControl
 COORDINATED_COMPONENTS = ("analyze", "execute")
 
 
-def _numeric(value: Any, spec: AggregationSpec) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeMismatchError(
-            f"aggregation '{spec.name}': {spec.combinator.value} needs numbers, got {value!r}"
-        )
-    return Fraction(value)
-
-
 def _to_output(value: Fraction, output_type: ValueType) -> int | float:
     if output_type is ValueType.INTEGER:
         return round(value)
     return float(value)
-
-
-def _exact(value: Any) -> Fraction | None:
-    """`value` as an exact number, or None where `_numeric` would raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        return Fraction(value)
-    except (ValueError, OverflowError):  # NaN and infinities
-        return None
-
-
-class AggregationInputs(dict):
-    """The latest forwarded value of every aggregation input, as
-    `aggregate`'s `states`.
-
-    `record` is the only writer. It also converts each value to an exact
-    number once, as it arrives, so `aggregate` does not convert every input
-    again at each reading.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.numbers: dict[tuple[str, str, str], Fraction | None] = {}
-
-    def record(self, key: tuple[str, str, str], value: Any) -> None:
-        self[key] = value
-        self.numbers[key] = _exact(value)
 
 
 def aggregate(
@@ -129,31 +90,36 @@ def aggregate(
     """Combine forwarded slave values into one system-state observation.
 
     Returns None while any input is missing: aggregation stalls until every
-    declared input has been forwarded at least once. Arithmetic is exact
-    (rationals), with one rounding step to the declared output type, so the
-    result is invariant under input permutation. When `states` is an
-    `AggregationInputs`, the exact numbers it holds are used as they stand.
+    declared input has been forwarded at least once. `validate_scenario`
+    proves that every input of a numeric combinator is an int or a finite
+    float. Every such value is an integer multiple of 2**-1074, so each is
+    scaled by 2**1074 to an exact integer, the combinator works on those
+    integers, and the result is rounded once to the declared output type.
+    The result is therefore invariant under input permutation, signed zeros
+    included.
     """
     values = []
     for key in spec.inputs:
         if key not in states:
             return None
         values.append(states[key])
-    if spec.combinator is Combinator.VECTOR:
-        return Observation(service, spec.output, list(values), now)
-    exact = states.numbers if isinstance(states, AggregationInputs) else {}
-    numbers = []
-    for key, value in zip(spec.inputs, values):
-        number = exact.get(key)
-        numbers.append(_numeric(value, spec) if number is None else number)
-    if spec.combinator is Combinator.SUM:
-        result = sum(numbers, Fraction(0))
-    elif spec.combinator is Combinator.MEAN:
-        result = sum(numbers, Fraction(0)) / len(numbers)
-    elif spec.combinator is Combinator.MAX:
-        result = max(numbers)
+    combinator = spec.combinator
+    if combinator is Combinator.VECTOR:
+        return Observation(service, spec.output, values, now)
+    scaled = []
+    for value in values:
+        n, d = value.as_integer_ratio()
+        scaled.append(n << (1075 - d.bit_length()))
+    count = 1
+    if combinator is Combinator.MAX:
+        total = max(scaled)
+    elif combinator is Combinator.MIN:
+        total = min(scaled)
     else:
-        result = min(numbers)
+        total = sum(scaled)
+        if combinator is Combinator.MEAN:
+            count = len(scaled)
+    result = Fraction(total, count << 1074)
     return Observation(service, spec.output, _to_output(result, spec.output_type), now)
 
 
@@ -205,7 +171,6 @@ class CoordinationRound:
 
     round_id: str
     component: str
-    leader: str
     proposals: dict[str, Any] = field(default_factory=dict)
     decided_by: str | None = None
     decided: Any | None = None
@@ -226,8 +191,7 @@ def decide_round(
     missing = [m for m in members if m not in proposals]
     if missing:
         raise IncompleteRoundError(f"round '{round_id}': missing proposals from {missing}")
-    rnd = CoordinationRound(round_id, component, leader=members[0],
-                            proposals=dict(proposals))
+    rnd = CoordinationRound(round_id, component, proposals=dict(proposals))
     for member in members:
         if proposals[member] is not None:
             rnd.decided_by = member

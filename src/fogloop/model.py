@@ -10,6 +10,7 @@ safe to share across concurrent readers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,13 +30,16 @@ class ServiceKind(str, Enum):
 
 
 def value_conforms(value: object, value_type: ValueType) -> bool:
-    """True if a raw value is acceptable for the declared value type."""
+    """True if a raw value is acceptable for the declared value type. A real
+    is an int or a finite float."""
     if value_type is ValueType.BOOLEAN:
         return isinstance(value, bool)
     if value_type is ValueType.INTEGER:
         return isinstance(value, int) and not isinstance(value, bool)
     if value_type is ValueType.REAL:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, str)
 
 

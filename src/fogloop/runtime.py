@@ -19,7 +19,6 @@ from typing import Any
 
 from fogloop.coordination import (
     COORDINATED_COMPONENTS,
-    AggregationInputs,
     CoordinationRound,
     DecentralizedControl,
     ForwardingFilter,
@@ -167,7 +166,7 @@ class LoopActor:
                 f"loop '{spec.id}': analyze and knowledge must share a node"
             )
         self.is_master = runtime.master_id == spec.id
-        self.agg_inputs = AggregationInputs()
+        self.agg_inputs: dict[tuple[str, str, str], Any] = {}
         sim = runtime.sim
         sim.register(self.addr["monitor"], self._on_monitor)
         sim.register(self.addr["analyze"], self._on_analyze)
@@ -270,7 +269,7 @@ class LoopActor:
         sim = self.runtime.sim
         touched = False
         key = (pay["loop"], obs.service, obs.parameter)
-        self.agg_inputs.record(key, obs.value)
+        self.agg_inputs[key] = obs.value
         for spec in self.runtime.control.aggregations:
             if key not in spec.inputs:
                 continue
@@ -423,9 +422,7 @@ class LoopActor:
     def _open_round(self, component: str) -> None:
         sim = self.runtime.sim
         round_id = f"{self.spec.id}.{component}-r{next(self.round_seq[component])}"
-        self.active_round[component] = CoordinationRound(
-            round_id, component, leader=self.spec.id
-        )
+        self.active_round[component] = CoordinationRound(round_id, component)
         sim.emit(
             "round-open",
             self.addr[component],

@@ -75,7 +75,6 @@ class Message(NamedTuple):
     src: Address
     dst: Address
     send_time: int
-    delivery_time: int
     path: tuple[str, ...]
 
 
@@ -355,7 +354,7 @@ class Simulator:
             latency += self.rng._randbelow(jitter + 1)
         now = self.now
         msg_id = next(self._msg_ids)
-        msg = Message(msg_id, kind, payload, src, dst, now, now + latency, path)
+        msg = Message(msg_id, kind, payload, src, dst, now, path)
         self.trace.append(now, "send", src._text, dst._text,
                           {"id": msg_id, "interaction": kind})
         self.schedule(now + latency, partial(self._deliver, msg))

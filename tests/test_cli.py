@@ -204,6 +204,22 @@ class TestRun:
         assert code == 1
         assert "ghost-service" in capsys.readouterr().out
 
+    def test_non_finite_real_is_a_validation_error(self, tmp_path, capsys):
+        # json reads NaN; a mean over NaN room temperatures once crashed the run.
+        data = json.loads(Path(THREE_CENTRAL).read_text())
+        data["defaults"]["room_temp_c"] = float("nan")
+        data["control"]["master"]["aggregations"].append({
+            "name": "mean-temp", "combinator": "mean", "output": "mean-temp-c",
+            "output_type": "real",
+            "inputs": [[f"office{n}", f"office{n}.heater", "room-temp"] for n in (1, 2, 3)]})
+        code = main([
+            "run", "--scenario", write_scenario(tmp_path, data), "--seed", "1",
+            "--until-ms", "5000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "defaults.room_temp_c: nan is not real" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_parameter_is_a_validation_error(self, tmp_path, capsys):
         code = main([
             "run", "--scenario", unreadable_parameter(tmp_path), "--seed", "1",

@@ -5,18 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fogloop.coordination import (
-    AggregationInputs,
     AggregationSpec,
     Combinator,
     CoordinationRound,
     ForwardingFilter,
     IncompleteRoundError,
     OrphanActionError,
-    TypeMismatchError,
     aggregate,
     decide_round,
     delegate,
@@ -35,6 +33,7 @@ METER_INPUTS = (
     ("office2", "office2.energy_meter", "kwh-reading"),
     ("office3", "office3.energy_meter", "kwh-reading"),
 )
+NUMERIC = [Combinator.SUM, Combinator.MEAN, Combinator.MAX, Combinator.MIN]
 
 
 def meter_states(*readings: float) -> dict:
@@ -81,14 +80,6 @@ def test_missing_input_stalls():
     assert aggregate(spec, meter_states(0.5, 0.3), now=0) is None
 
 
-def test_non_numeric_input_is_type_mismatch():
-    spec = AggregationSpec("total", METER_INPUTS[:1], Combinator.SUM, "total")
-    with pytest.raises(TypeMismatchError):
-        aggregate(spec, {METER_INPUTS[0]: "plenty"}, now=0)
-    with pytest.raises(TypeMismatchError):
-        aggregate(spec, {METER_INPUTS[0]: True}, now=0)
-
-
 def test_mean_rounds_half_to_even_for_integer_outputs():
     spec = AggregationSpec(
         "avg", METER_INPUTS[:2], Combinator.MEAN, "avg", output_type=ValueType.INTEGER
@@ -101,9 +92,7 @@ def test_mean_rounds_half_to_even_for_integer_outputs():
     values=st.lists(
         st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=9
     ),
-    combinator=st.sampled_from(
-        [Combinator.SUM, Combinator.MEAN, Combinator.MAX, Combinator.MIN]
-    ),
+    combinator=st.sampled_from(NUMERIC),
     seed=st.randoms(use_true_random=False),
 )
 def test_numeric_aggregation_ignores_input_order(values, combinator, seed):
@@ -120,51 +109,54 @@ def test_numeric_aggregation_ignores_input_order(values, combinator, seed):
         assert forward.value == float(exact)
 
 
-AGG_KEYS = (("l1", "s", "x"), ("l2", "s", "x"), ("l3", "s", "y"))
-NUMBERS = st.one_of(
-    st.integers(-10**20, 10**20),
-    st.floats(-1e6, 1e6),
-    st.sampled_from([0.1, -0.0, 1e308, float("inf"), float("nan")]),
+# Every kind of number validation lets through: big ints, subnormals, signed
+# zeros, and floats whose sum overflows a float.
+EXTREME_NUMBERS = st.one_of(
+    st.integers(-10**400, 10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308,
+                     -1.7e308, 0.1, 3]),
 )
-NON_NUMBERS = st.sampled_from(["on", True, False, None, [1]])
 
 
-@st.composite
-def agg_specs(draw, combinator: Combinator, output_type: ValueType):
-    """A spec with the given combinator and type, then up to two more over the
-    same keys; inputs may repeat a key."""
-    kinds = [(combinator, output_type)] + draw(st.lists(
-        st.tuples(st.sampled_from(list(Combinator)),
-                  st.sampled_from([ValueType.INTEGER, ValueType.REAL])), max_size=2))
-    return [AggregationSpec(f"agg{n}", tuple(draw(st.lists(st.sampled_from(AGG_KEYS),
-                                                            min_size=1, max_size=4))),
-                            kind, f"out{n}", out_type)
-            for n, (kind, out_type) in enumerate(kinds)]
-
-
-def aggregated(spec, states, now):
+def fraction_oracle(combinator: Combinator, output_type: ValueType, values: list):
+    """The aggregate in `Fraction` arithmetic, or OverflowError."""
+    exact = [Fraction(v) for v in values]
+    if combinator is Combinator.SUM:
+        result = sum(exact, Fraction(0))
+    elif combinator is Combinator.MEAN:
+        result = sum(exact, Fraction(0)) / len(exact)
+    elif combinator is Combinator.MAX:
+        result = max(exact)
+    else:
+        result = min(exact)
     try:
-        return aggregate(spec, states, now, service="master")
-    except (TypeMismatchError, ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
+        return round(result) if output_type is ValueType.INTEGER else float(result)
+    except OverflowError:
+        return OverflowError
 
 
 @pytest.mark.parametrize("output_type", [ValueType.INTEGER, ValueType.REAL])
-@pytest.mark.parametrize("combinator", list(Combinator))
-@given(data=st.data())
-def test_aggregation_over_converted_inputs_matches_recomputing(combinator, output_type, data):
-    """After each forwarded reading, aggregation over inputs converted as they
-    arrive equals aggregation recomputed from the plain values, including the
-    reading at which a non-number raises, for every spec."""
-    specs = data.draw(agg_specs(combinator, output_type))
-    readings = data.draw(st.lists(st.tuples(st.sampled_from(AGG_KEYS),
-                                            st.one_of(NUMBERS, NUMBERS, NON_NUMBERS)),
-                                  min_size=1, max_size=25))
-    inputs = AggregationInputs()
-    for now, (key, value) in enumerate(readings):
-        inputs.record(key, value)
-        for spec in specs:
-            assert aggregated(spec, inputs, now) == aggregated(spec, dict(inputs), now)
+@pytest.mark.parametrize("combinator", NUMERIC)
+@given(values=st.lists(EXTREME_NUMBERS, min_size=1, max_size=6))
+@example(values=[1.7e308, 1.7e308])  # a sum past the largest float
+def test_aggregation_equals_fraction_arithmetic(combinator, output_type, values):
+    inputs = tuple(("l", "s", f"p{i}") for i in range(len(values)))
+    spec = AggregationSpec("agg", inputs, combinator, "out", output_type)
+    expected = fraction_oracle(combinator, output_type, values)
+    try:
+        value = aggregate(spec, dict(zip(inputs, values)), now=0).value
+    except OverflowError:
+        value = OverflowError
+    assert (type(value), repr(value)) == (type(expected), repr(expected))
+
+
+@pytest.mark.parametrize("combinator", [Combinator.MAX, Combinator.MIN])
+def test_signed_zeros_give_one_result_in_either_order(combinator):
+    spec = AggregationSpec("agg", METER_INPUTS[:2], combinator, "out")
+    forward = aggregate(spec, meter_states(0.0, -0.0), now=0).value
+    backward = aggregate(spec, meter_states(-0.0, 0.0), now=0).value
+    assert repr(forward) == repr(backward) == "0.0"
 
 
 def test_forwarding_filter_sends_only_changes():
@@ -228,7 +220,6 @@ def test_identical_proposals_decide_once():
     rnd = decide_round("r1", ["office1", "office2"], "execute",
                        {"office1": lamp_off, "office2": lamp_off})
     assert isinstance(rnd, CoordinationRound)
-    assert rnd.leader == "office1"
     assert rnd.decided == lamp_off
     assert rnd.decided_by == "office1"
 
@@ -242,7 +233,6 @@ def test_all_abstain_decides_noop():
 
 def test_conflicts_resolve_to_lowest_id():
     rnd = decide_round("r3", ["5", "2"], "analyze", {"5": "theirs", "2": "mine"})
-    assert rnd.leader == "2"
     assert rnd.decided == "mine"
     assert rnd.decided_by == "2"
 

@@ -1,5 +1,5 @@
-"""Package hygiene: every top-level definition is exported or used, and
-every method and property is used."""
+"""Package hygiene: every top-level definition is exported or used, every
+method and property is used, and every field and attribute is read."""
 
 from __future__ import annotations
 
@@ -79,6 +79,53 @@ def test_every_method_and_property_is_used():
                 if everywhere[node.name] - _referenced_names(node)[node.name] <= 0:
                     unused.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
     assert not unused, "methods in src/fogloop that nothing uses: " + ", ".join(unused)
+
+
+# (class, attribute) -> why the attribute stays although nothing in the
+# package reads it.
+UNREAD_ATTRIBUTES = {
+    ("Runtime", "physics"): "the C3-P3 probe body reads it, and ROADMAP keeps that body",
+}
+
+
+def _self_attributes(cls: ast.ClassDef) -> list[ast.Attribute]:
+    """Every `self.<name>` a method of `cls` assigns."""
+    stored = []
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for part in ast.walk(target):
+                    if isinstance(part, ast.Attribute) and isinstance(part.value, ast.Name) \
+                            and part.value.id == "self":
+                        stored.append(part)
+    return stored
+
+
+def test_every_field_and_attribute_is_read():
+    """A dataclass or `NamedTuple` field, or an attribute a method assigns,
+    counts as read when some attribute load in the package names it. The
+    scenario record classes, which `_dump` reads through getattr, the
+    `TraceSink` protocol and `UNREAD_ATTRIBUTES` are exempt."""
+    from fogloop.scenario import _SHAPES
+
+    exempt = {cls.__name__ for cls in _SHAPES} | {"TraceSink"}
+    modules = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = {node.attr for tree in modules.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+    unread = []
+    for path, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in exempt:
+                continue
+            fields = [(node.lineno, node.target.id) for node in cls.body
+                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+            fields += [(node.lineno, node.attr) for node in _self_attributes(cls)]
+            for lineno, name in fields:
+                if name not in loaded and (cls.name, name) not in UNREAD_ATTRIBUTES:
+                    unread.append(f"{path.name}:{lineno} {cls.name}.{name}")
+    assert not unread, "fields in src/fogloop that nothing reads: " + ", ".join(unread)
 
 
 def _tracer_install() -> ast.FunctionDef:

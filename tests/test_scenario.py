@@ -288,6 +288,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"defaults.{name}"):
             run_scenario(scenario, seed=1, horizon=2_000)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("place, path", [
+        (lambda data, v: data["defaults"].update(room_temp_c=v), "defaults.room_temp_c"),
+        (lambda data, v: data["defaults"].update(outside_temp_c=v),
+         "defaults.outside_temp_c"),
+        (lambda data, v: data.update(environment=[{"t": 100, "outside_temp_c": v}]),
+         "environment[0]"),
+        (lambda data, v: data["policies"][3]["when"][0].update(value=v),
+         "policies[3].when[0]"),
+        (lambda data, v: data["devices"]["office1.heater"]["initial"].update(
+            {"setpoint-c": v}), "devices.office1.heater"),
+    ], ids=["room_temp_c", "outside_temp_c", "environment", "threshold", "setpoint-c"])
+    def test_reals_must_be_finite(self, place, path, value):
+        # json reads NaN and Infinity, and reads 1e400 as inf.
+        data = scenario_dict(1)
+        place(data, value)
+        report = validate_scenario(parse_scenario(reparse(data)))
+        assert any(line.startswith(f"{path}: ") for line in report.lines()), report.lines()
+
     def test_missing_device_setup(self):
         data = scenario_dict(1)
         del data["devices"]["office1.lamp"]
@@ -399,8 +419,9 @@ class TestValidation:
         data = scenario_dict(2, "centralized")
         agg = data["control"]["master"]["aggregations"][0]
         agg["inputs"][0] = ["office1", "office1.door", "lock-state"]
+        agg["inputs"].append(["office1", "office1.lamp", "power-state"])
         report = validate_scenario(parse_scenario(data))
-        assert any("needs numeric inputs" in line for line in report.lines())
+        assert sum("needs numeric inputs" in line for line in report.lines()) == 2
 
     def test_decentralized_group_of_one(self):
         data = scenario_dict(2, "decentralized")
