@@ -1,7 +1,8 @@
 """Command-line front end: validate scenarios, run them to disk, and compare
 placement or control-mode variants side by side.
 
-Exit codes: 0 ok, 1 validation failure, 2 input error, 3 output error.
+Exit codes: 0 ok, 1 validation failure, 2 input error (including an
+aggregation whose result overflows during the run), 3 output error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import os
 import sys
 
+from fogloop.coordination import AggregationOverflowError
 from fogloop.errors import ConfigError
 from fogloop.metrics import (
     MetricsFold,
@@ -89,7 +91,7 @@ def cmd_run(path: str, mode: str | None, seed: int, horizon: int,
     sink = EventTrace if "jsonl" in formats else MetricsFold
     try:
         result = run_scenario(scenario, seed, horizon, check=False, sink=sink)
-    except ConfigError as exc:
+    except (ConfigError, AggregationOverflowError) as exc:
         return _fail(EXIT_INPUT, str(exc))
     metrics = compute_metrics(result)
     summary = summary_text(result, metrics)
@@ -140,7 +142,7 @@ def cmd_compare(path: str, variants: list[str], seed: int, horizon: int) -> int:
     for token, scenario in prepared:
         try:
             result = run_scenario(scenario, seed, horizon, check=False, sink=MetricsFold)
-        except ConfigError as exc:
+        except (ConfigError, AggregationOverflowError) as exc:
             return _fail(EXIT_INPUT, f"{token}: {exc}")
         rows.append((token, compute_metrics(result)))
     header = f"{'variant':<16} {'mean_latency_ms':>16} {'fog_to_cloud':>13} {'total_kwh':>14}"

@@ -47,6 +47,10 @@ class IncompleteRoundError(FogloopError):
     """A round was decided before every member proposed or abstained."""
 
 
+class AggregationOverflowError(FogloopError):
+    """A numeric aggregation's exact result lies beyond the float range."""
+
+
 @dataclass(frozen=True)
 class AggregationSpec:
     name: str
@@ -96,7 +100,8 @@ def aggregate(
     scaled by 2**1074 to an exact integer, the combinator works on those
     integers, and the result is rounded once to the declared output type.
     The result is therefore invariant under input permutation, signed zeros
-    included.
+    included. Validation cannot bound a sum of stream values, so a `real`
+    result beyond the float range raises `AggregationOverflowError`.
     """
     values = []
     for key in spec.inputs:
@@ -119,8 +124,13 @@ def aggregate(
         total = sum(scaled)
         if combinator is Combinator.MEAN:
             count = len(scaled)
-    result = Fraction(total, count << 1074)
-    return Observation(service, spec.output, _to_output(result, spec.output_type), now)
+    try:
+        value = _to_output(Fraction(total, count << 1074), spec.output_type)
+    except OverflowError:
+        raise AggregationOverflowError(
+            f"aggregation '{spec.name}' at t={now} ms: its {combinator.value} "
+            f"is beyond the float range") from None
+    return Observation(service, spec.output, value, now)
 
 
 class ForwardingFilter:

@@ -31,15 +31,18 @@ class ServiceKind(str, Enum):
 
 def value_conforms(value: object, value_type: ValueType) -> bool:
     """True if a raw value is acceptable for the declared value type. A real
-    is an int or a finite float."""
+    is an int or float that converts to a finite float."""
     if value_type is ValueType.BOOLEAN:
         return isinstance(value, bool)
     if value_type is ValueType.INTEGER:
         return isinstance(value, int) and not isinstance(value, bool)
     if value_type is ValueType.REAL:
-        if isinstance(value, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
             return math.isfinite(value)
-        return isinstance(value, int) and not isinstance(value, bool)
+        except OverflowError:  # an int beyond the float range
+            return False
     return isinstance(value, str)
 
 

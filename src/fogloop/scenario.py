@@ -153,7 +153,10 @@ def _bool(value: Any, path: str) -> bool:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer too large for a float") from None
 
 
 def _scalar(value: Any, path: str) -> Any:

@@ -219,6 +219,13 @@ _DELIVER_KEYS = frozenset(("id", "interaction", "sent", "path"))
 _ROWS_PER_CHUNK = 4096
 
 
+def _shareable(values: tuple[Any, ...]) -> bool:
+    """True if each value is a str or None, whose every equal value encodes
+    alike. Numbers do not qualify: `1 == True == 1.0` and `0.0 == -0.0`
+    hash alike but encode differently."""
+    return all(value is None or type(value) is str for value in values)
+
+
 @dataclass
 class EventTrace:
     """Append-only run record: one header plus (t, kind, src, dst, detail) rows."""
@@ -248,47 +255,59 @@ class EventTrace:
         each ending in a newline.
 
         A `send` or `deliver` row with exactly its usual detail keys and
-        integer times and ids is filled into a fixed template. Its
-        addresses, interaction and path are encoded once per object and
-        pass: rows share them. Every other row goes through the encoder."""
+        integer times and ids is its integers around text it shares with
+        every row of equal interaction, addresses and (for `deliver`) path.
+        That text is encoded once per pass and found with one lookup keyed
+        by those values. Only keys whose every value encodes like anything
+        equal to it make an entry (see `_shareable`). Every other row goes
+        through the encoder."""
         encode = _ENCODER.encode
-        encoded: dict[int, str] = {}
+        # (interaction, dst, src) -> the text between a send's id and t.
+        sends: dict[tuple[Any, ...], str] = {}
+        # (interaction, path, dst, src) -> the texts between a deliver's id
+        # and sent, and between its sent and t.
+        delivers: dict[tuple[Any, ...], tuple[str, str]] = {}
 
-        def cached(value: Any) -> str:
-            # The rows keep every value alive during the pass, so an id
-            # names one object.
-            text = encoded.get(id(value))
-            if text is None:
-                text = encoded[id(value)] = encode(value)
-            return text
-
-        def templated(row: dict[str, Any]) -> str | None:
+        def line(row: dict[str, Any]) -> str:
             kind, detail, t = row["kind"], row["detail"], row["t"]
             if type(t) is not int:
-                return None
-            if kind == "send":
-                if detail.keys() != _SEND_KEYS or type(detail["id"]) is not int:
-                    return None
-                return (f'{{"detail":{{"id":{detail["id"]},'
-                        f'"interaction":{cached(detail["interaction"])}}},'
-                        f'"dst":{cached(row["dst"])},"kind":"send",'
-                        f'"src":{cached(row["src"])},"t":{t}}}')
-            if kind == "deliver":
-                if detail.keys() != _DELIVER_KEYS or type(detail["id"]) is not int \
-                        or type(detail["sent"]) is not int:
-                    return None
-                return (f'{{"detail":{{"id":{detail["id"]},'
-                        f'"interaction":{cached(detail["interaction"])},'
-                        f'"path":{cached(detail["path"])},"sent":{detail["sent"]}}},'
-                        f'"dst":{cached(row["dst"])},"kind":"deliver",'
-                        f'"src":{cached(row["src"])},"t":{t}}}')
-            return None
+                return encode(row)
+            if kind == "send" and detail.keys() == _SEND_KEYS and type(detail["id"]) is int:
+                key = (detail["interaction"], row["dst"], row["src"])
+                try:
+                    mid = sends.get(key)
+                except TypeError:  # an unhashable key part
+                    return encode(row)
+                if mid is None:
+                    if not _shareable(key):
+                        return encode(row)
+                    mid = sends[key] = (
+                        f',"interaction":{encode(key[0])}}},"dst":{encode(key[1])},'
+                        f'"kind":"send","src":{encode(key[2])},"t":')
+                return f'{{"detail":{{"id":{detail["id"]}{mid}{t}}}'
+            if kind == "deliver" and detail.keys() == _DELIVER_KEYS \
+                    and type(detail["id"]) is int and type(detail["sent"]) is int:
+                path = detail["path"]
+                key = (detail["interaction"], path, row["dst"], row["src"])
+                try:
+                    texts = delivers.get(key)
+                except TypeError:  # an unhashable key part, such as a list path
+                    return encode(row)
+                if texts is None:
+                    if type(path) is not tuple or not _shareable(key[:1] + path + key[2:]):
+                        return encode(row)
+                    texts = delivers[key] = (
+                        f',"interaction":{encode(key[0])},"path":{encode(path)},"sent":',
+                        f'}},"dst":{encode(key[2])},"kind":"deliver","src":{encode(key[3])},'
+                        f'"t":')
+                head, tail = texts
+                return f'{{"detail":{{"id":{detail["id"]}{head}{detail["sent"]}{tail}{t}}}'
+            return encode(row)
 
         yield encode(self.header) + "\n"
         events, step = self.events, _ROWS_PER_CHUNK
         for start in range(0, len(events), step):
-            yield "\n".join(templated(row) or encode(row)
-                            for row in events[start:start + step]) + "\n"
+            yield "\n".join([line(row) for row in events[start:start + step]]) + "\n"
 
 
 Handler = Callable[[Message], None]

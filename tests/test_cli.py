@@ -35,6 +35,26 @@ def unreadable_parameter(tmp_path: Path) -> str:
     return write_scenario(tmp_path, data)
 
 
+def huge_outside_temperature(tmp_path: Path) -> str:
+    """The 1-office scenario with an integer outside temperature beyond the
+    float range, which json reads exactly."""
+    data = json.loads(Path(ONE_OFFICE).read_text())
+    data["defaults"]["outside_temp_c"] = 10**400
+    return write_scenario(tmp_path, data)
+
+
+def overflowing_sum(tmp_path: Path) -> str:
+    """The 3-office centralized scenario summing three room temperatures of
+    1.7e308: valid, but the sum is beyond the largest float."""
+    data = json.loads(Path(THREE_CENTRAL).read_text())
+    data["defaults"]["room_temp_c"] = 1.7e308
+    data["control"]["master"]["aggregations"].append({
+        "name": "sum-temp", "combinator": "sum", "output": "sum-temp-c",
+        "output_type": "real",
+        "inputs": [[f"office{n}", f"office{n}.heater", "room-temp"] for n in (1, 2, 3)]})
+    return write_scenario(tmp_path, data)
+
+
 def skip_validation(monkeypatch) -> None:
     """Let a scenario reach the Runtime build whatever validation says."""
     monkeypatch.setattr(cli, "validate_scenario", lambda scenario: ValidationReport())
@@ -61,6 +81,11 @@ class TestValidate:
         data["devices"]["office1.lamp"]["office"] = ["office1"]
         assert main(["validate", write_scenario(tmp_path, data)]) == 2
         assert "devices.office1.lamp.office: expected string" in capsys.readouterr().err
+
+    def test_real_integer_beyond_float_range_is_an_input_error(self, tmp_path, capsys):
+        assert main(["validate", huge_outside_temperature(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "defaults.outside_temp_c: integer too large for a float\n")
 
     def test_stream_of_the_wrong_type_is_a_validation_error(self, tmp_path, capsys,
                                                              type_gap):
@@ -220,6 +245,28 @@ class TestRun:
         assert "defaults.room_temp_c: nan is not real" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
+    def test_real_integer_beyond_float_range_is_an_input_error(self, tmp_path, capsys):
+        code = main([
+            "run", "--scenario", huge_outside_temperature(tmp_path), "--seed", "1",
+            "--until-ms", "5000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "defaults.outside_temp_c: integer too large for a float\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_aggregation_overflow_is_an_input_error(self, tmp_path, capsys):
+        path = overflowing_sum(tmp_path)
+        assert main(["validate", path]) == 0
+        code = main([
+            "run", "--scenario", path, "--seed", "1",
+            "--until-ms", "5000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "aggregation 'sum-temp' at t=3 ms: its sum is beyond the float range\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_parameter_is_a_validation_error(self, tmp_path, capsys):
         code = main([
             "run", "--scenario", unreadable_parameter(tmp_path), "--seed", "1",
@@ -321,3 +368,14 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == (
             "mapeaas: office1.heater has no readable parameter 'bogus-param'\n")
+
+    def test_aggregation_overflow_is_an_input_error(self, tmp_path, capsys):
+        code = main([
+            "compare", "--scenario", overflowing_sum(tmp_path),
+            "--variants", "centralized,decentralized", "--seed", "1", "--until-ms", "5000",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("centralized: aggregation 'sum-temp' at t=3 ms: "
+                                "its sum is beyond the float range\n")

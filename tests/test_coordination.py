@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fogloop.coordination import (
+    AggregationOverflowError,
     AggregationSpec,
     Combinator,
     CoordinationRound,
@@ -146,7 +147,7 @@ def test_aggregation_equals_fraction_arithmetic(combinator, output_type, values)
     expected = fraction_oracle(combinator, output_type, values)
     try:
         value = aggregate(spec, dict(zip(inputs, values)), now=0).value
-    except OverflowError:
+    except AggregationOverflowError:
         value = OverflowError
     assert (type(value), repr(value)) == (type(expected), repr(expected))
 
