@@ -69,28 +69,43 @@ class MetricsFold:
         self._tiers: dict[str, str] = header["nodes"]
         self._hops_of: dict[tuple[str, ...], tuple[str, ...]] = {}
 
+    def sent(self, t: int, src: str, dst: str, id: int, interaction: str) -> None:
+        metrics = self.metrics
+        counts, sends = metrics.event_counts, metrics.sends
+        counts["send"] = counts.get("send", 0) + 1
+        sends[interaction] = sends.get(interaction, 0) + 1
+
+    def delivered(self, t: int, src: str, dst: str, id: int, interaction: str,
+                  sent: int, path: tuple[str, ...]) -> None:
+        metrics = self.metrics
+        counts, deliveries = metrics.event_counts, metrics.deliveries
+        counts["deliver"] = counts.get("deliver", 0) + 1
+        deliveries[interaction] = deliveries.get(interaction, 0) + 1
+        hops = self._hops_of.get(path)
+        if hops is None:
+            tiers = self._tiers
+            hops = self._hops_of[path] = tuple(
+                f"{tiers[a]}->{tiers[b]}" for a, b in zip(path, path[1:])
+            )
+        tally = metrics.hops
+        for hop in hops:
+            tally[hop] = tally.get(hop, 0) + 1
+
     def append(self, t: int, kind: str, src: str | None, dst: str | None,
                detail: dict[str, Any]) -> None:
+        # `Simulator._deliver` emits its row through `emit`. Once ROADMAP
+        # item 1 counts from the sink, it calls `delivered` directly.
+        if kind == "deliver":
+            self.delivered(t, src, dst, detail["id"], detail["interaction"],
+                           detail["sent"], detail["path"])
+            return
+        if kind == "send":
+            self.sent(t, src, dst, detail["id"], detail["interaction"])
+            return
         metrics = self.metrics
         counts = metrics.event_counts
         counts[kind] = counts.get(kind, 0) + 1
-        if kind == "send":
-            key = detail["interaction"]
-            metrics.sends[key] = metrics.sends.get(key, 0) + 1
-        elif kind == "deliver":
-            key = detail["interaction"]
-            metrics.deliveries[key] = metrics.deliveries.get(key, 0) + 1
-            path = detail["path"]
-            hops = self._hops_of.get(path)
-            if hops is None:
-                tiers = self._tiers
-                hops = self._hops_of[path] = tuple(
-                    f"{tiers[a]}->{tiers[b]}" for a, b in zip(path, path[1:])
-                )
-            tally = metrics.hops
-            for hop in hops:
-                tally[hop] = tally.get(hop, 0) + 1
-        elif kind == "actuate-applied":
+        if kind == "actuate-applied":
             latency = detail["latency"]
             metrics.latency_count += 1
             metrics.latency_sum += latency
@@ -111,9 +126,7 @@ def compute_metrics(result: RunResult) -> RunMetrics:
         fold = trace
     else:
         fold = MetricsFold(trace.header)
-        for event in trace.events:
-            fold.append(event["t"], event["kind"], event["src"], event["dst"],
-                        event["detail"])
+        trace.replay(fold)
     metrics = fold.metrics
     metrics.energy_mj = {
         office_id: office.energy_mj for office_id, office in sorted(result.offices.items())

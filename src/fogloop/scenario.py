@@ -150,13 +150,15 @@ def _bool(value: Any, path: str) -> bool:
     return value
 
 
-def _number(value: Any, path: str) -> float:
+def _number(value: Any, path: str) -> float | int:
+    """The number as a float, or the int itself when it is beyond the float
+    range: `validate_scenario` then reports it as not real, as it does NaN."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
     try:
         return float(value)
     except OverflowError:
-        raise ConfigError(f"{path}: integer too large for a float") from None
+        return value
 
 
 def _scalar(value: Any, path: str) -> Any:

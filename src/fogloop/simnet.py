@@ -200,18 +200,25 @@ class Topology:
 class TraceSink(Protocol):
     """Where a simulator's events go. A sink is built from the run header,
     which `run_until` completes with the horizon, and is handed each event
-    as it is emitted."""
+    as it is emitted: a `send` row through `sent`, a `deliver` row through
+    `delivered` or `append`, and every other row through `append`."""
 
     header: dict[str, Any]
 
     def append(self, t: int, kind: str, src: str | None, dst: str | None,
                detail: dict[str, Any]) -> None: ...
 
+    def sent(self, t: int, src: str, dst: str, id: int, interaction: str) -> None: ...
+
+    def delivered(self, t: int, src: str, dst: str, id: int, interaction: str,
+                  sent: int, path: tuple[str, ...]) -> None: ...
+
 
 # Builds a run's sink from its header: `EventTrace` or `metrics.MetricsFold`.
 SinkFactory = Callable[[dict[str, Any]], TraceSink]
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The detail keys of the rows `EventTrace.append` keeps as message rows.
 _SEND_KEYS = frozenset(("id", "interaction"))
 _DELIVER_KEYS = frozenset(("id", "interaction", "sent", "path"))
 # Rows per block of text `EventTrace.write` hands to the file: writing adds
@@ -226,23 +233,69 @@ def _shareable(values: tuple[Any, ...]) -> bool:
     return all(value is None or type(value) is str for value in values)
 
 
+def _as_dict(row: tuple[Any, ...]) -> dict[str, Any]:
+    """The dict view of a kept row, the object its trace line encodes."""
+    if len(row) == 6:
+        detail = {"id": row[4], "interaction": row[5]}
+    elif len(row) == 8:
+        detail = {"id": row[4], "interaction": row[5], "sent": row[6], "path": row[7]}
+    else:
+        detail = row[4]
+    return {"t": row[0], "kind": row[1], "src": row[2], "dst": row[3], "detail": detail}
+
+
 @dataclass
 class EventTrace:
-    """Append-only run record: one header plus (t, kind, src, dst, detail) rows."""
+    """Append-only run record: one header plus one row per event.
+
+    A `send` row is kept as the tuple `(t, "send", src, dst, id,
+    interaction)`, a `deliver` row as `(t, "deliver", src, dst, id,
+    interaction, sent, path)` and every other row as `(t, kind, src, dst,
+    detail)`. A message row holds no dict, so it is small and, once the
+    collector has seen it, untracked. `len(events)` counts rows; `of_kind`
+    gives their dict view."""
 
     header: dict[str, Any]
-    events: list[dict[str, Any]] = field(default_factory=list)
+    events: list[tuple[Any, ...]] = field(default_factory=list)
 
     def append(self, t: int, kind: str, src: str | None, dst: str | None,
                detail: dict[str, Any]) -> None:
-        self.events.append({"t": t, "kind": kind, "src": src, "dst": dst, "detail": detail})
+        # `_deliver` emits its row through `emit`, where perfbench counts
+        # fog-to-cloud hops. Once ROADMAP item 1 counts from the sink,
+        # `_deliver` calls `delivered` directly and this check goes.
+        if kind == "deliver" and detail.keys() == _DELIVER_KEYS:
+            self.delivered(t, src, dst, detail["id"], detail["interaction"],
+                           detail["sent"], detail["path"])
+        elif kind == "send" and detail.keys() == _SEND_KEYS:
+            self.sent(t, src, dst, detail["id"], detail["interaction"])
+        else:
+            self.events.append((t, kind, src, dst, detail))
+
+    def sent(self, t: int, src: str, dst: str, id: int, interaction: str) -> None:
+        self.events.append((t, "send", src, dst, id, interaction))
+
+    def delivered(self, t: int, src: str, dst: str, id: int, interaction: str,
+                  sent: int, path: tuple[str, ...]) -> None:
+        self.events.append((t, "deliver", src, dst, id, interaction, sent, path))
 
     def of_kind(self, kind: str) -> list[dict[str, Any]]:
-        return [e for e in self.events if e["kind"] == kind]
+        return [_as_dict(row) for row in self.events if row[1] == kind]
+
+    def replay(self, sink: TraceSink) -> None:
+        """Hand every kept row to `sink` as the run handed it to this trace."""
+        sent, delivered, append = sink.sent, sink.delivered, sink.append
+        for row in self.events:
+            if len(row) == 8:
+                delivered(row[0], *row[2:])
+            elif len(row) == 6:
+                sent(row[0], *row[2:])
+            else:
+                append(*row)
 
     def to_jsonl(self) -> str:
         """The header, then one line per row; each line equals
-        `json.dumps(row, sort_keys=True, separators=(",", ":"))`."""
+        `json.dumps(row, sort_keys=True, separators=(",", ":"))` of the
+        row's dict view."""
         return "".join(self._chunks())
 
     def write(self, path: str) -> None:
@@ -254,13 +307,12 @@ class EventTrace:
         """The header line, then blocks of at most `_ROWS_PER_CHUNK` lines,
         each ending in a newline.
 
-        A `send` or `deliver` row with exactly its usual detail keys and
-        integer times and ids is its integers around text it shares with
-        every row of equal interaction, addresses and (for `deliver`) path.
-        That text is encoded once per pass and found with one lookup keyed
-        by those values. Only keys whose every value encodes like anything
-        equal to it make an entry (see `_shareable`). Every other row goes
-        through the encoder."""
+        A message row with integer times and ids is its integers around text
+        it shares with every row of equal interaction, addresses and (for
+        `deliver`) path. That text is encoded once per pass and found with
+        one lookup keyed by those values. Only keys whose every value
+        encodes like anything equal to it make an entry (see `_shareable`).
+        Every other row is encoded from its dict view."""
         encode = _ENCODER.encode
         # (interaction, dst, src) -> the text between a send's id and t.
         sends: dict[tuple[Any, ...], str] = {}
@@ -268,41 +320,42 @@ class EventTrace:
         # and sent, and between its sent and t.
         delivers: dict[tuple[Any, ...], tuple[str, str]] = {}
 
-        def line(row: dict[str, Any]) -> str:
-            kind, detail, t = row["kind"], row["detail"], row["t"]
-            if type(t) is not int:
-                return encode(row)
-            if kind == "send" and detail.keys() == _SEND_KEYS and type(detail["id"]) is int:
-                key = (detail["interaction"], row["dst"], row["src"])
-                try:
-                    mid = sends.get(key)
-                except TypeError:  # an unhashable key part
-                    return encode(row)
-                if mid is None:
-                    if not _shareable(key):
-                        return encode(row)
-                    mid = sends[key] = (
-                        f',"interaction":{encode(key[0])}}},"dst":{encode(key[1])},'
-                        f'"kind":"send","src":{encode(key[2])},"t":')
-                return f'{{"detail":{{"id":{detail["id"]}{mid}{t}}}'
-            if kind == "deliver" and detail.keys() == _DELIVER_KEYS \
-                    and type(detail["id"]) is int and type(detail["sent"]) is int:
-                path = detail["path"]
-                key = (detail["interaction"], path, row["dst"], row["src"])
-                try:
-                    texts = delivers.get(key)
-                except TypeError:  # an unhashable key part, such as a list path
-                    return encode(row)
-                if texts is None:
-                    if type(path) is not tuple or not _shareable(key[:1] + path + key[2:]):
-                        return encode(row)
-                    texts = delivers[key] = (
-                        f',"interaction":{encode(key[0])},"path":{encode(path)},"sent":',
-                        f'}},"dst":{encode(key[2])},"kind":"deliver","src":{encode(key[3])},'
-                        f'"t":')
-                head, tail = texts
-                return f'{{"detail":{{"id":{detail["id"]}{head}{detail["sent"]}{tail}{t}}}'
-            return encode(row)
+        def line(row: tuple[Any, ...]) -> str:
+            if len(row) == 6:
+                t, _, src, dst, msg_id, interaction = row
+                if type(t) is int and type(msg_id) is int:
+                    key = (interaction, dst, src)
+                    try:
+                        mid = sends.get(key)
+                    except TypeError:  # an unhashable key part
+                        return encode(_as_dict(row))
+                    if mid is None:
+                        if not _shareable(key):
+                            return encode(_as_dict(row))
+                        mid = sends[key] = (
+                            f',"interaction":{encode(interaction)}}},"dst":{encode(dst)},'
+                            f'"kind":"send","src":{encode(src)},"t":')
+                    return f'{{"detail":{{"id":{msg_id}{mid}{t}}}'
+            elif len(row) == 8:
+                t, _, src, dst, msg_id, interaction, sent, path = row
+                if type(t) is int and type(msg_id) is int and type(sent) is int:
+                    key = (interaction, path, dst, src)
+                    try:
+                        texts = delivers.get(key)
+                    except TypeError:  # an unhashable key part, such as a list path
+                        return encode(_as_dict(row))
+                    if texts is None:
+                        if type(path) is not tuple \
+                                or not _shareable((interaction, *path, dst, src)):
+                            return encode(_as_dict(row))
+                        texts = delivers[key] = (
+                            f',"interaction":{encode(interaction)},"path":{encode(path)},'
+                            f'"sent":',
+                            f'}},"dst":{encode(dst)},"kind":"deliver","src":{encode(src)},'
+                            f'"t":')
+                    head, tail = texts
+                    return f'{{"detail":{{"id":{msg_id}{head}{sent}{tail}{t}}}'
+            return encode(_as_dict(row))
 
         yield encode(self.header) + "\n"
         events, step = self.events, _ROWS_PER_CHUNK
@@ -321,9 +374,10 @@ class Simulator:
     schedules its delivery. Everything lands in the trace, a sink built by
     `sink` from the run header: an `EventTrace` keeps every row.
 
-    `send` appends its row to the sink directly, the cheapest path for the
-    most frequent row. The `deliver` row and every other row go through
-    `emit`, where perfbench counts outcomes (see `_deliver`).
+    `send` hands its row to the sink's `sent` with no detail dict, the
+    cheapest path for the most frequent row. The `deliver` row and every
+    other row go through `emit`, where perfbench counts outcomes (see
+    `_deliver`).
     """
 
     def __init__(self, topology: Topology, seed: int, config_digest: str = "",
@@ -374,8 +428,7 @@ class Simulator:
         now = self.now
         msg_id = next(self._msg_ids)
         msg = Message(msg_id, kind, payload, src, dst, now, path)
-        self.trace.append(now, "send", src._text, dst._text,
-                          {"id": msg_id, "interaction": kind})
+        self.trace.sent(now, src._text, dst._text, msg_id, kind)
         self.schedule(now + latency, partial(self._deliver, msg))
         return msg
 
@@ -384,8 +437,8 @@ class Simulator:
         if handler is None:
             raise NoHandlerError(f"no handler registered at {msg.dst}")
         # Through `emit`, unlike `send`'s row: perfbench counts fog-to-cloud
-        # hops from the `deliver` rows passed to `emit`, until it counts from
-        # the sink (ROADMAP item 1).
+        # hops from the `deliver` rows passed to `emit`. Once it counts from
+        # the sink (ROADMAP item 1), this calls `self.trace.delivered`.
         self.emit(
             "deliver",
             msg.src._text,

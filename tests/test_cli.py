@@ -82,10 +82,27 @@ class TestValidate:
         assert main(["validate", write_scenario(tmp_path, data)]) == 2
         assert "devices.office1.lamp.office: expected string" in capsys.readouterr().err
 
-    def test_real_integer_beyond_float_range_is_an_input_error(self, tmp_path, capsys):
-        assert main(["validate", huge_outside_temperature(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            "defaults.outside_temp_c: integer too large for a float\n")
+    @pytest.mark.parametrize("place, path", [
+        (lambda data, v: data["defaults"].update(outside_temp_c=v),
+         "defaults.outside_temp_c"),
+        (lambda data, v: data["environment"].append({"t": 10**9, "outside_temp_c": v}),
+         "environment[1]"),
+    ], ids=["defaults", "environment"])
+    @pytest.mark.parametrize("value, shown", [
+        (float("nan"), "nan"), (10**400, str(10**400)),
+    ], ids=["nan", "int"])
+    def test_out_of_range_real_is_a_violation_however_spelled(self, tmp_path, capsys,
+                                                              place, path, value, shown):
+        # json reads NaN, and reads an integer literal exactly, however long.
+        data = json.loads(Path(ONE_OFFICE).read_text())
+        assert len(data["environment"]) == 1
+        place(data, value)
+        data["defaults"]["weather"] = "foggy"
+        assert main(["validate", write_scenario(tmp_path, data)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"{path}: ") and f"{shown} is not real" in line
+                   for line in out), out
+        assert any(line.startswith("defaults.weather: ") for line in out), out
 
     def test_stream_of_the_wrong_type_is_a_validation_error(self, tmp_path, capsys,
                                                              type_gap):
@@ -245,14 +262,13 @@ class TestRun:
         assert "defaults.room_temp_c: nan is not real" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
-    def test_real_integer_beyond_float_range_is_an_input_error(self, tmp_path, capsys):
+    def test_real_integer_beyond_float_range_is_a_validation_error(self, tmp_path, capsys):
         code = main([
             "run", "--scenario", huge_outside_temperature(tmp_path), "--seed", "1",
             "--until-ms", "5000", "--out", str(tmp_path / "out"),
         ])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "defaults.outside_temp_c: integer too large for a float\n")
+        assert code == 1
+        assert f"defaults.outside_temp_c: {10**400} is not real" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
     def test_aggregation_overflow_is_an_input_error(self, tmp_path, capsys):

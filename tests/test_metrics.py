@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -97,7 +98,9 @@ class TestViews:
 
         latencies = []
         offices = {"office1": result.offices["office1"].energy_mj}
-        for event in result.trace.events:
+        # Read back from the JSONL text, independent of how the trace keeps rows.
+        for line in result.trace.to_jsonl().splitlines()[1:]:
+            event = json.loads(line)
             bump("events", event["kind"])
             detail = event["detail"]
             if event["kind"] == "send":

@@ -191,15 +191,25 @@ def test_every_name_perfbench_patches_still_exists():
     assert not missing, "perfbench/tracer.py patches names that are gone: " + ", ".join(missing)
 
 
+# The kind of the row a `.trace.<method>(...)` call hands to the sink.
+MESSAGE_METHODS = {"sent": "send", "delivered": "deliver"}
+
+
 def _emitted_kinds() -> set[str]:
     """Every string literal passed as the kind of an `.emit(<kind>, ...)` call
-    or of a direct `.trace.append(<t>, <kind>, ...)` call in the package."""
+    or of a direct `.trace.append(<t>, <kind>, ...)` call in the package, and
+    the kind of every direct `.trace.sent(...)` or `.trace.delivered(...)`
+    call."""
     kinds = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
             func = node.func
+            if func.attr in MESSAGE_METHODS and isinstance(func.value, ast.Attribute) \
+                    and func.value.attr == "trace":
+                kinds.add(MESSAGE_METHODS[func.attr])
+                continue
             if func.attr == "emit":
                 kind = 0
             elif func.attr == "append" and isinstance(func.value, ast.Attribute) \

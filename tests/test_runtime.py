@@ -59,6 +59,11 @@ def tier_hops(result) -> list[tuple[str, str]]:
     return hops
 
 
+def trace_rows(trace) -> list[dict]:
+    """Every event of a kept trace, read back from its JSONL text."""
+    return [json.loads(line) for line in trace.to_jsonl().splitlines()[1:]]
+
+
 class TestTiming:
     def test_lamp_off_two_ms_after_sunny_when_loop_is_local(self):
         data = quiet_one_office(events=[{"t": 300_000, "weather": "sunny"}])
@@ -188,7 +193,8 @@ class TestDeterminism:
     def test_trace_times_are_monotone_and_bounded(self):
         data = scenario_dict(2, "centralized")
         result = run_scenario(parse_scenario(data), seed=4, horizon=5_000)
-        times = [e["t"] for e in result.trace.events]
+        times = [e["t"] for e in trace_rows(result.trace)]
+        assert len(times) == len(result.trace.events)
         assert times == sorted(times)
         assert times[-1] <= 5_000
         assert result.trace.header["seed"] == 4
@@ -313,7 +319,7 @@ class TestDecentralized:
             return max(topology.route(a, b)[1] for a in nodes for b in nodes)
 
         rounds: dict[str, list[dict]] = {}
-        for event in runtime.sim.trace.events:
+        for event in trace_rows(runtime.sim.trace):
             if event["kind"].startswith("round-"):
                 rounds.setdefault(event["detail"]["round"], []).append(event)
         assert rounds

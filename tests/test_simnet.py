@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -161,7 +162,8 @@ def test_trace_times_never_decrease():
             "inter", Address("fog1", "monitor"), Address("cloud", "knowledge")
         ))
     trace = sim.run_until(500)
-    times = [e["t"] for e in trace.events]
+    times = [json.loads(line)["t"] for line in trace.to_jsonl().splitlines()[1:]]
+    assert len(times) == len(trace.events) == 8
     assert times == sorted(times)
 
 
@@ -395,32 +397,72 @@ def trace_rows(draw):
 
 
 @settings(max_examples=200)
-@given(rows=st.lists(trace_rows(), min_size=1, max_size=4), shared=st.booleans())
+@given(rows=st.lists(trace_rows(), min_size=1, max_size=4), shared=st.booleans(),
+       typed=st.booleans())
 @example(rows=[(1.5, "send", "a", "b", {"id": 1, "interaction": "x"}),
                (2, "send", "a", "b", {"id": True, "interaction": "x"}),
                (3, "deliver", "a", None, {"id": 2, "interaction": "x", "sent": False,
                                           "path": ("a", "b")}),
                (4, "deliver", "a", "b", {"id": 3, "interaction": "x", "sent": 1,
                                          "path": ["a", "b"], "extra": 1})],
-         shared=False)
-def test_jsonl_lines_equal_json_dumps(rows, shared):
+         shared=False, typed=True)
+@example(rows=[(1.5, "deliver", "a", "b", {"id": 1, "interaction": "x", "sent": 1,
+                                           "path": ["a", "b"]}),
+               (2, "deliver", "a", "b", {"id": 1, "interaction": "x", "sent": 1.0,
+                                         "path": ("a", "b")}),
+               (3, "send", "a", "b", {"id": 1, "interaction": "x", "extra": None})],
+         shared=False, typed=True)
+def test_jsonl_lines_equal_json_dumps(rows, shared, typed):
     route = ("dev", "fog1", "cloud")
     for _, _, _, _, detail in rows:
         if shared and "path" in detail:
             detail["path"] = route
-    assert_lines_equal_json_dumps(rows)
+    assert_lines_equal_json_dumps(rows, typed)
 
 
-def assert_lines_equal_json_dumps(rows) -> None:
+SEND_KEYS = {"id", "interaction"}
+DELIVER_KEYS = {"id", "interaction", "sent", "path"}
+
+
+def feed(trace: EventTrace, row, typed: bool = True) -> None:
+    """Hand `row` to `trace`. With `typed`, a `send` or `deliver` row with
+    its usual detail keys goes through `sent` or `delivered`, as a run hands
+    it; every other row, and every row without `typed`, through `append`."""
+    t, kind, src, dst, detail = row
+    if typed and kind == "send" and detail.keys() == SEND_KEYS:
+        trace.sent(t, src, dst, detail["id"], detail["interaction"])
+    elif typed and kind == "deliver" and detail.keys() == DELIVER_KEYS:
+        trace.delivered(t, src, dst, detail["id"], detail["interaction"],
+                        detail["sent"], detail["path"])
+    else:
+        trace.append(*row)
+
+
+def as_dict(row) -> dict:
+    t, kind, src, dst, detail = row
+    return {"t": t, "kind": kind, "src": src, "dst": dst, "detail": detail}
+
+
+def assert_lines_equal_json_dumps(rows, typed: bool = True) -> None:
+    """Each line of the trace fed `rows` equals `json.dumps` of the dict
+    built from its input row, and so does each line of a trace the first
+    replays its rows into."""
     trace = EventTrace(header={"kind": "header", "seed": 1, "nodes": {"a\u00e9": "fog"}})
     for row in rows:
-        trace.append(*row)
-    lines = trace.to_jsonl().split("\n")
+        feed(trace, row, typed)
+    assert len(trace.events) == len(rows)
+    text = trace.to_jsonl()
+    lines = text.split("\n")
     assert lines[-1] == ""
-    expected = [trace.header, *trace.events]
+    expected = [trace.header, *map(as_dict, rows)]
     assert len(lines) - 1 == len(expected)
     for line, row in zip(lines, expected):
         assert line == json.dumps(row, sort_keys=True, separators=(",", ":"))
+    for kind in {row[1] for row in rows}:
+        assert trace.of_kind(kind) == [row for row in expected[1:] if row["kind"] == kind]
+    replayed = EventTrace(header=trace.header)
+    trace.replay(replayed)
+    assert replayed.to_jsonl() == text
 
 
 def send_row(interaction, src="a/x"):
@@ -475,14 +517,14 @@ def test_write_equals_to_jsonl_at_chunk_boundaries(rows, tmp_path, monkeypatch):
                                       "path": route})]
     trace = EventTrace(header={"kind": "header", "seed": 1, "nodes": {"a\u00e9": "fog"}})
     for row in pool[:rows]:
-        trace.append(*row)
+        feed(trace, row)
     path = tmp_path / "trace.jsonl"
     trace.write(str(path))
     text = trace.to_jsonl()
     assert path.read_bytes() == text.encode("utf-8")
     assert text.split("\n") == [
         json.dumps(row, sort_keys=True, separators=(",", ":"))
-        for row in (trace.header, *trace.events)] + [""]
+        for row in (trace.header, *map(as_dict, pool[:rows]))] + [""]
 
 
 def test_write_memory_does_not_grow_with_the_trace(tmp_path):
@@ -506,3 +548,43 @@ def test_write_memory_does_not_grow_with_the_trace(tmp_path):
             tracemalloc.stop()
 
     assert peak(40_000) <= 1.5 * peak(10_000)
+
+
+class KeepsNoMessageRows(EventTrace):
+    """The default sink without its `send` and `deliver` rows."""
+
+    def append(self, t, kind, src, dst, detail):
+        if kind not in ("send", "deliver"):
+            super().append(t, kind, src, dst, detail)
+
+    def sent(self, *row):
+        pass
+
+    def delivered(self, *row):
+        pass
+
+
+def test_message_rows_are_small_and_untracked():
+    scenario = parse_scenario(json.loads(ONE_OFFICE.read_text()))
+
+    def held(sink) -> tuple[int, EventTrace]:
+        """Traced memory a run's trace holds after a collection, and the trace."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = run_scenario(scenario, seed=1, horizon=120_000, sink=sink).trace
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], trace
+        finally:
+            tracemalloc.stop()
+
+    run_scenario(scenario, seed=1, horizon=120_000)  # fills one-off caches untraced
+    without, _ = held(KeepsNoMessageRows)
+    with_rows, trace = held(EventTrace)
+    messages = len(trace.of_kind("send")) + len(trace.of_kind("deliver"))
+    assert messages > 3_000
+    # Room for a flat tuple and its own ints (about 140 B), not for a dict per row.
+    assert with_rows - without <= 200 * messages
+    gc.collect()
+    assert not [row for row in trace.events if row[1] in ("send", "deliver")
+                and gc.is_tracked(row)]
