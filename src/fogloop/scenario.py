@@ -58,6 +58,7 @@ from fogloop.placement import (
 from fogloop.simnet import Link, Node, Tier, Topology
 from fogloop.smartbuilding import (
     _DEFAULT_STATE,
+    COMMANDS,
     ENVIRONMENT_READINGS,
     ENVIRONMENT_SERVICE,
     READINGS,
@@ -420,6 +421,18 @@ def load_scenario(path: str) -> Scenario:
 
 
 _NUMERIC = (ValueType.INTEGER, ValueType.REAL)
+# Longest repr a violation line echoes whole; see `_echo`.
+_ECHO_LIMIT = 40
+
+
+def _echo(value: Any) -> str:
+    """`repr(value)` if it is short, else its first and last characters
+    around their count, so a violation line stays readable."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    unit = "digits" if type(value) is int else "characters"
+    return f"{text[:12]}...{text[-12:]} ({len(text)} {unit})"
 
 
 def _stream_types(scenario: Scenario) -> dict[tuple[str, str], ValueType]:
@@ -437,7 +450,7 @@ def _stream_types(scenario: Scenario) -> dict[tuple[str, str], ValueType]:
 
 def _validate_policy(policy: Policy, index: int, scenario: Scenario,
                      streams: Mapping[tuple[str, str], ValueType],
-                     report: ValidationReport) -> None:
+                     actuated: set[str], report: ValidationReport) -> None:
     path = f"policies[{index}]"
     if not policy.when:
         report.add(path, "when must be non-empty")
@@ -453,7 +466,7 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
             continue
         if isinstance(cond, ThresholdCondition):
             if not value_conforms(cond.threshold, vtype):
-                report.add(cpath, f"threshold {cond.threshold!r} does not conform "
+                report.add(cpath, f"threshold {_echo(cond.threshold)} does not conform "
                                   f"to {vtype.value}")
             if cond.comparator in (Comparator.LT, Comparator.LE,
                                    Comparator.GE, Comparator.GT) \
@@ -461,7 +474,7 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
                 report.add(cpath, f"ordered comparison on {vtype.value} stream")
         else:
             if not value_conforms(cond.value, vtype):
-                report.add(cpath, f"value {cond.value!r} does not conform "
+                report.add(cpath, f"value {_echo(cond.value)} does not conform "
                                   f"to {vtype.value}")
             if cond.duration_ms < 0:
                 report.add(cpath, "duration must be >= 0")
@@ -471,6 +484,9 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
         if service is None:
             report.add(apath, f"unknown service '{action.service}'")
             continue
+        # Only a physical device with a setup gets an actor to act on.
+        if action.service not in actuated:
+            report.add(apath, f"'{action.service}' is not a physical device with a setup")
         command = service.command(action.command)
         if command is None:
             report.add(apath, f"'{action.service}' has no command '{action.command}'")
@@ -479,7 +495,7 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
             if action.argument is not None:
                 report.add(apath, f"'{action.command}' takes no argument")
         elif not value_conforms(action.argument, command.argument_type):
-            report.add(apath, f"argument {action.argument!r} does not conform "
+            report.add(apath, f"argument {_echo(action.argument)} does not conform "
                               f"to {command.argument_type.value}")
         if action.delay_ms < 0:
             report.add(apath, "delay must be >= 0")
@@ -498,6 +514,22 @@ def _check_readings(path: str, source: str, readings: Mapping[str, ValueType],
                              f"not {spec.value_type.value}")
 
 
+def _check_commands(path: str, source: str, commands: Mapping[str, ValueType | None],
+                    service: Service | None, report: ValidationReport) -> None:
+    """Every command `service` declares is one its device implements, with
+    the argument type it takes."""
+    def argument(vtype: ValueType | None) -> str:
+        return "none" if vtype is None else vtype.value
+
+    for spec in service.commands if service is not None else ():
+        if spec.name not in commands:
+            report.add(path, f"{source} has no command '{spec.name}'")
+        elif spec.argument_type is not commands[spec.name]:
+            report.add(path, f"argument of '{spec.name}' is "
+                             f"{argument(commands[spec.name])} on {source}, "
+                             f"not {argument(spec.argument_type)}")
+
+
 def _validate_environment(scenario: Scenario, report: ValidationReport) -> None:
     """The environment events and the building defaults. The parser checks
     their types too, but a Scenario built in Python skips it."""
@@ -513,11 +545,11 @@ def _validate_environment(scenario: Scenario, report: ValidationReport) -> None:
             report.add(path, f"weather must be one of {list(WEATHER_VALUES)}")
         if event.outside_temp_c is not None \
                 and not value_conforms(event.outside_temp_c, ValueType.REAL):
-            report.add(path, f"outside_temp_c {event.outside_temp_c!r} is not real")
+            report.add(path, f"outside_temp_c {_echo(event.outside_temp_c)} is not real")
     for f in fields(BuildingDefaults):
         value, vtype = getattr(scenario.defaults, f.name), _DEFAULT_TYPES[type(f.default)]
         if not value_conforms(value, vtype):
-            report.add(f"defaults.{f.name}", f"{value!r} is not {vtype.value}")
+            report.add(f"defaults.{f.name}", f"{_echo(value)} is not {vtype.value}")
     if scenario.defaults.weather not in WEATHER_VALUES:
         report.add("defaults.weather", f"weather must be one of {list(WEATHER_VALUES)}")
 
@@ -534,8 +566,10 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     report.extend(scenario.topology.validate(device_services=physical))
 
     streams = _stream_types(scenario)
+    setup_for = {setup.service: setup for setup in scenario.devices}
+    actuated = physical & setup_for.keys()
     for index, policy in enumerate(scenario.policies):
-        _validate_policy(policy, index, scenario, streams, report)
+        _validate_policy(policy, index, scenario, streams, actuated, report)
 
     seen_loops: set[str] = set()
     owned: dict[str, str] = {}
@@ -556,7 +590,6 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 report.add(path, f"'{svc}' already managed by loop '{owned[svc]}'")
             owned[svc] = loop.id
 
-    setup_for = {setup.service: setup for setup in scenario.devices}
     for service in sorted(physical):
         if service not in setup_for:
             report.add(f"devices.{service}", "physical device has no setup entry")
@@ -573,13 +606,14 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         bad = sorted(set(setup.initial) - set(_DEFAULT_STATE[setup.kind]))
         if bad:
             report.add(path, f"unknown initial state keys {bad}")
-        readings = READINGS[setup.kind]
-        _check_readings(path, f"a {setup.kind.value}", readings,
-                        scenario.domain.find_service(setup.service), report)
+        readings, source = READINGS[setup.kind], f"a {setup.kind.value}"
+        declared = scenario.domain.find_service(setup.service)
+        _check_readings(path, source, readings, declared, report)
+        _check_commands(path, source, COMMANDS[setup.kind], declared, report)
         for key, value in setup.initial.items():
             vtype = readings.get(key)
             if vtype is not None and not value_conforms(value, vtype):
-                report.add(path, f"initial {key} {value!r} is not {vtype.value}")
+                report.add(path, f"initial {key} {_echo(value)} is not {vtype.value}")
     _check_readings(ENVIRONMENT_SERVICE, "the environment", ENVIRONMENT_READINGS,
                     scenario.domain.find_service(ENVIRONMENT_SERVICE), report)
 

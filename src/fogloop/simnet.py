@@ -4,6 +4,11 @@ Virtual time is integer milliseconds. The event loop is single-threaded;
 ties at the same timestamp run in insertion order, so a run is a pure
 function of (scenario, seed). Components never share memory: everything
 crosses the scheduler as a Message.
+
+Events pile onto few distinct times, so the queue is a bucket queue: one
+FIFO list of callbacks per pending time, under a heap of those times. A
+tie needs no sequence number, and the heap moves once per time, not once
+per event.
 """
 
 from __future__ import annotations
@@ -374,6 +379,11 @@ class Simulator:
     schedules its delivery. Everything lands in the trace, a sink built by
     `sink` from the run header: an `EventTrace` keeps every row.
 
+    The queue is `_buckets`, each pending time's callbacks in the order they
+    were scheduled, and `_times`, a heap of those times, each once. Callbacks
+    run in (time, order scheduled) order, as a heap of (time, seq) entries
+    would run them.
+
     `send` hands its row to the sink's `sent` with no detail dict, the
     cheapest path for the most frequent row. The `deliver` row and every
     other row go through `emit`, where perfbench counts outcomes (see
@@ -386,8 +396,8 @@ class Simulator:
         self.seed = seed
         self.rng = random.Random(seed)
         self.now = 0
-        self._queue: list[tuple[int, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
+        self._buckets: dict[int, list[Callable[[], None]]] = {}
+        self._times: list[int] = []
         self._msg_ids = itertools.count(1)
         self._handlers: dict[str, Handler] = {}
         self.trace = sink({
@@ -412,9 +422,16 @@ class Simulator:
         )
 
     def schedule(self, at: int, fn: Callable[[], None]) -> None:
+        """Run `fn` at time `at`, after every callback already scheduled
+        for `at`. Only the first callback of a time touches the heap."""
         if at < self.now:
             raise PastEventError(f"cannot schedule at t={at}, clock is {self.now}")
-        heapq.heappush(self._queue, (at, next(self._seq), fn))
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [fn]
+            heapq.heappush(self._times, at)
+        else:
+            bucket.append(fn)
 
     def send(self, kind: str, src: Address, dst: Address, payload: Any = None) -> Message:
         route = self.topology.route(src.node, dst.node)
@@ -451,11 +468,31 @@ class Simulator:
         handler(msg)
 
     def run_until(self, horizon: int) -> TraceSink:
-        """Process every event with time <= horizon, in (time, seq) order."""
+        """Process every event with time <= horizon, in (time, order
+        scheduled) order.
+
+        Each time's bucket leaves the queue before it runs, so a callback
+        that schedules at the current time starts a new bucket there, which
+        runs right after this one. If a callback raises, only it is lost:
+        the rest of its bucket goes back at that time, ahead of any bucket
+        the callbacks started there, and the exception propagates."""
         self.trace.header["horizon"] = horizon
-        queue, pop = self._queue, heapq.heappop
-        while queue and queue[0][0] <= horizon:
-            at, _, fn = pop(queue)
+        buckets, times, pop = self._buckets, self._times, heapq.heappop
+        while times and times[0] <= horizon:
+            at = pop(times)
             self.now = at
-            fn()
+            pending = iter(buckets.pop(at))
+            try:
+                for fn in pending:
+                    fn()
+            except BaseException:
+                rest = list(pending)
+                if rest:
+                    started = buckets.get(at)
+                    if started is None:
+                        buckets[at] = rest
+                        heapq.heappush(times, at)
+                    else:
+                        buckets[at] = rest + started
+                raise
         return self.trace

@@ -95,6 +95,17 @@ READINGS: dict[DeviceKind, dict[str, ValueType]] = {
     DeviceKind.CLOCK: {"armed": ValueType.BOOLEAN},
 }
 
+# Every command a device of each kind implements, with the type of its
+# argument (None: it takes none). Validation holds declared commands to it.
+COMMANDS: dict[DeviceKind, dict[str, ValueType | None]] = {
+    DeviceKind.DOOR: {"lock": None, "unlock": None},
+    DeviceKind.WINDOW: {"set-position": ValueType.ENUM_OF_STRINGS},
+    DeviceKind.HEATER: {"set-power": ValueType.BOOLEAN},
+    DeviceKind.ENERGY_METER: {},
+    DeviceKind.LAMP: {"set-power": ValueType.BOOLEAN},
+    DeviceKind.CLOCK: {"arm": ValueType.INTEGER, "disarm": None},
+}
+
 # Ambient context: the service whose streams the environment feeds to every
 # knowledge base, and the type of each of them.
 ENVIRONMENT_SERVICE = "environment"
@@ -362,18 +373,22 @@ def _office_services(office: str, interval: int) -> tuple[Service, ...]:
         return ParameterSpec(name, READINGS[kind][name], unit=unit,
                              sample_interval_ms=interval)
 
+    def commands(kind: DeviceKind) -> tuple[CommandSpec, ...]:
+        return tuple(CommandSpec(name, argument_type)
+                     for name, argument_type in COMMANDS[kind].items())
+
     return (
         Service(
             f"{office}.door",
             ServiceKind.PHYSICAL_DEVICE,
             parameters=(param(DeviceKind.DOOR, "lock-state"),),
-            commands=(CommandSpec("lock"), CommandSpec("unlock")),
+            commands=commands(DeviceKind.DOOR),
         ),
         Service(
             f"{office}.window",
             ServiceKind.PHYSICAL_DEVICE,
             parameters=(param(DeviceKind.WINDOW, "position"),),
-            commands=(CommandSpec("set-position", ValueType.ENUM_OF_STRINGS),),
+            commands=commands(DeviceKind.WINDOW),
         ),
         Service(
             f"{office}.heater",
@@ -382,7 +397,7 @@ def _office_services(office: str, interval: int) -> tuple[Service, ...]:
                 param(DeviceKind.HEATER, "power-state"),
                 param(DeviceKind.HEATER, "room-temp", unit="celsius"),
             ),
-            commands=(CommandSpec("set-power", ValueType.BOOLEAN),),
+            commands=commands(DeviceKind.HEATER),
         ),
         Service(
             f"{office}.meter",
@@ -393,13 +408,13 @@ def _office_services(office: str, interval: int) -> tuple[Service, ...]:
             f"{office}.lamp",
             ServiceKind.PHYSICAL_DEVICE,
             parameters=(param(DeviceKind.LAMP, "power-state"),),
-            commands=(CommandSpec("set-power", ValueType.BOOLEAN),),
+            commands=commands(DeviceKind.LAMP),
         ),
         Service(
             f"{office}.clock",
             ServiceKind.PHYSICAL_DEVICE,
             parameters=(param(DeviceKind.CLOCK, "armed"),),
-            commands=(CommandSpec("arm", ValueType.INTEGER), CommandSpec("disarm")),
+            commands=commands(DeviceKind.CLOCK),
         ),
     )
 

@@ -9,10 +9,13 @@ import pytest
 
 from fogloop import cli
 from fogloop.cli import main
+from fogloop.mape import UnreachableTargetError
 from fogloop.metrics import MetricsFold
 from fogloop.model import ValidationReport
-from fogloop.scenario import with_offering
-from fogloop.simnet import EventTrace
+from fogloop.runtime import run_scenario
+from fogloop.scenario import parse_scenario, with_offering
+from fogloop.simnet import EventTrace, NoHandlerError
+from fogloop.smartbuilding import UnknownCommandError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ONE_OFFICE = str(SCENARIOS / "smart_building_1office.json")
@@ -35,6 +38,10 @@ def unreadable_parameter(tmp_path: Path) -> str:
     return write_scenario(tmp_path, data)
 
 
+# How a violation line shows 10**400: its first and last digits and their count.
+BIG_SHOWN = "100000000000...000000000000 (401 digits)"
+
+
 def huge_outside_temperature(tmp_path: Path) -> str:
     """The 1-office scenario with an integer outside temperature beyond the
     float range, which json reads exactly."""
@@ -53,6 +60,33 @@ def overflowing_sum(tmp_path: Path) -> str:
         "output_type": "real",
         "inputs": [[f"office{n}", f"office{n}.heater", "room-temp"] for n in (1, 2, 3)]})
     return write_scenario(tmp_path, data)
+
+
+def _lights_off_sunny(data: dict) -> dict:
+    return next(policy for policy in data["policies"]
+                if policy["name"] == "office1-lights-off-sunny")
+
+
+def blink_on_lamp(data: dict) -> None:
+    """The lamp declares, and a policy sends it, a command no lamp has."""
+    lamp = next(svc for svc in data["domain"]["tasks"][0]["services"]
+                if svc["name"] == "office1.lamp")
+    lamp["commands"].append({"name": "blink"})
+    _lights_off_sunny(data)["then"].append({"service": "office1.lamp", "command": "blink"})
+
+
+def ring_unhosted_alarm(data: dict) -> None:
+    """A policy rings a virtual service that no node hosts."""
+    data["domain"]["tasks"][0]["services"].append(
+        {"name": "office1.alarm", "kind": "virtual", "commands": [{"name": "ring"}]})
+    _lights_off_sunny(data)["then"].append({"service": "office1.alarm", "command": "ring"})
+
+
+def ring_alarm_on_fog(data: dict) -> None:
+    """As `ring_unhosted_alarm`, with the alarm hosted on fog1."""
+    ring_unhosted_alarm(data)
+    next(node for node in data["topology"]["nodes"] if node["id"] == "fog1")["hosts"] = [
+        "office1.alarm"]
 
 
 def skip_validation(monkeypatch) -> None:
@@ -89,7 +123,7 @@ class TestValidate:
          "environment[1]"),
     ], ids=["defaults", "environment"])
     @pytest.mark.parametrize("value, shown", [
-        (float("nan"), "nan"), (10**400, str(10**400)),
+        (float("nan"), "nan"), (10**400, BIG_SHOWN),
     ], ids=["nan", "int"])
     def test_out_of_range_real_is_a_violation_however_spelled(self, tmp_path, capsys,
                                                               place, path, value, shown):
@@ -268,7 +302,7 @@ class TestRun:
             "--until-ms", "5000", "--out", str(tmp_path / "out"),
         ])
         assert code == 1
-        assert f"defaults.outside_temp_c: {10**400} is not real" in capsys.readouterr().out
+        assert f"defaults.outside_temp_c: {BIG_SHOWN} is not real" in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
     def test_aggregation_overflow_is_an_input_error(self, tmp_path, capsys):
@@ -301,6 +335,33 @@ class TestRun:
         assert code == 1
         assert any(line.startswith(f"{path}: ")
                    for line in capsys.readouterr().out.splitlines())
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mutate, crash, line", [
+        (blink_on_lamp, UnknownCommandError,
+         "devices.office1.lamp: a lamp has no command 'blink'"),
+        (ring_unhosted_alarm, UnreachableTargetError,
+         "policies[0].then[1]: 'office1.alarm' is not a physical device with a setup"),
+        (ring_alarm_on_fog, NoHandlerError,
+         "policies[0].then[1]: 'office1.alarm' is not a physical device with a setup"),
+    ], ids=["blink", "unhosted", "on-fog"])
+    def test_action_no_device_can_carry_out_is_a_validation_error(
+            self, tmp_path, capsys, mutate, crash, line):
+        # Each of these once validated, and its run then died mid-way when
+        # the sunny weather at 300 s fired the policy.
+        data = json.loads(Path(ONE_OFFICE).read_text())
+        mutate(data)
+        with pytest.raises(crash):
+            run_scenario(parse_scenario(data), 1, 310_000, check=False)
+        path = write_scenario(tmp_path, data)
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out.splitlines() == [line]
+        code = main([
+            "run", "--scenario", path, "--seed", "1",
+            "--until-ms", "310000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [line]
         assert not (tmp_path / "out").exists()
 
     def test_config_error_building_the_runtime_is_an_input_error(

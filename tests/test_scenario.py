@@ -35,6 +35,11 @@ def scenario_dict(n: int = 1, control: str = "none", **defaults) -> dict:
     return building_to_dict(building, name=f"building-{n}-{control}")
 
 
+def service(data: dict, name: str) -> dict:
+    return next(svc for task in data["domain"]["tasks"] for svc in task["services"]
+                if svc["name"] == name)
+
+
 def reparse(data: dict) -> dict:
     return json.loads(json.dumps(data))
 
@@ -380,6 +385,67 @@ class TestValidation:
         report = validate_scenario(parse_scenario(data))
         assert report.lines() == [
             "environment: the environment cannot read declared parameter 'humidity'"]
+
+    def test_declared_command_the_device_lacks(self):
+        data = scenario_dict(1)
+        service(data, "office1.door")["commands"].append({"name": "jam"})
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == ["devices.office1.door: a door has no command 'jam'"]
+
+    @pytest.mark.parametrize("name, commands, arg, line", [
+        # Declared to take an integer, set-power validated with an integer
+        # argument, which the lamp then refused mid-run.
+        ("office1.lamp", [{"name": "set-power", "argument_type": "integer"}], 0,
+         "devices.office1.lamp: argument of 'set-power' is boolean on a lamp, not integer"),
+        ("office1.door", [{"name": "lock", "argument_type": "boolean"}, {"name": "unlock"}],
+         None, "devices.office1.door: argument of 'lock' is none on a door, not boolean"),
+    ], ids=["lamp", "door"])
+    def test_declared_command_argument_type_matches_the_device(self, name, commands, arg,
+                                                              line):
+        data = scenario_dict(1)
+        service(data, name)["commands"] = commands
+        for policy in data["policies"]:
+            for action in policy["then"]:
+                if action["service"] == name:
+                    action["arg"] = arg
+        assert validate_scenario(parse_scenario(data)).lines() == [line]
+
+    @pytest.mark.parametrize("place, path", [
+        (lambda data, v: data["defaults"].update(outside_temp_c=v),
+         "defaults.outside_temp_c"),
+        (lambda data, v: data.update(environment=[{"t": 100, "outside_temp_c": v}]),
+         "environment[0]"),
+        (lambda data, v: data["policies"][3]["when"][0].update(value=v),
+         "policies[3].when[0]"),
+        (lambda data, v: data["policies"][2]["when"][0]["elapsed_since"].update(value=v),
+         "policies[2].when[0]"),
+        (lambda data, v: data["policies"][0]["then"][0].update(arg=v),
+         "policies[0].then[0]"),
+        (lambda data, v: data["devices"]["office1.heater"]["initial"].update(
+            {"setpoint-c": v}), "devices.office1.heater"),
+    ], ids=["defaults", "environment", "threshold", "value", "argument", "initial"])
+    def test_a_long_value_is_echoed_short(self, place, path):
+        # json reads an integer literal exactly, however long.
+        data = scenario_dict(1)
+        place(data, 10**400)
+        lines = validate_scenario(parse_scenario(reparse(data))).lines()
+        echoed = [line for line in lines if line.startswith(f"{path}: ")]
+        assert len(echoed) == 1, lines
+        assert "100000000000...000000000000 (401 digits)" in echoed[0], echoed
+        assert len(echoed[0]) < 120, echoed
+
+    def test_a_long_string_is_echoed_short(self):
+        data = scenario_dict(1)
+        data["policies"][0]["then"][0]["arg"] = "x" * 500
+        assert validate_scenario(parse_scenario(data)).lines() == [
+            "policies[0].then[0]: argument 'xxxxxxxxxxx...xxxxxxxxxxx' (502 characters) "
+            "does not conform to boolean"]
+
+    def test_a_short_value_is_echoed_whole(self):
+        data = scenario_dict(1)
+        data["policies"][0]["then"][0]["arg"] = "x" * 38
+        assert validate_scenario(parse_scenario(data)).lines() == [
+            f"policies[0].then[0]: argument {'x' * 38!r} does not conform to boolean"]
 
     def test_sum_aggregation_must_yield_a_number(self):
         data = scenario_dict(2, "centralized")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import heapq
+import itertools
 import json
 import random
 import tracemalloc
@@ -134,6 +136,147 @@ def test_horizon_zero_processes_only_t0_events():
     sim.run_until(0)
     assert ran == [0]
     assert sim.now == 0
+
+
+def test_scheduling_at_the_clock_runs_after_its_time_and_before_later_ones():
+    sim = Simulator(three_tier(), seed=0)
+    order: list[tuple[str, int]] = []
+
+    def log(name: str) -> None:
+        order.append((name, sim.now))
+
+    def first() -> None:
+        log("first")
+        sim.schedule(sim.now, lambda: log("spawned"))
+
+    sim.schedule(5, first)
+    sim.schedule(5, lambda: log("second"))
+    sim.schedule(6, lambda: log("later"))
+    sim.schedule(5, lambda: log("third"))
+    sim.run_until(10)
+    assert order == [("first", 5), ("second", 5), ("third", 5), ("spawned", 5), ("later", 6)]
+
+
+class Boom(Exception):
+    pass
+
+
+def test_a_raising_callback_loses_only_itself():
+    sim = Simulator(three_tier(), seed=0)
+    ran: list[tuple[str, int]] = []
+
+    def log(name: str) -> None:
+        ran.append((name, sim.now))
+
+    def spawner() -> None:
+        log("spawner")
+        sim.schedule(5, lambda: log("spawned"))
+
+    def boom() -> None:
+        log("boom")
+        raise Boom
+
+    sim.schedule(5, spawner)
+    sim.schedule(5, boom)
+    sim.schedule(5, lambda: log("after-1"))
+    sim.schedule(5, lambda: log("after-2"))
+    sim.schedule(7, lambda: log("later"))
+    with pytest.raises(Boom):
+        sim.run_until(10)
+    assert ran == [("spawner", 5), ("boom", 5)]
+    assert sim.now == 5
+    sim.run_until(10)
+    assert ran[2:] == [("after-1", 5), ("after-2", 5), ("spawned", 5), ("later", 7)]
+    sim.run_until(10)
+    assert len(ran) == 6
+
+
+def test_a_raise_at_the_end_of_a_bucket_leaves_nothing_behind():
+    sim = Simulator(three_tier(), seed=0)
+    ran: list[int] = []
+
+    def boom() -> None:
+        raise Boom
+
+    sim.schedule(3, lambda: ran.append(3))
+    sim.schedule(3, boom)
+    sim.schedule(4, lambda: ran.append(4))
+    with pytest.raises(Boom):
+        sim.run_until(10)
+    sim.run_until(10)
+    assert ran == [3, 4]
+
+
+class HeapScheduler:
+    """The reference queue: one `(at, seq, fn)` heap entry per event."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self._queue: list = []
+        self._seq = itertools.count()
+
+    def schedule(self, at: int, fn) -> None:
+        if at < self.now:
+            raise PastEventError(f"cannot schedule at t={at}, clock is {self.now}")
+        heapq.heappush(self._queue, (at, next(self._seq), fn))
+
+    def run_until(self, horizon: int) -> None:
+        while self._queue and self._queue[0][0] <= horizon:
+            at, _, fn = heapq.heappop(self._queue)
+            self.now = at
+            fn()
+
+
+def replay_program(sim, starts, spawns, raising, horizons) -> list[tuple]:
+    """Run one generated program on `sim` and log every firing as (event,
+    now), every raise as ("raise", event) and every refused schedule.
+    Event ids are handed out in firing order, so two queues that fire
+    alike name their events alike."""
+    log: list[tuple] = []
+    next_id = itertools.count(len(starts))
+
+    def event(eid: int):
+        def fire() -> None:
+            log.append((eid, sim.now))
+            for delay in spawns[eid % len(spawns)] if eid < 150 else ():
+                sim.schedule(sim.now + delay, event(next(next_id)))
+            try:
+                sim.schedule(sim.now - 1, event(-1))
+            except PastEventError:
+                log.append(("refused", eid))
+            if eid in raising:
+                raise Boom(eid)
+        return fire
+
+    for eid, at in enumerate(starts):
+        sim.schedule(at, event(eid))
+    for horizon in horizons:
+        # Each raising event fires once, so a queue that reruns callbacks
+        # shows as extra raises here rather than as a hang.
+        for _ in range(len(raising) + 1):
+            try:
+                sim.run_until(horizon)
+                break
+            except Boom as exc:
+                log.append(("raise", exc.args[0], sim.now))
+        log.append(("horizon", horizon, sim.now))
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    starts=st.lists(st.integers(1, 30), min_size=1, max_size=25),
+    spawns=st.lists(st.lists(st.integers(0, 6), max_size=3), min_size=1, max_size=8),
+    raising=st.sets(st.integers(0, 160), max_size=12),
+    horizons=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+)
+@example(starts=[5, 5, 5], spawns=[[0, 0], [], [1]], raising={1, 3}, horizons=[5, 4, 20])
+def test_bucket_queue_fires_as_a_seq_heap_does(starts, spawns, raising, horizons):
+    """The bucket queue fires every event at the time, in the order and with
+    the clock a `(time, seq)` heap gives, across horizons and raises."""
+    want = replay_program(HeapScheduler(), starts, spawns, raising, horizons)
+    got = replay_program(Simulator(three_tier(), seed=0), starts, spawns, raising, horizons)
+    assert got == want
 
 
 def scripted_run(seed: int) -> str:

@@ -14,6 +14,7 @@ from fogloop.runtime import Runtime
 from fogloop.scenario import building_to_dict, parse_scenario, validate_scenario
 from fogloop.simnet import Tier
 from fogloop.smartbuilding import (
+    COMMANDS,
     READINGS,
     BadArgumentError,
     BuildingDefaults,
@@ -214,6 +215,22 @@ def test_readable_parameters_are_what_an_office_device_reads():
     for parameter in ("armed-at", "duration-ms"):
         with pytest.raises(ConfigError, match=f"no readable parameter '{parameter}'"):
             clock.reader(parameter)
+
+
+def test_commands_are_what_each_device_kind_implements():
+    # Per argument type: an argument every command of that type accepts,
+    # and one none accepts.
+    accepted = {None: None, ValueType.BOOLEAN: True, ValueType.INTEGER: 1_000,
+                ValueType.ENUM_OF_STRINGS: "closed"}
+    refused = {None: True, ValueType.BOOLEAN: None, ValueType.INTEGER: None,
+               ValueType.ENUM_OF_STRINGS: None}
+    for kind in DeviceKind:
+        for command, argument_type in COMMANDS[kind].items():
+            device(kind).apply(command, accepted[argument_type], now=0)
+            with pytest.raises(BadArgumentError):
+                device(kind).apply(command, refused[argument_type], now=0)
+        with pytest.raises(UnknownCommandError):
+            device(kind).apply("bogus", None, now=0)
 
 
 # Values of every JSON scalar type, some of which fit no reading; and, per
