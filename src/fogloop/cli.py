@@ -2,7 +2,9 @@
 placement or control-mode variants side by side.
 
 Exit codes: 0 ok, 1 validation failure, 2 input error (including an
-aggregation whose result overflows during the run), 3 output error.
+aggregation whose result overflows during the run), 3 output error, 4
+internal error: an exception escaped the command, and its traceback is on
+stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from fogloop.coordination import AggregationOverflowError
 from fogloop.errors import ConfigError
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_OUTPUT = 3
+EXIT_INTERNAL = 4
 
 FORMATS = ("jsonl", "csv", "txt")
 OFFERING_VARIANTS = ("mapeaas", "apaas_split")
@@ -208,15 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args.path)
-    if args.command == "run":
-        return cmd_run(args.scenario, args.mode, args.seed, args.until_ms,
-                       args.out, args.format)
-    variants = [part.strip() for part in args.variants.split(",") if part.strip()]
-    if not variants:
-        return _fail(EXIT_INPUT, "no variants given")
-    return cmd_compare(args.scenario, variants, args.seed, args.until_ms)
+    try:
+        if args.command == "validate":
+            return cmd_validate(args.path)
+        if args.command == "run":
+            return cmd_run(args.scenario, args.mode, args.seed, args.until_ms,
+                           args.out, args.format)
+        variants = [part.strip() for part in args.variants.split(",") if part.strip()]
+        if not variants:
+            return _fail(EXIT_INPUT, "no variants given")
+        return cmd_compare(args.scenario, variants, args.seed, args.until_ms)
+    except Exception:  # a fault of the program, not of the scenario
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -64,6 +64,7 @@ from fogloop.smartbuilding import (
     READINGS,
     Building,
     BuildingDefaults,
+    DeviceCommand,
     DeviceKind,
     DeviceSetup,
     EnvironmentEvent,
@@ -450,7 +451,7 @@ def _stream_types(scenario: Scenario) -> dict[tuple[str, str], ValueType]:
 
 def _validate_policy(policy: Policy, index: int, scenario: Scenario,
                      streams: Mapping[tuple[str, str], ValueType],
-                     actuated: set[str], report: ValidationReport) -> None:
+                     actuated: Mapping[str, DeviceKind], report: ValidationReport) -> None:
     path = f"policies[{index}]"
     if not policy.when:
         report.add(path, "when must be non-empty")
@@ -485,7 +486,8 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
             report.add(apath, f"unknown service '{action.service}'")
             continue
         # Only a physical device with a setup gets an actor to act on.
-        if action.service not in actuated:
+        kind = actuated.get(action.service)
+        if kind is None:
             report.add(apath, f"'{action.service}' is not a physical device with a setup")
         command = service.command(action.command)
         if command is None:
@@ -497,6 +499,13 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
         elif not value_conforms(action.argument, command.argument_type):
             report.add(apath, f"argument {_echo(action.argument)} does not conform "
                               f"to {command.argument_type.value}")
+        # Held to the record its device applies. A declared type the device
+        # does not take is the device's violation, so check only its type.
+        record = COMMANDS[kind].get(action.command) if kind is not None else None
+        if record is not None and record.has_type(action.argument) \
+                and not record.admits(action.argument):
+            report.add(apath, f"argument {_echo(action.argument)} of '{action.command}' "
+                              f"on a {kind.value} is not {record.accepts}")
         if action.delay_ms < 0:
             report.add(apath, "delay must be >= 0")
 
@@ -514,7 +523,7 @@ def _check_readings(path: str, source: str, readings: Mapping[str, ValueType],
                              f"not {spec.value_type.value}")
 
 
-def _check_commands(path: str, source: str, commands: Mapping[str, ValueType | None],
+def _check_commands(path: str, source: str, commands: Mapping[str, DeviceCommand],
                     service: Service | None, report: ValidationReport) -> None:
     """Every command `service` declares is one its device implements, with
     the argument type it takes."""
@@ -522,12 +531,12 @@ def _check_commands(path: str, source: str, commands: Mapping[str, ValueType | N
         return "none" if vtype is None else vtype.value
 
     for spec in service.commands if service is not None else ():
-        if spec.name not in commands:
+        device = commands.get(spec.name)
+        if device is None:
             report.add(path, f"{source} has no command '{spec.name}'")
-        elif spec.argument_type is not commands[spec.name]:
-            report.add(path, f"argument of '{spec.name}' is "
-                             f"{argument(commands[spec.name])} on {source}, "
-                             f"not {argument(spec.argument_type)}")
+        elif spec.argument_type is not device.argument_type:
+            report.add(path, f"argument of '{spec.name}' is {argument(device.argument_type)} "
+                             f"on {source}, not {argument(spec.argument_type)}")
 
 
 def _validate_environment(scenario: Scenario, report: ValidationReport) -> None:
@@ -567,7 +576,8 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     streams = _stream_types(scenario)
     setup_for = {setup.service: setup for setup in scenario.devices}
-    actuated = physical & setup_for.keys()
+    actuated = {setup.service: setup.kind for setup in scenario.devices
+                if setup.service in physical}
     for index, policy in enumerate(scenario.policies):
         _validate_policy(policy, index, scenario, streams, actuated, report)
 

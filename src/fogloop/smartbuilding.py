@@ -43,6 +43,7 @@ from fogloop.model import (
     ServiceKind,
     Task,
     ValueType,
+    value_conforms,
 )
 from fogloop.placement import LoopSpec, Offering
 from fogloop.simnet import Link, Node, Tier, Topology
@@ -95,15 +96,65 @@ READINGS: dict[DeviceKind, dict[str, ValueType]] = {
     DeviceKind.CLOCK: {"armed": ValueType.BOOLEAN},
 }
 
-# Every command a device of each kind implements, with the type of its
-# argument (None: it takes none). Validation holds declared commands to it.
-COMMANDS: dict[DeviceKind, dict[str, ValueType | None]] = {
-    DeviceKind.DOOR: {"lock": None, "unlock": None},
-    DeviceKind.WINDOW: {"set-position": ValueType.ENUM_OF_STRINGS},
-    DeviceKind.HEATER: {"set-power": ValueType.BOOLEAN},
+# What a command sets a state key to, besides a constant: its argument, or
+# the current time.
+ARG, NOW = object(), object()
+
+
+@dataclass(frozen=True)
+class DeviceCommand:
+    """One command of a device kind: the type of its argument (None: it
+    takes none), which values of that type it accepts (one of `choices`,
+    or a positive integer; else any), and the state keys it sets, each to
+    a constant, to `ARG` or to `NOW`."""
+
+    argument_type: ValueType | None
+    sets: Mapping[str, Any]
+    choices: tuple[str, ...] = ()
+    positive: bool = False
+
+    @property
+    def accepts(self) -> str:
+        """The arguments it takes, in words."""
+        if self.argument_type is None:
+            return "no argument"
+        if self.choices:
+            return " or ".join(self.choices)
+        return "a positive integer" if self.positive else f"a {self.argument_type.value}"
+
+    def has_type(self, arg: Any) -> bool:
+        return arg is None if self.argument_type is None else value_conforms(
+            arg, self.argument_type)
+
+    def admits(self, arg: Any) -> bool:
+        """Whether an argument of its type is one it accepts."""
+        return arg in self.choices if self.choices else not self.positive or arg > 0
+
+
+_SET_POWER = DeviceCommand(ValueType.BOOLEAN, {"power-state": ARG})
+
+# Every command a device of each kind implements. Validation holds declared
+# commands and every action's argument to it, and `Device.apply` carries a
+# command out from it, so a device accepts every action that validates.
+COMMANDS: dict[DeviceKind, dict[str, DeviceCommand]] = {
+    DeviceKind.DOOR: {"lock": DeviceCommand(None, {"lock-state": "locked"}),
+                      "unlock": DeviceCommand(None, {"lock-state": "unlocked"})},
+    DeviceKind.WINDOW: {"set-position": DeviceCommand(
+        ValueType.ENUM_OF_STRINGS, {"position": ARG}, choices=("open", "closed"))},
+    DeviceKind.HEATER: {"set-power": _SET_POWER},
     DeviceKind.ENERGY_METER: {},
-    DeviceKind.LAMP: {"set-power": ValueType.BOOLEAN},
-    DeviceKind.CLOCK: {"arm": ValueType.INTEGER, "disarm": None},
+    DeviceKind.LAMP: {"set-power": _SET_POWER},
+    DeviceKind.CLOCK: {
+        "arm": DeviceCommand(ValueType.INTEGER, {"armed-at": NOW, "duration-ms": ARG},
+                             positive=True),
+        "disarm": DeviceCommand(None, {"armed-at": None, "duration-ms": None}),
+    },
+}
+
+# A reading derived from a state key rather than stored under its own name,
+# with the key and how: a clock is armed while it holds its arming time.
+_DERIVED: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "armed": ("armed-at", lambda armed_at: armed_at is not None),
 }
 
 # Ambient context: the service whose streams the environment feeds to every
@@ -149,76 +200,38 @@ class Device:
         if parameter in self.readers:
             return self.readers[parameter]
         state = self.state
-        if self.kind is DeviceKind.CLOCK and parameter == "armed":
-            return lambda: state["armed-at"] is not None
-        if parameter in state and parameter in READINGS[self.kind]:
-            return lambda: state[parameter]
+        if parameter in READINGS[self.kind]:
+            if parameter in _DERIVED:
+                key, derive = _DERIVED[parameter]
+                return lambda: derive(state[key])
+            if parameter in state:
+                return lambda: state[parameter]
         raise ConfigError(f"{self.service} has no readable parameter '{parameter}'")
 
     def read(self, parameter: str) -> Any:
         return self.reader(parameter)()
 
     def apply(self, command: str, arg: Any, now: int) -> list[Observation]:
-        handler = getattr(self, f"_cmd_{self.kind.name.lower()}", None)
-        if handler is None:
-            raise UnknownCommandError(f"{self.service} accepts no commands")
-        return handler(command, arg, now)
-
-    def _set(self, parameter: str, value: Any, now: int) -> list[Observation]:
-        if self.state[parameter] == value:
-            return []
-        self.state[parameter] = value
-        return [Observation(self.service, parameter, value, now)]
-
-    def _no_arg(self, command: str, arg: Any) -> None:
-        if arg is not None:
-            raise BadArgumentError(f"{self.service}.{command} takes no argument, got {arg!r}")
-
-    def _bool_arg(self, command: str, arg: Any) -> bool:
-        if not isinstance(arg, bool):
-            raise BadArgumentError(f"{self.service}.{command} needs a boolean, got {arg!r}")
-        return arg
-
-    def _cmd_door(self, command: str, arg: Any, now: int) -> list[Observation]:
-        if command == "lock":
-            self._no_arg(command, arg)
-            return self._set("lock-state", "locked", now)
-        if command == "unlock":
-            self._no_arg(command, arg)
-            return self._set("lock-state", "unlocked", now)
-        raise UnknownCommandError(f"{self.service} has no command '{command}'")
-
-    def _cmd_window(self, command: str, arg: Any, now: int) -> list[Observation]:
-        if command != "set-position":
+        """Carry out `command` as its `COMMANDS` record says. It changes the
+        state only if that changes a reading, so arming an armed clock keeps
+        its first arming time."""
+        record = COMMANDS[self.kind].get(command)
+        if record is None:
             raise UnknownCommandError(f"{self.service} has no command '{command}'")
-        if arg not in ("open", "closed"):
-            raise BadArgumentError(f"{self.service}.set-position: got {arg!r}")
-        return self._set("position", arg, now)
-
-    def _cmd_lamp(self, command: str, arg: Any, now: int) -> list[Observation]:
-        if command != "set-power":
-            raise UnknownCommandError(f"{self.service} has no command '{command}'")
-        return self._set("power-state", self._bool_arg(command, arg), now)
-
-    _cmd_heater = _cmd_lamp
-
-    def _cmd_clock(self, command: str, arg: Any, now: int) -> list[Observation]:
-        if command == "arm":
-            if isinstance(arg, bool) or not isinstance(arg, int) or arg <= 0:
-                raise BadArgumentError(f"{self.service}.arm needs a positive ms count")
-            if self.state["armed-at"] is not None:
-                return []
-            self.state["armed-at"] = now
-            self.state["duration-ms"] = arg
-            return [Observation(self.service, "armed", True, now)]
-        if command == "disarm":
-            self._no_arg(command, arg)
-            if self.state["armed-at"] is None:
-                return []
-            self.state["armed-at"] = None
-            self.state["duration-ms"] = None
-            return [Observation(self.service, "armed", False, now)]
-        raise UnknownCommandError(f"{self.service} has no command '{command}'")
+        if not (record.has_type(arg) and record.admits(arg)):
+            raise BadArgumentError(f"{self.service}.{command} takes {record.accepts}, "
+                                   f"got {arg!r}")
+        after = dict(self.state)
+        for key, to in record.sets.items():
+            after[key] = arg if to is ARG else now if to is NOW else to
+        changed = []
+        for parameter in READINGS[self.kind]:
+            key, derive = _DERIVED.get(parameter, (parameter, lambda value: value))
+            if key in record.sets and derive(after[key]) != derive(self.state[key]):
+                changed.append(Observation(self.service, parameter, derive(after[key]), now))
+        if changed:
+            self.state.update(after)
+        return changed
 
 
 @dataclass
@@ -356,8 +369,7 @@ class Building:
     defaults: BuildingDefaults
 
 
-_DEVICE_ORDER = ("door", "window", "heater", "meter", "lamp", "clock")
-
+# Each office device by its short name, with its kind, in generation order.
 _KIND_BY_SHORT = {
     "door": DeviceKind.DOOR,
     "window": DeviceKind.WINDOW,
@@ -367,55 +379,31 @@ _KIND_BY_SHORT = {
     "clock": DeviceKind.CLOCK,
 }
 
+# The parameters an office device of each kind declares, and the unit of
+# each declared parameter that has one, the environment's included.
+_DECLARED: dict[DeviceKind, tuple[str, ...]] = {
+    DeviceKind.DOOR: ("lock-state",),
+    DeviceKind.WINDOW: ("position",),
+    DeviceKind.HEATER: ("power-state", "room-temp"),
+    DeviceKind.ENERGY_METER: ("kwh-reading",),
+    DeviceKind.LAMP: ("power-state",),
+    DeviceKind.CLOCK: ("armed",),
+}
+_UNITS = {"room-temp": "celsius", "kwh-reading": "kWh", "outside-temp": "celsius"}
+
 
 def _office_services(office: str, interval: int) -> tuple[Service, ...]:
-    def param(kind: DeviceKind, name: str, unit: str | None = None) -> ParameterSpec:
-        return ParameterSpec(name, READINGS[kind][name], unit=unit,
-                             sample_interval_ms=interval)
-
-    def commands(kind: DeviceKind) -> tuple[CommandSpec, ...]:
-        return tuple(CommandSpec(name, argument_type)
-                     for name, argument_type in COMMANDS[kind].items())
-
-    return (
+    return tuple(
         Service(
-            f"{office}.door",
+            f"{office}.{short}",
             ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param(DeviceKind.DOOR, "lock-state"),),
-            commands=commands(DeviceKind.DOOR),
-        ),
-        Service(
-            f"{office}.window",
-            ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param(DeviceKind.WINDOW, "position"),),
-            commands=commands(DeviceKind.WINDOW),
-        ),
-        Service(
-            f"{office}.heater",
-            ServiceKind.PHYSICAL_DEVICE,
-            parameters=(
-                param(DeviceKind.HEATER, "power-state"),
-                param(DeviceKind.HEATER, "room-temp", unit="celsius"),
-            ),
-            commands=commands(DeviceKind.HEATER),
-        ),
-        Service(
-            f"{office}.meter",
-            ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param(DeviceKind.ENERGY_METER, "kwh-reading", unit="kWh"),),
-        ),
-        Service(
-            f"{office}.lamp",
-            ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param(DeviceKind.LAMP, "power-state"),),
-            commands=commands(DeviceKind.LAMP),
-        ),
-        Service(
-            f"{office}.clock",
-            ServiceKind.PHYSICAL_DEVICE,
-            parameters=(param(DeviceKind.CLOCK, "armed"),),
-            commands=commands(DeviceKind.CLOCK),
-        ),
+            parameters=tuple(ParameterSpec(name, READINGS[kind][name], unit=_UNITS.get(name),
+                                           sample_interval_ms=interval)
+                             for name in _DECLARED[kind]),
+            commands=tuple(CommandSpec(name, record.argument_type)
+                           for name, record in COMMANDS[kind].items()),
+        )
+        for short, kind in _KIND_BY_SHORT.items()
     )
 
 
@@ -577,14 +565,11 @@ def build_smart_building(
         )
         fog = f"fog{office.removeprefix('office')}"
         nodes.append(Node(fog, Tier.FOG))
-        for short in _DEVICE_ORDER:
+        for short, kind in _KIND_BY_SHORT.items():
             service = f"{office}.{short}"
             nodes.append(Node(service, Tier.DEVICE, hosted=(service,)))
             links.append(Link(service, fog, defaults.device_fog_latency_ms))
-            setups.append(
-                DeviceSetup(service, _KIND_BY_SHORT[short], office,
-                            _initial_state(short, defaults))
-            )
+            setups.append(DeviceSetup(service, kind, office, _initial_state(short, defaults)))
         office_rules = office_policies(office, defaults)
         policies.extend(office_rules)
         loops.append(
@@ -592,22 +577,11 @@ def build_smart_building(
                      policies=office_rules)
         )
 
-    tasks.append(
-        Task(
-            "environment",
-            services=(
-                Service(
-                    ENVIRONMENT_SERVICE,
-                    ServiceKind.VIRTUAL,
-                    parameters=(
-                        ParameterSpec("weather", ENVIRONMENT_READINGS["weather"]),
-                        ParameterSpec("outside-temp", ENVIRONMENT_READINGS["outside-temp"],
-                                      unit="celsius"),
-                    ),
-                ),
-            ),
-        )
-    )
+    environment = Service(
+        ENVIRONMENT_SERVICE, ServiceKind.VIRTUAL,
+        parameters=tuple(ParameterSpec(name, vtype, unit=_UNITS.get(name))
+                         for name, vtype in ENVIRONMENT_READINGS.items()))
+    tasks.append(Task("environment", services=(environment,)))
 
     fogs = [f"fog{i}" for i in range(1, n + 1)]
     for i, a in enumerate(fogs):

@@ -15,7 +15,7 @@ from fogloop.model import ValidationReport
 from fogloop.runtime import run_scenario
 from fogloop.scenario import parse_scenario, with_offering
 from fogloop.simnet import EventTrace, NoHandlerError
-from fogloop.smartbuilding import UnknownCommandError
+from fogloop.smartbuilding import BadArgumentError, Device, UnknownCommandError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ONE_OFFICE = str(SCENARIOS / "smart_building_1office.json")
@@ -89,9 +89,37 @@ def ring_alarm_on_fog(data: dict) -> None:
         "office1.alarm"]
 
 
+def ajar_window(data: dict) -> None:
+    """A policy sets the window to a position it is typed for but no window
+    takes."""
+    _lights_off_sunny(data)["then"].append(
+        {"service": "office1.window", "command": "set-position", "arg": "ajar"})
+
+
+def arm_clock_for_zero(data: dict) -> None:
+    """The clock is armed for 0 ms: an integer, but not a positive one."""
+    next(policy for policy in data["policies"]
+         if policy["name"] == "office1-arm-clock")["then"][0]["arg"] = 0
+
+
 def skip_validation(monkeypatch) -> None:
     """Let a scenario reach the Runtime build whatever validation says."""
     monkeypatch.setattr(cli, "validate_scenario", lambda scenario: ValidationReport())
+
+
+def break_devices(monkeypatch) -> None:
+    """Make every device fail on the first command it gets: a fault no
+    validation can foresee."""
+    def apply(self, command, arg, now):
+        raise RuntimeError(f"{self.service} broke")
+
+    monkeypatch.setattr(Device, "apply", apply)
+
+
+def assert_traceback(captured) -> None:
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("RuntimeError: office1.clock broke\n")
 
 
 class TestValidate:
@@ -344,11 +372,17 @@ class TestRun:
          "policies[0].then[1]: 'office1.alarm' is not a physical device with a setup"),
         (ring_alarm_on_fog, NoHandlerError,
          "policies[0].then[1]: 'office1.alarm' is not a physical device with a setup"),
-    ], ids=["blink", "unhosted", "on-fog"])
+        (ajar_window, BadArgumentError,
+         "policies[0].then[1]: argument 'ajar' of 'set-position' on a window "
+         "is not open or closed"),
+        (arm_clock_for_zero, BadArgumentError,
+         "policies[1].then[0]: argument 0 of 'arm' on a clock is not a positive integer"),
+    ], ids=["blink", "unhosted", "on-fog", "window-ajar", "arm-zero"])
     def test_action_no_device_can_carry_out_is_a_validation_error(
             self, tmp_path, capsys, mutate, crash, line):
         # Each of these once validated, and its run then died mid-way when
-        # the sunny weather at 300 s fired the policy.
+        # its policy fired: the locked door arms the clock at once, and the
+        # sunny weather at 300 s turns the lights off.
         data = json.loads(Path(ONE_OFFICE).read_text())
         mutate(data)
         with pytest.raises(crash):
@@ -362,6 +396,17 @@ class TestRun:
         ])
         assert code == 1
         assert capsys.readouterr().out.splitlines() == [line]
+        assert not (tmp_path / "out").exists()
+
+    def test_exception_in_a_validated_run_exits_4_with_its_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        break_devices(monkeypatch)
+        code = main([
+            "run", "--scenario", ONE_OFFICE, "--seed", "1",
+            "--until-ms", "310000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 4
+        assert_traceback(capsys.readouterr())
         assert not (tmp_path / "out").exists()
 
     def test_config_error_building_the_runtime_is_an_input_error(
@@ -445,6 +490,16 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == (
             "mapeaas: office1.heater has no readable parameter 'bogus-param'\n")
+
+    def test_exception_in_a_validated_run_exits_4_with_its_traceback(
+            self, capsys, monkeypatch):
+        break_devices(monkeypatch)
+        code = main([
+            "compare", "--scenario", ONE_OFFICE, "--variants", "mapeaas",
+            "--seed", "1", "--until-ms", "310000",
+        ])
+        assert code == 4
+        assert_traceback(capsys.readouterr())
 
     def test_aggregation_overflow_is_an_input_error(self, tmp_path, capsys):
         code = main([

@@ -53,7 +53,6 @@ def test_every_top_level_definition_is_exported_or_referenced():
 UNCALLED_METHODS = {
     ("EventTrace", "to_jsonl"): "perfbench patches it",
     ("EventTrace", "of_kind"): "a trace query the tests use",
-    ("Device", "_cmd_*"): "Device.apply reaches the handlers through getattr",
 }
 
 
@@ -239,6 +238,31 @@ def test_every_emitted_event_kind_is_documented_and_no_other():
     emitted = _emitted_kinds()
     assert {"send", "deliver", "round-open"} <= emitted
     assert emitted == _documented_kinds()
+
+
+SCENARIO_SCHEMA = RUN_OUTPUTS.parent / "scenario_schema.md"
+
+
+def _documented_commands() -> list[tuple[str, str, str, str]]:
+    """(kind, command, argument type, accepts) for every row of the command
+    table in docs/scenario_schema.md, with backticks dropped."""
+    lines = SCENARIO_SCHEMA.read_text().splitlines()
+    start = lines.index("  | kind | command | `argument_type` | accepts |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("  |"):
+            break
+        rows.append(tuple(cell.strip().replace("`", "") for cell in line.split("|")[1:-1]))
+    return rows
+
+
+def test_the_command_table_is_documented_as_devices_apply_it():
+    from fogloop.smartbuilding import COMMANDS
+
+    assert _documented_commands() == [
+        (kind.value, name, "none" if record.argument_type is None
+         else record.argument_type.value, record.accepts)
+        for kind, commands in COMMANDS.items() for name, record in commands.items()]
 
 
 def test_cli_opens_files_only_in_with_statements():

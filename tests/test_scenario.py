@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fogloop.coordination import CentralizedControl, DecentralizedControl
 from fogloop.errors import ConfigError
@@ -410,6 +411,23 @@ class TestValidation:
                     action["arg"] = arg
         assert validate_scenario(parse_scenario(data)).lines() == [line]
 
+    @pytest.mark.parametrize("change, line", [
+        (lambda policies: policies[0]["then"].append(
+            {"service": "office1.window", "command": "set-position", "arg": "ajar"}),
+         "policies[0].then[1]: argument 'ajar' of 'set-position' on a window "
+         "is not open or closed"),
+        (lambda policies: policies[1]["then"][0].update(arg=0),
+         "policies[1].then[0]: argument 0 of 'arm' on a clock is not a positive integer"),
+        (lambda policies: policies[1]["then"][0].update(arg=-5),
+         "policies[1].then[0]: argument -5 of 'arm' on a clock is not a positive integer"),
+    ], ids=["window-ajar", "arm-zero", "arm-negative"])
+    def test_action_argument_its_device_refuses(self, change, line):
+        # Each of these once validated, and its device then refused the
+        # argument mid-run.
+        data = scenario_dict(1)
+        change(data["policies"])
+        assert validate_scenario(parse_scenario(data)).lines() == [line]
+
     @pytest.mark.parametrize("place, path", [
         (lambda data, v: data["defaults"].update(outside_temp_c=v),
          "defaults.outside_temp_c"),
@@ -663,3 +681,79 @@ def test_building_round_trips_through_the_schema(n, control, defaults, events):
     assert scenario.devices == building.devices
     assert scenario.defaults == building.defaults
     assert scenario.environment_events == building.environment_events
+
+
+ONE_OFFICE = Path(__file__).resolve().parent.parent / "scenarios" / "smart_building_1office.json"
+# Arguments of every JSON scalar type, and, per declared argument type, values
+# of that type: some each device takes, some it refuses.
+ANY_ARGUMENT = st.sampled_from(["ajar", 0, -5, True, None, False, "open", "closed", 1, 2.5])
+OF_TYPE = {
+    None: st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(-10, 10**6),
+    "real": st.floats(-50, 50),
+    "enum_of_strings": st.sampled_from(["open", "closed", "ajar", "locked", ""]),
+}
+
+
+# The policies of the 1-office scenario that act in its first 310 s: the
+# locked door arms the clock at once, and the sunny weather at 300 s turns
+# the lights off. No action of another policy runs that early.
+ACTING = ("office1-arm-clock", "office1-lights-off-sunny")
+
+
+@st.composite
+def mutated_one_office(draw):
+    """The bundled 1-office scenario after a few changes to its acting
+    policies and its declared commands: add an action, retarget one, swap
+    its command, set its argument to any scalar, or drop or add a declared
+    command."""
+    data = json.loads(ONE_OFFICE.read_text())
+    services = {svc["name"]: svc for task in data["domain"]["tasks"]
+                for svc in task["services"]}
+    names = sorted({command["name"] for svc in services.values()
+                    for command in svc.get("commands", ())} | {"blink"})
+    acting = [policy for policy in data["policies"] if policy["name"] in ACTING]
+
+    def declared(service: str) -> list[dict]:
+        return services[service].setdefault("commands", [])
+
+    for _ in range(draw(st.integers(1, 2))):
+        change = draw(st.sampled_from(["argument", "action"] * 2
+                                      + ["command", "service", "drop", "add"]))
+        policy = draw(st.sampled_from(acting))
+        action = draw(st.sampled_from(policy["then"]))
+        if change == "action":
+            action = {"service": draw(st.sampled_from(sorted(services)))}
+            policy["then"].append(action)
+        if change in ("action", "command"):
+            action["command"] = draw(st.sampled_from(
+                [command["name"] for command in declared(action["service"])] or names))
+        if change in ("action", "argument"):
+            types = [command.get("argument_type") for command in declared(action["service"])
+                     if command["name"] == action["command"]]
+            action["arg"] = draw(st.one_of(*(OF_TYPE[t] for t in types), ANY_ARGUMENT))
+        if change == "service":
+            action["service"] = draw(st.sampled_from(sorted(services)))
+        if change in ("drop", "add"):
+            commands = declared(draw(st.sampled_from(sorted(services))))
+            if change == "drop" and commands:
+                commands.pop(draw(st.integers(0, len(commands) - 1)))
+            elif change == "add":
+                command = {"name": draw(st.sampled_from(names))}
+                argument_type = draw(st.sampled_from(sorted(OF_TYPE, key=str)))
+                if argument_type is not None:
+                    command["argument_type"] = argument_type
+                commands.append(command)
+    return data
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=mutated_one_office())
+def test_a_mutated_scenario_that_validates_runs(data):
+    """Validation is the only check: whatever changes to actions and
+    commands it accepts, a run past the sunny weather at 300 s raises
+    nothing."""
+    scenario = parse_scenario(data)
+    if validate_scenario(scenario).ok:
+        run_scenario(scenario, 1, 310_000, check=False)

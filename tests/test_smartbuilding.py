@@ -225,10 +225,10 @@ def test_commands_are_what_each_device_kind_implements():
     refused = {None: True, ValueType.BOOLEAN: None, ValueType.INTEGER: None,
                ValueType.ENUM_OF_STRINGS: None}
     for kind in DeviceKind:
-        for command, argument_type in COMMANDS[kind].items():
-            device(kind).apply(command, accepted[argument_type], now=0)
+        for command, record in COMMANDS[kind].items():
+            device(kind).apply(command, accepted[record.argument_type], now=0)
             with pytest.raises(BadArgumentError):
-                device(kind).apply(command, refused[argument_type], now=0)
+                device(kind).apply(command, refused[record.argument_type], now=0)
         with pytest.raises(UnknownCommandError):
             device(kind).apply("bogus", None, now=0)
 
