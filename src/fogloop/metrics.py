@@ -83,13 +83,32 @@ class MetricsFold:
         deliveries[interaction] = deliveries.get(interaction, 0) + 1
         hops = self._hops_of.get(path)
         if hops is None:
-            tiers = self._tiers
-            hops = self._hops_of[path] = tuple(
-                f"{tiers[a]}->{tiers[b]}" for a, b in zip(path, path[1:])
-            )
+            hops = self._hop_names(path)
         tally = metrics.hops
         for hop in hops:
             tally[hop] = tally.get(hop, 0) + 1
+
+    def counted(self, sends: dict[Any, int], delivers: dict[tuple[Any, Any], int]) -> None:
+        """Fold message rows `n` at a time, from the counts per interaction
+        and per (interaction, path) that `EventTrace.tally` returns."""
+        metrics = self.metrics
+        counts, hop_tally = metrics.event_counts, metrics.hops
+        for interaction, n in sends.items():
+            counts["send"] = counts.get("send", 0) + n
+            metrics.sends[interaction] = metrics.sends.get(interaction, 0) + n
+        for (interaction, path), n in delivers.items():
+            counts["deliver"] = counts.get("deliver", 0) + n
+            metrics.deliveries[interaction] = metrics.deliveries.get(interaction, 0) + n
+            for hop in self._hop_names(path):
+                hop_tally[hop] = hop_tally.get(hop, 0) + n
+
+    def _hop_names(self, path: tuple[str, ...]) -> tuple[str, ...]:
+        """The tier hop of each link along `path`, built once per path."""
+        hops, tiers = self._hops_of.get(path), self._tiers
+        if hops is None:
+            hops = self._hops_of[path] = tuple(
+                f"{tiers[a]}->{tiers[b]}" for a, b in zip(path, path[1:]))
+        return hops
 
     def append(self, t: int, kind: str, src: str | None, dst: str | None,
                detail: dict[str, Any]) -> None:
@@ -120,13 +139,13 @@ class MetricsFold:
 
 def compute_metrics(result: RunResult) -> RunMetrics:
     """The run's metrics: the fold's own when the run used a `MetricsFold`,
-    else the trace rows replayed through one."""
+    else a new fold's over the kept rows, its message rows counted by key."""
     trace = result.trace
     if isinstance(trace, MetricsFold):
         fold = trace
     else:
         fold = MetricsFold(trace.header)
-        trace.replay(fold)
+        fold.counted(*trace.tally(fold.append))
     metrics = fold.metrics
     metrics.energy_mj = {
         office_id: office.energy_mj for office_id, office in sorted(result.offices.items())

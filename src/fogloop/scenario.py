@@ -68,6 +68,7 @@ from fogloop.smartbuilding import (
     DeviceKind,
     DeviceSetup,
     EnvironmentEvent,
+    with_article,
 )
 
 WEATHER_VALUES = ("sunny", "not-sunny")
@@ -505,7 +506,7 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
         if record is not None and record.has_type(action.argument) \
                 and not record.admits(action.argument):
             report.add(apath, f"argument {_echo(action.argument)} of '{action.command}' "
-                              f"on a {kind.value} is not {record.accepts}")
+                              f"on {with_article(kind.value)} is not {record.accepts}")
         if action.delay_ms < 0:
             report.add(apath, "delay must be >= 0")
 
@@ -616,7 +617,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         bad = sorted(set(setup.initial) - set(_DEFAULT_STATE[setup.kind]))
         if bad:
             report.add(path, f"unknown initial state keys {bad}")
-        readings, source = READINGS[setup.kind], f"a {setup.kind.value}"
+        readings, source = READINGS[setup.kind], with_article(setup.kind.value)
         declared = scenario.domain.find_service(setup.service)
         _check_readings(path, source, readings, declared, report)
         _check_commands(path, source, COMMANDS[setup.kind], declared, report)

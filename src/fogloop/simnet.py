@@ -286,16 +286,20 @@ class EventTrace:
     def of_kind(self, kind: str) -> list[dict[str, Any]]:
         return [_as_dict(row) for row in self.events if row[1] == kind]
 
-    def replay(self, sink: TraceSink) -> None:
-        """Hand every kept row to `sink` as the run handed it to this trace."""
-        sent, delivered, append = sink.sent, sink.delivered, sink.append
+    def tally(self, append: Callable[..., None]) -> tuple[dict[Any, int], dict[Any, int]]:
+        """Count `send` rows by interaction and `deliver` rows by (interaction,
+        path), keys as first seen; hand every other row to `append` in order."""
+        sends: dict[Any, int] = {}
+        delivers: dict[Any, int] = {}
         for row in self.events:
             if len(row) == 8:
-                delivered(row[0], *row[2:])
+                key = row[5], row[7]
+                delivers[key] = delivers.get(key, 0) + 1
             elif len(row) == 6:
-                sent(row[0], *row[2:])
+                sends[row[5]] = sends.get(row[5], 0) + 1
             else:
                 append(*row)
+        return sends, delivers
 
     def to_jsonl(self) -> str:
         """The header, then one line per row; each line equals

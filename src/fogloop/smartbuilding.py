@@ -101,6 +101,11 @@ READINGS: dict[DeviceKind, dict[str, ValueType]] = {
 ARG, NOW = object(), object()
 
 
+def with_article(noun: str) -> str:
+    """`noun` after its indefinite article: "a door", "an energy-meter"."""
+    return f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
+
+
 @dataclass(frozen=True)
 class DeviceCommand:
     """One command of a device kind: the type of its argument (None: it
@@ -120,7 +125,7 @@ class DeviceCommand:
             return "no argument"
         if self.choices:
             return " or ".join(self.choices)
-        return "a positive integer" if self.positive else f"a {self.argument_type.value}"
+        return "a positive integer" if self.positive else with_article(self.argument_type.value)
 
     def has_type(self, arg: Any) -> bool:
         return arg is None if self.argument_type is None else value_conforms(

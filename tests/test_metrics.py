@@ -5,8 +5,12 @@ from __future__ import annotations
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fogloop.metrics import (
     MetricsFold,
@@ -16,6 +20,7 @@ from fogloop.metrics import (
 )
 from fogloop.runtime import run_scenario
 from fogloop.scenario import building_to_dict, load_scenario, parse_scenario, with_offering
+from fogloop.simnet import EventTrace
 from fogloop.smartbuilding import BuildingDefaults, build_smart_building
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -160,7 +165,63 @@ class TestViews:
         assert "mean=n/a max=n/a count=0" in summary_text(result, metrics)
 
 
+NODES = {"dev1": "device", "dev2": "device", "fog1": "fog", "fog2": "fog",
+         "cloud": "cloud"}
+
+
+def kept_rows(interactions: tuple) -> st.SearchStrategy:
+    """Rows as a run hands them to its sink, each `(method, args)`: messages
+    on paths of up to four nodes, actuations with their latency, and rows of
+    other kinds."""
+    node, times = st.sampled_from(sorted(NODES)), st.integers(0, 10**6)
+    interaction = st.sampled_from(interactions)
+    return st.lists(st.one_of(
+        st.tuples(st.just("sent"), st.tuples(times, node, node, times, interaction)),
+        st.tuples(st.just("delivered"), st.tuples(
+            times, node, node, times, interaction, times,
+            st.lists(node, min_size=1, max_size=4).map(tuple))),
+        st.tuples(st.just("append"), st.tuples(
+            times, st.just("actuate-applied"), node, st.none(),
+            st.integers(0, 10**4).map(lambda latency: {"latency": latency}))),
+        st.tuples(st.just("append"), st.tuples(
+            times, st.sampled_from(["symptom", "plan", "dispatch", "init"]),
+            st.none(), st.none(), st.just({})))), max_size=30)
+
+
+CLOUD_PATH = ("dev1", "fog1", "cloud")
+
+
 class TestFold:
+    # Interactions are all text or all numbers, so that `metrics_csv` can
+    # sort them; 1, True and 1.0 are one key, which keeps its first spelling.
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.sampled_from([("read", "act", "propose"), (1, True, 1.0, 2)])
+           .flatmap(kept_rows))
+    @example(rows=[])
+    @example(rows=[("append", (1, "symptom", None, None, {})),
+                   ("append", (2, "actuate-applied", "dev1", None, {"latency": 7}))])
+    @example(rows=[("sent", (1, "dev1", "cloud", 1, True)),
+                   ("delivered", (3, "dev1", "cloud", 1, 1.0, 1, CLOUD_PATH)),
+                   ("sent", (4, "fog1", "cloud", 2, 1)),
+                   ("delivered", (5, "fog1", "cloud", 2, True, 4, CLOUD_PATH[1:])),
+                   ("append", (5, "actuate-applied", "dev1", None, {"latency": 4}))])
+    def test_a_kept_trace_folds_as_its_rows_fed_one_by_one(self, rows):
+        header = {"kind": "header", "nodes": NODES}
+        kept, fed = EventTrace(header), MetricsFold(header)
+        for method, args in rows:
+            getattr(kept, method)(*args)
+            getattr(fed, method)(*args)
+        want = compute_metrics(SimpleNamespace(trace=fed, offices={}))
+        # A kept trace's message rows are counted by key, never handed over
+        # one call per row.
+        with patch.object(MetricsFold, "sent", side_effect=AssertionError("sent")), \
+                patch.object(MetricsFold, "delivered", side_effect=AssertionError("delivered")):
+            got = compute_metrics(SimpleNamespace(trace=kept, offices={}))
+        assert got == want
+        assert metrics_csv(got) == metrics_csv(want)
+        if all(method == "append" for method, _ in rows):
+            assert not {"send", "deliver"} & got.event_counts.keys()
+
     @pytest.mark.parametrize("name, offering", [
         ("smart_building_1office", None),
         ("smart_building_1office", "apaas_split"),

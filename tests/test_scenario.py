@@ -400,7 +400,10 @@ class TestValidation:
          "devices.office1.lamp: argument of 'set-power' is boolean on a lamp, not integer"),
         ("office1.door", [{"name": "lock", "argument_type": "boolean"}, {"name": "unlock"}],
          None, "devices.office1.door: argument of 'lock' is none on a door, not boolean"),
-    ], ids=["lamp", "door"])
+        # A meter takes no command; its kind is spelled after "an".
+        ("office1.meter", [{"name": "reset", "argument_type": "integer"}], None,
+         "devices.office1.meter: an energy-meter has no command 'reset'"),
+    ], ids=["lamp", "door", "meter"])
     def test_declared_command_argument_type_matches_the_device(self, name, commands, arg,
                                                               line):
         data = scenario_dict(1)

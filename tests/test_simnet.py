@@ -588,8 +588,7 @@ def as_dict(row) -> dict:
 
 def assert_lines_equal_json_dumps(rows, typed: bool = True) -> None:
     """Each line of the trace fed `rows` equals `json.dumps` of the dict
-    built from its input row, and so does each line of a trace the first
-    replays its rows into."""
+    built from its input row."""
     trace = EventTrace(header={"kind": "header", "seed": 1, "nodes": {"a\u00e9": "fog"}})
     for row in rows:
         feed(trace, row, typed)
@@ -603,9 +602,6 @@ def assert_lines_equal_json_dumps(rows, typed: bool = True) -> None:
         assert line == json.dumps(row, sort_keys=True, separators=(",", ":"))
     for kind in {row[1] for row in rows}:
         assert trace.of_kind(kind) == [row for row in expected[1:] if row["kind"] == kind]
-    replayed = EventTrace(header=trace.header)
-    trace.replay(replayed)
-    assert replayed.to_jsonl() == text
 
 
 def send_row(interaction, src="a/x"):
