@@ -32,10 +32,6 @@ class UnknownPolicyError(FogloopError):
     """A symptom references a policy the planner does not know."""
 
 
-class UnreachableTargetError(FogloopError):
-    """An actuation target cannot be reached from the executor's node."""
-
-
 class DoubleDispatchError(FogloopError):
     """A plan was executed a second time."""
 
@@ -319,8 +315,9 @@ class Executor:
     """Dispatches each plan exactly once through an actuation transport.
 
     The transport sends one actuation per action, timed at now + delay;
-    link latency is added downstream by the network. It raises
-    UnreachableTargetError when no route exists.
+    link latency is added downstream by the network. The runtime's transport
+    resolves its channel to every target when the run is built, so no
+    dispatch can fail to route.
     """
 
     transport: Transport

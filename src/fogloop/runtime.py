@@ -38,7 +38,6 @@ from fogloop.mape import (
     Planner,
     PolicyIndex,
     StaleObservationError,
-    UnreachableTargetError,
     analyze,
 )
 from fogloop.model import ValueType
@@ -46,9 +45,9 @@ from fogloop.placement import COMPONENTS, LoopSpec, Placement, place
 from fogloop.scenario import Scenario, validate_scenario
 from fogloop.simnet import (
     Address,
+    Channel,
     EventTrace,
     Message,
-    NoRouteError,
     Simulator,
     SinkFactory,
     TraceSink,
@@ -78,9 +77,12 @@ class DeviceActor:
         self.runtime = runtime
         self.device = device
         self.office = office
-        self.owner = owner
         host = runtime.scenario.topology.host_of(device.service)
         self.addr = Address(host, device.service)
+        # Every loop has registered its monitor by now.
+        self.to_monitor: Channel | None = (
+            None if owner is None else runtime.sim.channel(self.addr, owner.addr["monitor"])
+        )
         self.monitor = Monitor()
         service = runtime.scenario.domain.find_service(device.service)
         self.parameters = service.parameters
@@ -101,7 +103,7 @@ class DeviceActor:
         )
 
     def start_sampling(self) -> None:
-        if self.owner is None:
+        if self.to_monitor is None:
             return
         for spec in self.parameters:
             self.runtime.sim.schedule(0, partial(self._tick, spec))
@@ -111,7 +113,7 @@ class DeviceActor:
         if self.office is not None:
             self.office.sync(sim.now)
         obs = self.monitor.sample(self.device.service, spec.name, sim.now)
-        sim.send(SENSE, self.addr, self.owner.addr["monitor"], obs)
+        sim.send(SENSE, self.to_monitor, obs)
         sim.schedule(sim.now + spec.sample_interval_ms, partial(self._tick, spec))
 
     def on_message(self, msg: Message) -> None:
@@ -136,9 +138,9 @@ class DeviceActor:
             latency=sim.now - pay["base_ts"],
             changed=[obs.parameter for obs in changed],
         )
-        if self.owner is not None:
+        if self.to_monitor is not None:
             for obs in changed:
-                sim.send(SENSE, self.addr, self.owner.addr["monitor"], obs)
+                sim.send(SENSE, self.to_monitor, obs)
 
 
 class LoopActor:
@@ -195,21 +197,61 @@ class LoopActor:
         self.round_requested: dict[str, bool] = dict.fromkeys(COORDINATED_COMPONENTS, False)
         self._round_ctx: str | None = None
 
+    def connect(self) -> None:
+        """Build every channel the loop sends on. Channels take their
+        handlers from the simulator, so this runs once every actor has
+        registered."""
+        runtime = self.runtime
+        channel = runtime.sim.channel
+        addr = self.addr
+        self.to_analyze = channel(addr["monitor"], addr["analyze"])
+        self.to_plan = channel(addr["analyze"], addr["plan"])
+        self.to_execute = channel(addr["plan"], addr["execute"])
+        if self.forward_keys:
+            master = runtime.loops[runtime.master_id]
+            self.to_master = channel(addr["monitor"], master.addr["knowledge"])
+        if self.is_master:
+            slaves = runtime.scenario.managing_loops
+            self.slave_scopes = {loop.id: loop.scope for loop in slaves}
+            self.to_slaves = {
+                loop.id: channel(addr["execute"], runtime.loops[loop.id].addr["execute"])
+                for loop in slaves
+            }
+        else:
+            # The loop executes its own plans, sub-plans delegated to it and
+            # decided round items: any action of its own policies, and any
+            # action on its scope.
+            targets = [action.service for policy in self.spec.policies
+                       for action in policy.then]
+            targets += [action.service for loop in runtime.scenario.loops
+                        for policy in loop.policies for action in policy.then
+                        if action.service in self.scope]
+            self.to_devices = {}
+            for service in dict.fromkeys(targets):
+                device = runtime.devices.get(service)
+                if device is None:
+                    raise ConfigError(
+                        f"no device at '{service}' for actions from '{addr['execute']}'"
+                    )
+                self.to_devices[service] = channel(addr["execute"], device.addr)
+        self.to_peers = {
+            component: {
+                member: channel(addr[component], runtime.loops[member].addr[component])
+                for member in runtime.group
+            }
+            for component in COORDINATED_COMPONENTS
+            if self.in_group and component in runtime.coordinate
+        }
+
     # --- monitor ---------------------------------------------------------
 
     def _on_monitor(self, msg: Message) -> None:
         obs: Observation = msg.payload
         sim = self.runtime.sim
-        sim.send(PIPELINE, self.addr["monitor"], self.addr["analyze"], obs)
+        sim.send(PIPELINE, self.to_analyze, obs)
         if (obs.service, obs.parameter) in self.forward_keys \
                 and self.forward_filter.offer(obs):
-            master = self.runtime.loops[self.runtime.master_id]
-            sim.send(
-                PIPELINE,
-                self.addr["monitor"],
-                master.addr["knowledge"],
-                {"loop": self.spec.id, "obs": obs},
-            )
+            sim.send(PIPELINE, self.to_master, {"loop": self.spec.id, "obs": obs})
 
     # --- analyze + knowledge ----------------------------------------------
 
@@ -259,7 +301,7 @@ class LoopActor:
                 self.pending["analyze"].append(symptom)
                 self._request_round("analyze")
             else:
-                sim.send(PIPELINE, self.addr["analyze"], self.addr["plan"], symptom)
+                sim.send(PIPELINE, self.to_plan, symptom)
 
     def _on_knowledge(self, msg: Message) -> None:
         pay = msg.payload
@@ -304,7 +346,7 @@ class LoopActor:
             base_ts=plan.symptom.base_ts,
             actions=len(plan.actions),
         )
-        sim.send(PIPELINE, self.addr["plan"], self.addr["execute"], plan)
+        sim.send(PIPELINE, self.to_execute, plan)
 
     # --- execute ----------------------------------------------------------
 
@@ -326,10 +368,7 @@ class LoopActor:
 
     def _delegate(self, plan: AdaptationPlan) -> None:
         sim = self.runtime.sim
-        scopes = {
-            loop.id: loop.scope for loop in self.runtime.scenario.managing_loops
-        }
-        for loop_id, sub in delegate(plan, scopes).items():
+        for loop_id, sub in delegate(plan, self.slave_scopes).items():
             sim.emit(
                 "delegate",
                 self.addr["execute"],
@@ -338,8 +377,7 @@ class LoopActor:
                 sub_plan=sub.plan_id,
                 actions=len(sub.actions),
             )
-            target = self.runtime.loops[loop_id]
-            sim.send(DELEGATION, self.addr["execute"], target.addr["execute"], sub)
+            sim.send(DELEGATION, self.to_slaves[loop_id], sub)
 
     def _transport(self, plan: AdaptationPlan, idx: int, action: PlannedAction,
                    at: int) -> None:
@@ -347,11 +385,6 @@ class LoopActor:
         round_id = self._round_ctx
 
         def fire() -> None:
-            host = self.runtime.scenario.topology.host_of(action.service)
-            if host is None:
-                raise UnreachableTargetError(
-                    f"'{action.service}' is hosted on no node"
-                )
             detail = {
                 "loop": self.spec.id,
                 "plan": plan.plan_id,
@@ -371,11 +404,7 @@ class LoopActor:
                 "loop": self.spec.id,
                 "base_ts": plan.symptom.base_ts,
             }
-            try:
-                sim.send(ACTUATE, self.addr["execute"],
-                         Address(host, action.service), payload)
-            except NoRouteError as exc:
-                raise UnreachableTargetError(str(exc)) from exc
+            sim.send(ACTUATE, self.to_devices[action.service], payload)
 
         if at <= sim.now:
             fire()
@@ -385,11 +414,9 @@ class LoopActor:
     # --- peer coordination --------------------------------------------------
 
     def _send_round(self, component: str, to_loop: str, payload: dict) -> None:
-        target = self.runtime.loops[to_loop]
         self.runtime.sim.send(
             COORDINATION,
-            self.addr[component],
-            target.addr[component],
+            self.to_peers[component][to_loop],
             {"component": component, **payload},
         )
 
@@ -466,7 +493,7 @@ class LoopActor:
         if item is not None:
             if component == "analyze":
                 if pay["by"] == self.spec.id:
-                    sim.send(PIPELINE, self.addr["analyze"], self.addr["plan"], item)
+                    sim.send(PIPELINE, self.to_plan, item)
             else:
                 owned = tuple(a for a in item.actions if a.service in self.scope)
                 if owned:
@@ -511,6 +538,10 @@ class Runtime:
     environment values then reach knowledge bases unchecked. A `check=False`
     runtime trusts its caller to have validated the scenario, as the CLI
     does before each of its runs.
+
+    The build resolves every channel the run can send on. A pair with no
+    route, no handler or no device to act on is a `ConfigError` from the
+    build, checked or not, raised before the first row.
     """
 
     def __init__(self, scenario: Scenario, seed: int, check: bool = True,
@@ -553,9 +584,6 @@ class Runtime:
         self.loops: dict[str, LoopActor] = {
             spec.id: LoopActor(self, spec) for spec in scenario.loops
         }
-        self._emit_env(self.env.weather, self.env.outside_temp_c)
-        self._inject_env(weather=self.env.weather,
-                         outside_temp=self.env.outside_temp_c)
 
         by_office: dict[str, list] = {}
         for setup in scenario.devices:
@@ -580,6 +608,14 @@ class Runtime:
             owner = self.loops.get(owner_of.get(setup.service, ""))
             actor = DeviceActor(self, device, office, owner)
             self.devices[setup.service] = actor
+        # Every handler is registered: resolve the loops' channels, before
+        # the first row.
+        for loop in self.loops.values():
+            loop.connect()
+
+        self._emit_env(self.env.weather, self.env.outside_temp_c)
+        self._inject_env(weather=self.env.weather,
+                         outside_temp=self.env.outside_temp_c)
         for actor in self.devices.values():
             actor.announce()
         for actor in self.devices.values():

@@ -630,8 +630,18 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     if isinstance(scenario.control, CentralizedControl):
         master = scenario.control.master
-        if scenario.loop(master) is None:
+        master_loop = scenario.loop(master)
+        if master_loop is None:
             report.add("control.master", f"unknown loop '{master}'")
+        else:
+            # Master plans are delegated by scope, so a slave must own each
+            # action's target.
+            for policy in master_loop.policies:
+                for action in policy.then:
+                    if action.service not in owned:
+                        report.add("control.master",
+                                   f"policy '{policy.name}' acts on '{action.service}', "
+                                   f"which no slave scope holds")
         if len(scenario.loops) < 2:
             report.add("control.master", "centralized control needs at least one slave")
         if scenario.control.node is not None \

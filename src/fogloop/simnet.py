@@ -22,7 +22,7 @@ from enum import Enum
 from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple, Protocol
 
-from fogloop.errors import FogloopError
+from fogloop.errors import ConfigError, FogloopError
 from fogloop.model import ValidationReport
 
 
@@ -34,14 +34,6 @@ class Tier(str, Enum):
 
 class PastEventError(FogloopError):
     """An event was scheduled before the current clock."""
-
-
-class NoRouteError(FogloopError):
-    """No link path exists between two nodes."""
-
-
-class NoHandlerError(FogloopError):
-    """A message arrived at an address nobody registered."""
 
 
 @dataclass(frozen=True)
@@ -375,13 +367,33 @@ class EventTrace:
 Handler = Callable[[Message], None]
 
 
+class Channel(NamedTuple):
+    """One way from a source address to a destination address, resolved
+    once by `Simulator.channel`: the route's path, its summed link latency,
+    the jitter bound of each jittered hop in path order, and the handler
+    registered at the destination."""
+
+    src: Address
+    dst: Address
+    src_text: str
+    dst_text: str
+    path: tuple[str, ...]
+    latency: int
+    jitters: tuple[int, ...]
+    handler: Handler
+
+
 class Simulator:
     """Single-threaded event loop over a topology.
 
-    Handlers are registered per address; `schedule` runs arbitrary callbacks
-    at a future tick (timers, periodic sampling); `send` routes a message and
-    schedules its delivery. Everything lands in the trace, a sink built by
-    `sink` from the run header: an `EventTrace` keeps every row.
+    Handlers are registered per address. `channel` resolves a (source,
+    destination) pair once, when a run is built, into a `Channel` holding
+    its route and the destination's handler; a pair with no route or no
+    handler is a `ConfigError` there, so no message can fail in flight.
+    `send` puts a message on a channel and schedules its delivery, and
+    `schedule` runs arbitrary callbacks at a future tick (timers, periodic
+    sampling). Everything lands in the trace, a sink built by `sink` from
+    the run header: an `EventTrace` keeps every row.
 
     The queue is `_buckets`, each pending time's callbacks in the order they
     were scheduled, and `_times`, a heap of those times, each once. Callbacks
@@ -437,39 +449,45 @@ class Simulator:
         else:
             bucket.append(fn)
 
-    def send(self, kind: str, src: Address, dst: Address, payload: Any = None) -> Message:
+    def channel(self, src: Address, dst: Address) -> Channel:
+        """The channel from `src` to `dst`, taking its handler from the
+        registry, so register every handler first."""
         route = self.topology.route(src.node, dst.node)
         if route is None:
-            raise NoRouteError(f"no route from '{src.node}' to '{dst.node}'")
+            raise ConfigError(f"no route from '{src}' to '{dst}'")
+        handler = self._handlers.get(dst._text)
+        if handler is None:
+            raise ConfigError(f"no handler at '{dst}' for messages from '{src}'")
         path, latency, jitters = route
-        for jitter in jitters:
+        return Channel(src, dst, src._text, dst._text, path, latency, jitters, handler)
+
+    def send(self, kind: str, channel: Channel, payload: Any = None) -> Message:
+        latency = channel.latency
+        for jitter in channel.jitters:
             # The value `randint(0, jitter)` draws, without its two extra
             # frames; tests/test_simnet.py replays the draws with `randint`.
             latency += self.rng._randbelow(jitter + 1)
         now = self.now
         msg_id = next(self._msg_ids)
-        msg = Message(msg_id, kind, payload, src, dst, now, path)
-        self.trace.sent(now, src._text, dst._text, msg_id, kind)
-        self.schedule(now + latency, partial(self._deliver, msg))
+        msg = Message(msg_id, kind, payload, channel.src, channel.dst, now, channel.path)
+        self.trace.sent(now, channel.src_text, channel.dst_text, msg_id, kind)
+        self.schedule(now + latency, partial(self._deliver, channel, msg))
         return msg
 
-    def _deliver(self, msg: Message) -> None:
-        handler = self._handlers.get(msg.dst._text)
-        if handler is None:
-            raise NoHandlerError(f"no handler registered at {msg.dst}")
+    def _deliver(self, channel: Channel, msg: Message) -> None:
         # Through `emit`, unlike `send`'s row: perfbench counts fog-to-cloud
         # hops from the `deliver` rows passed to `emit`. Once it counts from
         # the sink (ROADMAP item 1), this calls `self.trace.delivered`.
         self.emit(
             "deliver",
-            msg.src._text,
-            msg.dst._text,
+            channel.src_text,
+            channel.dst_text,
             id=msg.id,
             interaction=msg.kind,
             sent=msg.send_time,
-            path=msg.path,
+            path=channel.path,
         )
-        handler(msg)
+        channel.handler(msg)
 
     def run_until(self, horizon: int) -> TraceSink:
         """Process every event with time <= horizon, in (time, order

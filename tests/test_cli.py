@@ -9,12 +9,13 @@ import pytest
 
 from fogloop import cli
 from fogloop.cli import main
-from fogloop.mape import UnreachableTargetError
+from fogloop.coordination import OrphanActionError
+from fogloop.errors import ConfigError
 from fogloop.metrics import MetricsFold
 from fogloop.model import ValidationReport
 from fogloop.runtime import run_scenario
 from fogloop.scenario import parse_scenario, with_offering
-from fogloop.simnet import EventTrace, NoHandlerError
+from fogloop.simnet import EventTrace
 from fogloop.smartbuilding import BadArgumentError, Device, UnknownCommandError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -100,6 +101,20 @@ def arm_clock_for_zero(data: dict) -> None:
     """The clock is armed for 0 ms: an integer, but not a positive one."""
     next(policy for policy in data["policies"]
          if policy["name"] == "office1-arm-clock")["then"][0]["arg"] = 0
+
+
+def light_a_lamp_no_slave_owns(data: dict) -> None:
+    """The master turns office1's lamp off in the sun, but office1's scope no
+    longer holds the lamp, so no slave can take the action."""
+    loops = {loop["id"]: loop for loop in data["loops"]}
+    loops["office1"]["scope"].remove("office1.lamp")
+    data["policies"].append({
+        "name": "building-lamp",
+        "when": [{"service": "environment", "parameter": "weather", "op": "==",
+                  "value": "sunny"}],
+        "then": [{"service": "office1.lamp", "command": "set-power", "arg": False}],
+    })
+    loops["building"]["policies"].append("building-lamp")
 
 
 def skip_validation(monkeypatch) -> None:
@@ -368,9 +383,9 @@ class TestRun:
     @pytest.mark.parametrize("mutate, crash, line", [
         (blink_on_lamp, UnknownCommandError,
          "devices.office1.lamp: a lamp has no command 'blink'"),
-        (ring_unhosted_alarm, UnreachableTargetError,
+        (ring_unhosted_alarm, ConfigError,
          "policies[0].then[1]: 'office1.alarm' is not a physical device with a setup"),
-        (ring_alarm_on_fog, NoHandlerError,
+        (ring_alarm_on_fog, ConfigError,
          "policies[0].then[1]: 'office1.alarm' is not a physical device with a setup"),
         (ajar_window, BadArgumentError,
          "policies[0].then[1]: argument 'ajar' of 'set-position' on a window "
@@ -382,7 +397,9 @@ class TestRun:
             self, tmp_path, capsys, mutate, crash, line):
         # Each of these once validated, and its run then died mid-way when
         # its policy fired: the locked door arms the clock at once, and the
-        # sunny weather at 300 s turns the lights off.
+        # sunny weather at 300 s turns the lights off. The alarm, on no node
+        # or on a fog, has no device to ring it, so the unchecked build now
+        # fails before the run starts.
         data = json.loads(Path(ONE_OFFICE).read_text())
         mutate(data)
         with pytest.raises(crash):
@@ -393,6 +410,26 @@ class TestRun:
         code = main([
             "run", "--scenario", path, "--seed", "1",
             "--until-ms", "310000", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [line]
+        assert not (tmp_path / "out").exists()
+
+    def test_master_action_no_slave_owns_is_a_validation_error(self, tmp_path, capsys):
+        # This once validated, and its run then died when the master's rule
+        # fired with no slave to delegate the lamp to.
+        data = json.loads(Path(THREE_CENTRAL).read_text())
+        light_a_lamp_no_slave_owns(data)
+        with pytest.raises(OrphanActionError):
+            run_scenario(parse_scenario(data), 1, 400_000, check=False)
+        path = write_scenario(tmp_path, data)
+        line = ("control.master: policy 'building-lamp' acts on 'office1.lamp', "
+                "which no slave scope holds")
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out.splitlines() == [line]
+        code = main([
+            "run", "--scenario", path, "--seed", "1",
+            "--until-ms", "400000", "--out", str(tmp_path / "out"),
         ])
         assert code == 1
         assert capsys.readouterr().out.splitlines() == [line]

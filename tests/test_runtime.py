@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,10 @@ from fogloop.scenario import (
     building_to_dict,
     parse_scenario,
     validate_scenario,
+    with_mode,
     with_offering,
 )
+from fogloop.simnet import EventTrace, Topology
 from fogloop.smartbuilding import ENVIRONMENT_SERVICE, BuildingDefaults, build_smart_building
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -346,7 +349,7 @@ class TestRobustness:
         door = runtime.devices["office1.door"]
         loop = runtime.loops["office1"]
         runtime.sim.send(
-            "inter-component", door.addr, loop.addr["analyze"],
+            "inter-component", runtime.sim.channel(door.addr, loop.addr["analyze"]),
             Observation("office1.door", "lock-state", "unlocked", 0),
         )
         runtime.sim.run_until(300)
@@ -478,3 +481,74 @@ class TestSnapshot:
         assert snapshot["office1.door"] == {"lock-state": "locked"}
         assert snapshot["office1.meter"] == {}
         assert snapshot["office1.clock"] == {"armed": True}
+
+
+def unlink_the_clock(data: dict) -> None:
+    """office1's clock sits on a node no link reaches, outside every scope,
+    while office1's arm-clock rule still acts on it."""
+    data["topology"]["links"] = [link for link in data["topology"]["links"]
+                                 if link["a"] != "office1.clock"]
+    data["loops"][0]["scope"].remove("office1.clock")
+
+
+def ring_alarm(data: dict, host: str | None) -> None:
+    """office1 rings a virtual alarm that no device actor carries, hosted on
+    `host` (where no handler listens) or on no node."""
+    data["domain"]["tasks"][0]["services"].append(
+        {"name": "office1.alarm", "kind": "virtual", "commands": [{"name": "ring"}]})
+    data["policies"][0]["then"].append({"service": "office1.alarm", "command": "ring"})
+    if host is not None:
+        next(node for node in data["topology"]["nodes"]
+             if node["id"] == host)["hosts"] = ["office1.alarm"]
+
+
+class TestChannels:
+    """Every channel a run sends on is resolved when its `Runtime` is built."""
+
+    @pytest.mark.parametrize("data", [
+        bundled("1office"),
+        with_offering(bundled("1office"), "apaas_split"),
+        bundled("3office_centralized"),
+        bundled("3office_decentralized"),
+        with_mode(bundled("3office_centralized"), "centralized"),
+        with_mode(bundled("3office_centralized"), "decentralized"),
+        central_integer_sum(),
+    ], ids=["1office", "1office-apaas-split", "3office-centralized",
+            "3office-decentralized", "mode-centralized", "mode-decentralized",
+            "master-rule"])
+    def test_a_run_looks_up_no_route_or_host(self, monkeypatch, data):
+        runtime = Runtime(parse_scenario(data), seed=3)
+
+        def refuse(*args):
+            raise AssertionError("topology looked up after the build")
+
+        monkeypatch.setattr(Topology, "route", refuse)
+        monkeypatch.setattr(Topology, "host_of", refuse)
+        trace = runtime.sim.run_until(600_000)
+        interactions = {row["detail"]["interaction"] for row in trace.of_kind("deliver")}
+        assert {"m2e-sense", "m2e-actuate", "inter-component"} <= interactions
+        if runtime.master_id is not None and runtime.loops[runtime.master_id].spec.policies:
+            assert "intra-delegation" in interactions
+        if runtime.group:
+            assert "intra-coordination" in interactions
+
+    @pytest.mark.parametrize("mutate, message", [
+        (unlink_the_clock,
+         "no route from 'fog1/office1.execute' to 'office1.clock/office1.clock'"),
+        (lambda data: ring_alarm(data, "fog1"),
+         "no device at 'office1.alarm' for actions from 'fog1/office1.execute'"),
+        (lambda data: ring_alarm(data, None),
+         "no device at 'office1.alarm' for actions from 'fog1/office1.execute'"),
+    ], ids=["unreachable", "on-fog", "unhosted"])
+    def test_an_unresolvable_channel_fails_the_build(self, mutate, message):
+        data = bundled("1office")
+        mutate(data)
+        traces: list[EventTrace] = []
+
+        def sink(header: dict) -> EventTrace:
+            traces.append(EventTrace(header))
+            return traces[-1]
+
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            Runtime(parse_scenario(data), seed=0, check=False, sink=sink)
+        assert [trace.events for trace in traces] == [[]]

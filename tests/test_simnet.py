@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogloop import simnet
+from fogloop.errors import ConfigError
 from fogloop.runtime import run_scenario
 from fogloop.scenario import parse_scenario, validate_scenario, with_offering
 from fogloop.simnet import (
@@ -23,7 +24,6 @@ from fogloop.simnet import (
     EventTrace,
     Link,
     Node,
-    NoRouteError,
     PastEventError,
     Simulator,
     Tier,
@@ -81,9 +81,8 @@ def test_past_event_is_rejected():
 def test_device_to_fog_delivery_takes_link_latency():
     sim = Simulator(three_tier(), seed=0)
     inbox = sink(sim, Address("fog1", "monitor"))
-    sim.schedule(1000, lambda: sim.send(
-        "sense", Address("lamp1", "lamp1"), Address("fog1", "monitor"), payload="on"
-    ))
+    channel = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
+    sim.schedule(1000, lambda: sim.send("sense", channel, payload="on"))
     sim.run_until(2000)
     assert [t for t, _ in inbox] == [1001]
     assert inbox[0][1].path == ("lamp1", "fog1")
@@ -92,7 +91,7 @@ def test_device_to_fog_delivery_takes_link_latency():
 def test_fog_to_cloud_delivery_takes_default_latency():
     sim = Simulator(three_tier(), seed=0)
     inbox = sink(sim, Address("cloud", "knowledge"))
-    sim.send("inter", Address("fog1", "monitor"), Address("cloud", "knowledge"))
+    sim.send("inter", sim.channel(Address("fog1", "monitor"), Address("cloud", "knowledge")))
     sim.run_until(100)
     assert [t for t, _ in inbox] == [50]
 
@@ -100,22 +99,42 @@ def test_fog_to_cloud_delivery_takes_default_latency():
 def test_same_node_delivery_is_immediate():
     sim = Simulator(three_tier(), seed=0)
     inbox = sink(sim, Address("fog1", "analyze"))
-    sim.schedule(7, lambda: sim.send(
-        "inter", Address("fog1", "monitor"), Address("fog1", "analyze")
-    ))
+    channel = sim.channel(Address("fog1", "monitor"), Address("fog1", "analyze"))
+    sim.schedule(7, lambda: sim.send("inter", channel))
     sim.run_until(7)
     assert [t for t, _ in inbox] == [7]
 
 
 def test_send_to_unlinked_node_raises():
+    """A channel to a node no link path reaches is refused when it is built."""
     topo = Topology(
         nodes=(Node("a", Tier.DEVICE), Node("b", Tier.FOG), Node("cloud", Tier.CLOUD),
                Node("island", Tier.FOG)),
         links=(Link("a", "b", 1), Link("b", "cloud", 50)),
     )
     sim = Simulator(topo, seed=0)
-    with pytest.raises(NoRouteError):
-        sim.send("sense", Address("a", "a"), Address("island", "monitor"))
+    sink(sim, Address("island", "monitor"))
+    with pytest.raises(ConfigError, match="^no route from 'a/a' to 'island/monitor'$"):
+        sim.channel(Address("a", "a"), Address("island", "monitor"))
+
+
+def test_channel_to_an_unregistered_address_raises():
+    sim = Simulator(three_tier(), seed=0)
+    sink(sim, Address("fog1", "monitor"))
+    with pytest.raises(ConfigError,
+                       match="^no handler at 'fog1/analyze' for messages from 'lamp1/lamp1'$"):
+        sim.channel(Address("lamp1", "lamp1"), Address("fog1", "analyze"))
+
+
+def test_channel_takes_the_handler_registered_last():
+    sim = Simulator(three_tier(), seed=0)
+    sink(sim, Address("fog1", "monitor"))
+    inbox = sink(sim, Address("fog1", "monitor"))
+    channel = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
+    assert (channel.path, channel.latency, channel.jitters) == (("lamp1", "fog1"), 1, ())
+    sim.send("sense", channel)
+    sim.run_until(10)
+    assert [t for t, _ in inbox] == [1]
 
 
 def test_empty_run_leaves_clock_at_zero():
@@ -283,13 +302,11 @@ def scripted_run(seed: int) -> str:
     sim = Simulator(three_tier(), seed=seed, config_digest="abc123")
     sink(sim, Address("fog1", "monitor"))
     sink(sim, Address("cloud", "knowledge"))
+    sense = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
+    inter = sim.channel(Address("fog1", "monitor"), Address("cloud", "knowledge"))
     for t in range(0, 50, 10):
-        sim.schedule(t, lambda: sim.send(
-            "sense", Address("lamp1", "lamp1"), Address("fog1", "monitor")
-        ))
-    sim.schedule(25, lambda: sim.send(
-        "inter", Address("fog1", "monitor"), Address("cloud", "knowledge")
-    ))
+        sim.schedule(t, lambda: sim.send("sense", sense))
+    sim.schedule(25, lambda: sim.send("inter", inter))
     return sim.run_until(1_000).to_jsonl()
 
 
@@ -300,10 +317,9 @@ def test_same_seed_gives_byte_identical_traces():
 def test_trace_times_never_decrease():
     sim = Simulator(three_tier(), seed=1)
     sink(sim, Address("cloud", "knowledge"))
+    channel = sim.channel(Address("fog1", "monitor"), Address("cloud", "knowledge"))
     for t in (30, 10, 20, 10):
-        sim.schedule(t, lambda: sim.send(
-            "inter", Address("fog1", "monitor"), Address("cloud", "knowledge")
-        ))
+        sim.schedule(t, lambda: sim.send("inter", channel))
     trace = sim.run_until(500)
     times = [json.loads(line)["t"] for line in trace.to_jsonl().splitlines()[1:]]
     assert len(times) == len(trace.events) == 8
@@ -313,10 +329,9 @@ def test_trace_times_never_decrease():
 def test_every_send_has_exactly_one_delivery():
     sim = Simulator(three_tier(), seed=9)
     sink(sim, Address("fog1", "monitor"))
+    channel = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
     for t in range(0, 100, 7):
-        sim.schedule(t, lambda: sim.send(
-            "sense", Address("lamp1", "lamp1"), Address("fog1", "monitor")
-        ))
+        sim.schedule(t, lambda: sim.send("sense", channel))
     trace = sim.run_until(10_000)
     sent = sorted(e["detail"]["id"] for e in trace.of_kind("send"))
     delivered = sorted(e["detail"]["id"] for e in trace.of_kind("deliver"))
@@ -416,8 +431,9 @@ def test_jitter_stays_within_bounds_and_is_causal(seed: int, jitter: int):
     )
     sim = Simulator(topo, seed=seed)
     inbox = sink(sim, Address("f", "monitor"))
+    channel = sim.channel(Address("d", "d"), Address("f", "monitor"))
     for t in range(0, 200, 20):
-        sim.schedule(t, lambda: sim.send("sense", Address("d", "d"), Address("f", "monitor")))
+        sim.schedule(t, lambda: sim.send("sense", channel))
     sim.run_until(10_000)
     assert len(inbox) == 10
     for delivered, msg in inbox:
