@@ -11,12 +11,12 @@ decided, and each decided action executes exactly once at its owner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
-from fogloop.errors import ConfigError, FogloopError
+from fogloop.errors import FogloopError
 from fogloop.mape import AdaptationPlan, Observation
 from fogloop.model import ValueType
 
@@ -41,10 +41,6 @@ class Combinator(str, Enum):
 
 class OrphanActionError(FogloopError):
     """A delegated action targets a service outside every slave scope."""
-
-
-class IncompleteRoundError(FogloopError):
-    """A round was decided before every member proposed or abstained."""
 
 
 class AggregationOverflowError(FogloopError):
@@ -175,36 +171,10 @@ def delegate(
     }
 
 
-@dataclass
-class CoordinationRound:
-    """One peer-coordination exchange, advanced by message delivery."""
-
-    round_id: str
-    component: str
-    proposals: dict[str, Any] = field(default_factory=dict)
-    decided_by: str | None = None
-    decided: Any | None = None
-    acked: set[str] = field(default_factory=set)
-
-
-def decide_round(
-    round_id: str,
-    group: Iterable[str],
-    component: str,
-    proposals: Mapping[str, Any],
-) -> CoordinationRound:
-    """Leader rule: lowest-id member leads; the lowest-id non-abstaining
-    proposal wins. All-abstain rounds decide a no-op (None)."""
-    members = sorted(group)
-    if len(members) < 2:
-        raise ConfigError(f"round '{round_id}': group must have at least two members")
-    missing = [m for m in members if m not in proposals]
-    if missing:
-        raise IncompleteRoundError(f"round '{round_id}': missing proposals from {missing}")
-    rnd = CoordinationRound(round_id, component, proposals=dict(proposals))
-    for member in members:
+def decide_round(proposals: Mapping[str, Any]) -> tuple[str | None, Any]:
+    """Leader rule: the lowest-id non-abstaining proposal wins, as
+    `(member, item)`. All-abstain rounds decide a no-op, `(None, None)`."""
+    for member in sorted(proposals):
         if proposals[member] is not None:
-            rnd.decided_by = member
-            rnd.decided = proposals[member]
-            break
-    return rnd
+            return member, proposals[member]
+    return None, None

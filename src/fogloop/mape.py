@@ -160,6 +160,8 @@ class AdaptationPlan:
     plan_id: str
     symptom: Symptom
     actions: tuple[PlannedAction, ...]
+    # The peer round that decided this sub-plan, if any.
+    round: str | None = None
 
 
 def _snapshot(policy: Policy, kb: KnowledgeBase, now: int) -> tuple[Observation, ...]:

@@ -22,13 +22,26 @@ class RunMetrics:
     sends: dict[str, int] = field(default_factory=dict)
     deliveries: dict[str, int] = field(default_factory=dict)
     hops: dict[str, int] = field(default_factory=dict)
-    latency_count: int = 0
     latency_sum: int = 0
     latency_max: int = 0
-    symptoms: int = 0
-    plans: int = 0
-    dispatches: int = 0
     energy_mj: dict[str, int] = field(default_factory=dict)
+
+    # Each actuation row carries one latency.
+    @property
+    def latency_count(self) -> int:
+        return self.event_counts.get("actuate-applied", 0)
+
+    @property
+    def symptoms(self) -> int:
+        return self.event_counts.get("symptom", 0)
+
+    @property
+    def plans(self) -> int:
+        return self.event_counts.get("plan", 0)
+
+    @property
+    def dispatches(self) -> int:
+        return self.event_counts.get("dispatch", 0)
 
     @property
     def fog_to_cloud(self) -> int:
@@ -126,15 +139,8 @@ class MetricsFold:
         counts[kind] = counts.get(kind, 0) + 1
         if kind == "actuate-applied":
             latency = detail["latency"]
-            metrics.latency_count += 1
             metrics.latency_sum += latency
             metrics.latency_max = max(metrics.latency_max, latency)
-        elif kind == "symptom":
-            metrics.symptoms += 1
-        elif kind == "plan":
-            metrics.plans += 1
-        elif kind == "dispatch":
-            metrics.dispatches += 1
 
 
 def compute_metrics(result: RunResult) -> RunMetrics:

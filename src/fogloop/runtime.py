@@ -12,14 +12,11 @@ reads or changes it, so energy accounting is exact.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
 from typing import Any
 
 from fogloop.coordination import (
-    COORDINATED_COMPONENTS,
-    CoordinationRound,
     DecentralizedControl,
     ForwardingFilter,
     InteractionKind,
@@ -143,11 +140,34 @@ class DeviceActor:
                 sim.send(SENSE, self.to_monitor, obs)
 
 
+@dataclass
+class PeerRounds:
+    """A group loop's side of the rounds of one coordinated component.
+
+    Every member keeps its channels to the members (itself included) and
+    the items that wait for a round. The leader also runs the rounds, one
+    at a time: it decides once every member has proposed and closes once
+    every member has acknowledged.
+    """
+
+    to_members: dict[str, Channel]
+    to_leader: Channel
+    pending: deque = field(default_factory=deque)
+    # Leader only: rounds opened so far, and the id of the open one.
+    seq: int = 0
+    open: str | None = None
+    proposals: dict[str, Any] = field(default_factory=dict)
+    acks: int = 0
+    requested: bool = False
+
+
 class LoopActor:
     """One MAPE-K loop: five addressed components sharing a knowledge base.
 
     Analyze and knowledge must share a node; the other components may sit
-    anywhere placement puts them, with all hand-offs sent as messages.
+    anywhere placement puts them, with all hand-offs sent as messages. A
+    loop in a decentralized group holds `PeerRounds` for each component it
+    coordinates.
     """
 
     def __init__(self, runtime: Runtime, spec: LoopSpec):
@@ -184,18 +204,6 @@ class LoopActor:
                 for loop_id, svc, parameter in agg.inputs:
                     if loop_id == spec.id:
                         self.forward_keys.add((svc, parameter))
-
-        self.in_group = (
-            isinstance(runtime.control, DecentralizedControl)
-            and spec.id in runtime.control.group
-        )
-        self.pending: dict[str, deque] = {c: deque() for c in COORDINATED_COMPONENTS}
-        self.round_seq: dict[str, Any] = {c: count(1) for c in COORDINATED_COMPONENTS}
-        self.active_round: dict[str, CoordinationRound | None] = dict.fromkeys(
-            COORDINATED_COMPONENTS
-        )
-        self.round_requested: dict[str, bool] = dict.fromkeys(COORDINATED_COMPONENTS, False)
-        self._round_ctx: str | None = None
 
     def connect(self) -> None:
         """Build every channel the loop sends on. Channels take their
@@ -234,14 +242,15 @@ class LoopActor:
                         f"no device at '{service}' for actions from '{addr['execute']}'"
                     )
                 self.to_devices[service] = channel(addr["execute"], device.addr)
-        self.to_peers = {
-            component: {
-                member: channel(addr[component], runtime.loops[member].addr[component])
-                for member in runtime.group
-            }
-            for component in COORDINATED_COMPONENTS
-            if self.in_group and component in runtime.coordinate
-        }
+        self.rounds: dict[str, PeerRounds] = {}
+        if self.spec.id in runtime.group:
+            for component in runtime.control.coordinate:
+                to_members = {
+                    member: channel(addr[component], runtime.loops[member].addr[component])
+                    for member in runtime.group
+                }
+                self.rounds[component] = PeerRounds(to_members,
+                                                    to_members[runtime.group[0]])
 
     # --- monitor ---------------------------------------------------------
 
@@ -297,9 +306,8 @@ class LoopActor:
                 policy=symptom.policy,
                 base_ts=symptom.base_ts,
             )
-            if self.in_group and "analyze" in self.runtime.coordinate:
-                self.pending["analyze"].append(symptom)
-                self._request_round("analyze")
+            if "analyze" in self.rounds:
+                self._queue("analyze", symptom)
             else:
                 sim.send(PIPELINE, self.to_plan, symptom)
 
@@ -360,9 +368,8 @@ class LoopActor:
             return
         if self.is_master:
             self._delegate(plan)
-        elif self.in_group and "execute" in self.runtime.coordinate:
-            self.pending["execute"].append(plan)
-            self._request_round("execute")
+        elif "execute" in self.rounds:
+            self._queue("execute", plan)
         else:
             self.executor.execute(plan, self.runtime.sim.now)
 
@@ -382,7 +389,6 @@ class LoopActor:
     def _transport(self, plan: AdaptationPlan, idx: int, action: PlannedAction,
                    at: int) -> None:
         sim = self.runtime.sim
-        round_id = self._round_ctx
 
         def fire() -> None:
             detail = {
@@ -393,8 +399,8 @@ class LoopActor:
                 "command": action.command,
                 "arg": action.argument,
             }
-            if round_id is not None:
-                detail["round"] = round_id
+            if plan.round is not None:
+                detail["round"] = plan.round
             sim.emit("dispatch", self.addr["execute"], **detail)
             payload = {
                 "action": action,
@@ -413,121 +419,90 @@ class LoopActor:
 
     # --- peer coordination --------------------------------------------------
 
-    def _send_round(self, component: str, to_loop: str, payload: dict) -> None:
-        self.runtime.sim.send(
-            COORDINATION,
-            self.to_peers[component][to_loop],
-            {"component": component, **payload},
-        )
-
-    def _request_round(self, component: str) -> None:
-        self._send_round(component, self.runtime.group_leader, {"type": "request"})
+    def _queue(self, component: str, item: Any) -> None:
+        state = self.rounds[component]
+        state.pending.append(item)
+        self.runtime.sim.send(COORDINATION, state.to_leader, {"type": "request"})
 
     def _on_round(self, component: str, pay: dict) -> None:
+        sim = self.runtime.sim
+        state = self.rounds[component]
         kind = pay["type"]
         if kind == "request":
-            if self.active_round[component] is None:
-                self._open_round(component)
+            if state.open is None:
+                self._open_round(component, state)
             else:
-                self.round_requested[component] = True
+                state.requested = True
         elif kind == "call":
-            queue = self.pending[component]
-            item = queue[0] if queue else None
-            self._send_round(
-                component,
-                self.runtime.group_leader,
-                {"type": "propose", "round": pay["round"],
-                 "from": self.spec.id, "item": item},
-            )
+            item = state.pending[0] if state.pending else None
+            sim.send(COORDINATION, state.to_leader,
+                     {"type": "propose", "round": pay["round"],
+                      "from": self.spec.id, "item": item})
         elif kind == "propose":
-            self._on_propose(component, pay)
+            state.proposals[pay["from"]] = pay["item"]
+            if len(state.proposals) == len(state.to_members):
+                self._decide(component, state)
         elif kind == "decide":
-            self._on_decide(component, pay)
+            self._on_decide(component, state, pay)
         elif kind == "ack":
-            self._on_ack(component, pay)
+            state.acks += 1
+            if state.acks < len(state.to_members):
+                return
+            sim.emit("round-close", self.addr[component], round=state.open,
+                     component=component)
+            state.open = None
+            if state.requested:
+                state.requested = False
+                self._open_round(component, state)
 
-    def _open_round(self, component: str) -> None:
+    def _open_round(self, component: str, state: PeerRounds) -> None:
         sim = self.runtime.sim
-        round_id = f"{self.spec.id}.{component}-r{next(self.round_seq[component])}"
-        self.active_round[component] = CoordinationRound(round_id, component)
+        state.seq += 1
+        state.open = f"{self.spec.id}.{component}-r{state.seq}"
+        state.proposals, state.acks = {}, 0
         sim.emit(
             "round-open",
             self.addr[component],
-            round=round_id,
+            round=state.open,
             component=component,
             leader=self.spec.id,
         )
-        for member in self.runtime.group:
-            self._send_round(component, member, {"type": "call", "round": round_id})
+        for to_member in state.to_members.values():
+            sim.send(COORDINATION, to_member, {"type": "call", "round": state.open})
 
-    def _on_propose(self, component: str, pay: dict) -> None:
-        rnd = self.active_round[component]
-        rnd.proposals[pay["from"]] = pay["item"]
-        if len(rnd.proposals) < len(self.runtime.group):
-            return
-        # No ack can arrive before the decide messages go out, so the decided
-        # round replaces the live one with nothing lost.
-        rnd = self.active_round[component] = decide_round(
-            rnd.round_id, self.runtime.group, component, rnd.proposals
-        )
-        self.runtime.sim.emit(
+    def _decide(self, component: str, state: PeerRounds) -> None:
+        sim = self.runtime.sim
+        winner, item = decide_round(state.proposals)
+        sim.emit(
             "round-decide",
             self.addr[component],
-            round=rnd.round_id,
+            round=state.open,
             component=component,
-            winner=rnd.decided_by,
+            winner=winner,
         )
-        for member in self.runtime.group:
-            self._send_round(
-                component,
-                member,
-                {"type": "decide", "round": rnd.round_id,
-                 "by": rnd.decided_by, "item": rnd.decided},
-            )
+        for to_member in state.to_members.values():
+            sim.send(COORDINATION, to_member,
+                     {"type": "decide", "round": state.open, "by": winner, "item": item})
 
-    def _on_decide(self, component: str, pay: dict) -> None:
+    def _on_decide(self, component: str, state: PeerRounds, pay: dict) -> None:
         sim = self.runtime.sim
-        if pay["by"] == self.spec.id and self.pending[component]:
-            self.pending[component].popleft()
+        mine = pay["by"] == self.spec.id
+        if mine and state.pending:
+            state.pending.popleft()
         item = pay["item"]
         if item is not None:
             if component == "analyze":
-                if pay["by"] == self.spec.id:
+                if mine:
                     sim.send(PIPELINE, self.to_plan, item)
             else:
                 owned = tuple(a for a in item.actions if a.service in self.scope)
                 if owned:
-                    sub = AdaptationPlan(
-                        f"{item.plan_id}@{self.spec.id}", item.symptom, owned
-                    )
-                    self._round_ctx = pay["round"]
-                    try:
-                        self.executor.execute(sub, sim.now)
-                    finally:
-                        self._round_ctx = None
-        self._send_round(
-            component,
-            self.runtime.group_leader,
-            {"type": "ack", "round": pay["round"], "from": self.spec.id},
-        )
-        if self.pending[component]:
-            self._request_round(component)
-
-    def _on_ack(self, component: str, pay: dict) -> None:
-        rnd = self.active_round[component]
-        rnd.acked.add(pay["from"])
-        if len(rnd.acked) < len(self.runtime.group):
-            return
-        self.runtime.sim.emit(
-            "round-close",
-            self.addr[component],
-            round=rnd.round_id,
-            component=component,
-        )
-        self.active_round[component] = None
-        if self.round_requested[component]:
-            self.round_requested[component] = False
-            self._open_round(component)
+                    sub = AdaptationPlan(f"{item.plan_id}@{self.spec.id}", item.symptom,
+                                         owned, round=pay["round"])
+                    self.executor.execute(sub, sim.now)
+        sim.send(COORDINATION, state.to_leader, {"type": "ack", "round": pay["round"]})
+        if state.pending:
+            sim.send(COORDINATION, state.to_leader, {"type": "request"})
 
 
 class Runtime:
@@ -563,14 +538,9 @@ class Runtime:
         control = scenario.control
         self.control = control
         self.master_id = scenario.master_id
-        if isinstance(control, DecentralizedControl):
-            self.group = tuple(sorted(control.group))
-            self.group_leader = self.group[0]
-            self.coordinate = set(control.coordinate)
-        else:
-            self.group = ()
-            self.group_leader = ""
-            self.coordinate = set()
+        # The lowest id leads every round.
+        self.group = (tuple(sorted(control.group))
+                      if isinstance(control, DecentralizedControl) else ())
 
         owner_of: dict[str, str] = {}
         for loop in scenario.managing_loops:

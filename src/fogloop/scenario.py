@@ -678,14 +678,32 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         group = scenario.control.group
         if len(group) < 2:
             report.add("control.group", "group must have at least two loops")
+        members: set[str] = set()
         for loop_id in group:
-            if scenario.loop(loop_id) is None:
+            # A round waits for one proposal per listed member.
+            if loop_id in members:
+                report.add("control.group", f"duplicate loop '{loop_id}'")
+            elif scenario.loop(loop_id) is None:
                 report.add("control.group", f"unknown loop '{loop_id}'")
+            members.add(loop_id)
         for component in scenario.control.coordinate:
             if component not in COORDINATED_COMPONENTS:
                 report.add("control.coordinate",
                            f"cannot coordinate '{component}': only "
                            f"{' and '.join(COORDINATED_COMPONENTS)} hold rounds")
+        if "execute" in scenario.control.coordinate:
+            # Each member runs the decided actions on its own scope, so some
+            # member must own each action's target.
+            for loop in scenario.loops:
+                if loop.id not in members:
+                    continue
+                for policy in loop.policies:
+                    for action in policy.then:
+                        if owned.get(action.service) not in members:
+                            report.add("control.coordinate",
+                                       f"policy '{policy.name}' of loop '{loop.id}' acts "
+                                       f"on '{action.service}', which no group member's "
+                                       f"scope holds")
 
     _validate_environment(scenario, report)
 

@@ -12,15 +12,12 @@ from fogloop.coordination import (
     AggregationOverflowError,
     AggregationSpec,
     Combinator,
-    CoordinationRound,
     ForwardingFilter,
-    IncompleteRoundError,
     OrphanActionError,
     aggregate,
     decide_round,
     delegate,
 )
-from fogloop.errors import ConfigError
 from fogloop.mape import (
     AdaptationPlan,
     Observation,
@@ -218,38 +215,16 @@ def test_delegation_conserves_actions(targets):
 
 def test_identical_proposals_decide_once():
     lamp_off = ("office1.lamp", "set-power", False)
-    rnd = decide_round("r1", ["office1", "office2"], "execute",
-                       {"office1": lamp_off, "office2": lamp_off})
-    assert isinstance(rnd, CoordinationRound)
-    assert rnd.decided == lamp_off
-    assert rnd.decided_by == "office1"
+    assert decide_round({"office1": lamp_off, "office2": lamp_off}) == ("office1", lamp_off)
 
 
 def test_all_abstain_decides_noop():
-    rnd = decide_round("r2", ["office1", "office2"], "execute",
-                       {"office1": None, "office2": None})
-    assert rnd.decided is None
-    assert rnd.decided_by is None
+    assert decide_round({"office1": None, "office2": None}) == (None, None)
 
 
 def test_conflicts_resolve_to_lowest_id():
-    rnd = decide_round("r3", ["5", "2"], "analyze", {"5": "theirs", "2": "mine"})
-    assert rnd.decided == "mine"
-    assert rnd.decided_by == "2"
+    assert decide_round({"5": "theirs", "2": "mine"}) == ("2", "mine")
 
 
 def test_lowest_id_abstainer_is_skipped():
-    rnd = decide_round("r4", ["a", "b", "c"], "execute",
-                       {"a": None, "b": "plan-b", "c": "plan-c"})
-    assert rnd.decided == "plan-b"
-    assert rnd.decided_by == "b"
-
-
-def test_round_needs_every_member():
-    with pytest.raises(IncompleteRoundError):
-        decide_round("r5", ["a", "b"], "execute", {"a": "x"})
-
-
-def test_round_needs_two_members():
-    with pytest.raises(ConfigError):
-        decide_round("r6", ["a"], "execute", {"a": "x"})
+    assert decide_round({"a": None, "b": "plan-b", "c": "plan-c"}) == ("b", "plan-b")

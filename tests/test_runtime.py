@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,6 +183,31 @@ class TestDeterminism:
         first = run_scenario(parse_scenario(data), seed=42, horizon=20_000)
         second = run_scenario(parse_scenario(data), seed=42, horizon=20_000)
         assert first.trace.to_jsonl() == second.trace.to_jsonl()
+
+    def test_trace_does_not_depend_on_the_hash_seed(self):
+        # Set and dict order of strings changes with PYTHONHASHSEED, so two
+        # interpreters with different seeds must still agree on every row.
+        probe = (
+            "import hashlib, sys\n"
+            "from fogloop.runtime import run_scenario\n"
+            "from fogloop.scenario import load_scenario\n"
+            "result = run_scenario(load_scenario(sys.argv[1]), 42, 120_000)\n"
+            "print(hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest(),\n"
+            "      len(result.trace.of_kind('round-decide')))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = str(SCENARIOS / "smart_building_3office_decentralized.json")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", probe, path], capture_output=True, text=True,
+                check=True, timeout=120,
+                env=dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                         PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+            ).stdout.split()
+            for hash_seed in (0, 1)
+        ]
+        assert outputs[0] == outputs[1]
+        assert int(outputs[0][1]) > 0
 
     def test_jitter_draws_depend_only_on_the_seed(self):
         data = quiet_one_office()

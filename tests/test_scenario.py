@@ -535,6 +535,35 @@ class TestValidation:
         report = validate_scenario(parse_scenario(data))
         assert any("at least two loops" in line for line in report.lines())
 
+    def test_decentralized_group_lists_each_loop_once(self):
+        # A round waits for a proposal from each listed member, so a listed
+        # twice loop would leave every round one proposal short.
+        data = scenario_dict(3, "decentralized")
+        data["control"]["group"] = ["office1", "office1"]
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == ["control.group: duplicate loop 'office1'"]
+
+    @pytest.mark.parametrize("coordinate, ok", [
+        (["analyze", "execute"], False), (["execute"], False), (["analyze"], True),
+    ])
+    def test_coordinated_action_needs_a_member_owner(self, coordinate, ok):
+        # With execute coordinated, each member runs only the decided actions
+        # on its own scope: an action on a target no member holds would
+        # dispatch nowhere. Office2's own lamp rules lose their owner too.
+        data = scenario_dict(2, "decentralized")
+        data["control"]["coordinate"] = coordinate
+        office2 = next(loop for loop in data["loops"] if loop["id"] == "office2")
+        office2["scope"].remove("office2.lamp")
+        arm = next(p for p in data["policies"] if p["name"] == "office1-arm-clock")
+        arm["then"].append({"service": "office2.lamp", "command": "set-power", "arg": False})
+        report = validate_scenario(parse_scenario(data))
+        offenders = [("office1-arm-clock", "office1"), ("office2-lights-off-sunny", "office2"),
+                     ("office2-lights-off-after-lock", "office2")]
+        assert report.lines() == ([] if ok else [
+            f"control.coordinate: policy '{policy}' of loop '{loop}' acts on "
+            "'office2.lamp', which no group member's scope holds"
+            for policy, loop in offenders])
+
     @pytest.mark.parametrize("component, ok", [
         ("analyze", True), ("execute", True),
         ("monitor", False), ("plan", False), ("bogus", False),
