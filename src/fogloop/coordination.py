@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from fogloop.errors import FogloopError
 from fogloop.mape import AdaptationPlan, Observation
@@ -37,10 +37,6 @@ class Combinator(str, Enum):
     MAX = "max"
     MIN = "min"
     VECTOR = "vector"
-
-
-class OrphanActionError(FogloopError):
-    """A delegated action targets a service outside every slave scope."""
 
 
 class AggregationOverflowError(FogloopError):
@@ -73,12 +69,6 @@ ControlMode = CentralizedControl | DecentralizedControl
 
 # The loop components that can hold peer rounds.
 COORDINATED_COMPONENTS = ("analyze", "execute")
-
-
-def _to_output(value: Fraction, output_type: ValueType) -> int | float:
-    if output_type is ValueType.INTEGER:
-        return round(value)
-    return float(value)
 
 
 def aggregate(
@@ -120,12 +110,17 @@ def aggregate(
         total = sum(scaled)
         if combinator is Combinator.MEAN:
             count = len(scaled)
-    try:
-        value = _to_output(Fraction(total, count << 1074), spec.output_type)
-    except OverflowError:
-        raise AggregationOverflowError(
-            f"aggregation '{spec.name}' at t={now} ms: its {combinator.value} "
-            f"is beyond the float range") from None
+    if spec.output_type is ValueType.INTEGER:
+        # Round half to even on the exact quotient.
+        value = round(Fraction(total, count << 1074))
+    else:
+        try:
+            # Integer true division is correctly rounded.
+            value = total / (count << 1074)
+        except OverflowError:
+            raise AggregationOverflowError(
+                f"aggregation '{spec.name}' at t={now} ms: its {combinator.value} "
+                f"is beyond the float range") from None
     return Observation(service, spec.output, value, now)
 
 
@@ -144,30 +139,21 @@ class ForwardingFilter:
         return True
 
 
-def delegate(
-    plan: AdaptationPlan, scopes: Mapping[str, Iterable[str]]
-) -> dict[str, AdaptationPlan]:
-    """Partition a master plan into per-slave sub-plans by target ownership.
+def delegate(plan: AdaptationPlan, owners: Mapping[str, str]) -> dict[str, AdaptationPlan]:
+    """Partition a master plan into per-slave sub-plans by the owner of each
+    target, as `Scenario.owners` maps them; an unowned target is a KeyError.
 
     Sub-plans preserve the master plan's action order; their union is exactly
-    the master's action multiset. Iteration order follows `scopes`.
+    the master's action multiset. They follow the order in which their loops
+    first appear in `owners`.
     """
-    owners: dict[str, str] = {}
-    for loop_id, scope in scopes.items():
-        for svc in scope:
-            owners[svc] = loop_id
-    split: dict[str, list] = {loop_id: [] for loop_id in scopes}
+    split: dict[str, list] = {}
     for action in plan.actions:
-        owner = owners.get(action.service)
-        if owner is None:
-            raise OrphanActionError(
-                f"plan '{plan.plan_id}': no slave scope owns '{action.service}'"
-            )
-        split[owner].append(action)
+        split.setdefault(owners[action.service], []).append(action)
     return {
-        loop_id: AdaptationPlan(f"{plan.plan_id}.{loop_id}", plan.symptom, tuple(actions))
-        for loop_id, actions in split.items()
-        if actions
+        loop_id: AdaptationPlan(f"{plan.plan_id}.{loop_id}", plan.symptom, tuple(split[loop_id]))
+        for loop_id in dict.fromkeys(owners.values())
+        if loop_id in split
     }
 
 

@@ -173,7 +173,6 @@ class LoopActor:
     def __init__(self, runtime: Runtime, spec: LoopSpec):
         self.runtime = runtime
         self.spec = spec
-        self.scope = set(spec.scope)
         self.kb = KnowledgeBase()
         self.index = PolicyIndex(spec.policies)
         self.last_raised: dict[str, int] = {}
@@ -218,22 +217,26 @@ class LoopActor:
         if self.forward_keys:
             master = runtime.loops[runtime.master_id]
             self.to_master = channel(addr["monitor"], master.addr["knowledge"])
+        owners = runtime.owners
+        targets = [action.service for policy in self.spec.policies for action in policy.then]
         if self.is_master:
-            slaves = runtime.scenario.managing_loops
-            self.slave_scopes = {loop.id: loop.scope for loop in slaves}
-            self.to_slaves = {
-                loop.id: channel(addr["execute"], runtime.loops[loop.id].addr["execute"])
-                for loop in slaves
-            }
+            # Master plans are split among the slaves that own their targets.
+            self.to_slaves = {}
+            for service in targets:
+                owner = owners.get(service, self.spec.id)
+                if owner == self.spec.id:
+                    raise ConfigError(
+                        f"no slave owns '{service}' for actions from '{addr['execute']}'"
+                    )
+                self.to_slaves[owner] = channel(addr["execute"],
+                                                runtime.loops[owner].addr["execute"])
         else:
             # The loop executes its own plans, sub-plans delegated to it and
             # decided round items: any action of its own policies, and any
-            # action on its scope.
-            targets = [action.service for policy in self.spec.policies
-                       for action in policy.then]
+            # action on a service it owns.
             targets += [action.service for loop in runtime.scenario.loops
                         for policy in loop.policies for action in policy.then
-                        if action.service in self.scope]
+                        if owners.get(action.service) == self.spec.id]
             self.to_devices = {}
             for service in dict.fromkeys(targets):
                 device = runtime.devices.get(service)
@@ -375,7 +378,7 @@ class LoopActor:
 
     def _delegate(self, plan: AdaptationPlan) -> None:
         sim = self.runtime.sim
-        for loop_id, sub in delegate(plan, self.slave_scopes).items():
+        for loop_id, sub in delegate(plan, self.runtime.owners).items():
             sim.emit(
                 "delegate",
                 self.addr["execute"],
@@ -495,7 +498,8 @@ class LoopActor:
                 if mine:
                     sim.send(PIPELINE, self.to_plan, item)
             else:
-                owned = tuple(a for a in item.actions if a.service in self.scope)
+                owners = self.runtime.owners
+                owned = tuple(a for a in item.actions if owners.get(a.service) == self.spec.id)
                 if owned:
                     sub = AdaptationPlan(f"{item.plan_id}@{self.spec.id}", item.symptom,
                                          owned, round=pay["round"])
@@ -515,8 +519,9 @@ class Runtime:
     does before each of its runs.
 
     The build resolves every channel the run can send on. A pair with no
-    route, no handler or no device to act on is a `ConfigError` from the
-    build, checked or not, raised before the first row.
+    route, no handler or no device to act on, and a master action on a
+    service no slave owns, is a `ConfigError` from the build, checked or
+    not, raised before the first row.
     """
 
     def __init__(self, scenario: Scenario, seed: int, check: bool = True,
@@ -542,15 +547,7 @@ class Runtime:
         self.group = (tuple(sorted(control.group))
                       if isinstance(control, DecentralizedControl) else ())
 
-        owner_of: dict[str, str] = {}
-        for loop in scenario.managing_loops:
-            for svc in loop.scope:
-                owner_of[svc] = loop.id
-        if self.master_id is not None:
-            master = scenario.loop(self.master_id)
-            for svc in master.scope:
-                owner_of.setdefault(svc, master.id)
-
+        self.owners = scenario.owners
         self.loops: dict[str, LoopActor] = {
             spec.id: LoopActor(self, spec) for spec in scenario.loops
         }
@@ -575,7 +572,7 @@ class Runtime:
             else:
                 office = None
                 device = Device(setup.service, setup.kind, initial=setup.initial)
-            owner = self.loops.get(owner_of.get(setup.service, ""))
+            owner = self.loops.get(self.owners.get(setup.service))
             actor = DeviceActor(self, device, office, owner)
             self.devices[setup.service] = actor
         # Every handler is registered: resolve the loops' channels, before

@@ -117,6 +117,18 @@ class Scenario:
         """Loops that directly manage devices (the master manages loops)."""
         return tuple(spec for spec in self.loops if spec.id != self.master_id)
 
+    @property
+    def owners(self) -> dict[str, str]:
+        """The loop that acts on each service: the first managing loop whose
+        scope holds it, in `managing_loops` order, else the master when only
+        its scope holds it. Monitoring, delegation and rounds all read this."""
+        owners: dict[str, str] = {}
+        master = self.loop(self.master_id)
+        for spec in self.managing_loops + ((master,) if master else ()):
+            for svc in spec.scope:
+                owners.setdefault(svc, spec.id)
+        return owners
+
 
 def _expect(obj: Any, kind: type, path: str) -> Any:
     label = {dict: "object", list: "array", str: "string", int: "integer"}[kind]
@@ -582,8 +594,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     for index, policy in enumerate(scenario.policies):
         _validate_policy(policy, index, scenario, streams, actuated, report)
 
+    owners = scenario.owners
+    master = scenario.master_id
     seen_loops: set[str] = set()
-    owned: dict[str, str] = {}
     for li, loop in enumerate(scenario.loops):
         path = f"loops[{li}]"
         if loop.id in seen_loops:
@@ -591,15 +604,15 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         seen_loops.add(loop.id)
         if not loop.scope:
             report.add(path, "scope must be non-empty")
+        listed: set[str] = set()
         for svc in loop.scope:
             if svc not in physical:
                 report.add(path, f"scope service '{svc}' is not a physical device")
-        if loop.id == scenario.master_id:
-            continue
-        for svc in loop.scope:
-            if svc in owned:
-                report.add(path, f"'{svc}' already managed by loop '{owned[svc]}'")
-            owned[svc] = loop.id
+            if svc in listed:
+                report.add(path, f"'{svc}' is listed twice in the scope")
+            elif loop.id != master and owners[svc] != loop.id:
+                report.add(path, f"'{svc}' already managed by loop '{owners[svc]}'")
+            listed.add(svc)
 
     for service in sorted(physical):
         if service not in setup_for:
@@ -629,16 +642,15 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                     scenario.domain.find_service(ENVIRONMENT_SERVICE), report)
 
     if isinstance(scenario.control, CentralizedControl):
-        master = scenario.control.master
         master_loop = scenario.loop(master)
         if master_loop is None:
             report.add("control.master", f"unknown loop '{master}'")
         else:
-            # Master plans are delegated by scope, so a slave must own each
+            # Master plans are delegated to owners, so a slave must own each
             # action's target.
             for policy in master_loop.policies:
                 for action in policy.then:
-                    if action.service not in owned:
+                    if owners.get(action.service, master) == master:
                         report.add("control.master",
                                    f"policy '{policy.name}' acts on '{action.service}', "
                                    f"which no slave scope holds")
@@ -668,6 +680,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                     continue
                 if svc not in loop.scope:
                     report.add(path, f"'{svc}' is outside loop '{loop_id}' scope")
+                elif loop_id == master or owners[svc] != loop_id:
+                    report.add(path, f"only the slave that owns '{svc}' forwards it, "
+                                     f"not loop '{loop_id}'")
                 vtype = streams.get((svc, parameter))
                 if vtype is None:
                     report.add(path, f"unknown stream '{svc}.{parameter}'")
@@ -699,11 +714,28 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                     continue
                 for policy in loop.policies:
                     for action in policy.then:
-                        if owned.get(action.service) not in members:
+                        if owners.get(action.service) not in members:
                             report.add("control.coordinate",
                                        f"policy '{policy.name}' of loop '{loop.id}' acts "
                                        f"on '{action.service}', which no group member's "
                                        f"scope holds")
+
+    # A knowledge base learns the environment, the streams of the services
+    # its loop owns and, on the master, the aggregation inputs and outputs.
+    aggs = (scenario.control.aggregations
+            if isinstance(scenario.control, CentralizedControl) else ())
+    forwarded = {(svc, parameter) for agg in aggs for _, svc, parameter in agg.inputs}
+    forwarded |= {(master, agg.output) for agg in aggs}
+    for li, loop in enumerate(scenario.loops):
+        for policy in loop.policies:
+            for cond in policy.when:
+                stream = (cond.service, cond.parameter)
+                if stream in streams and cond.service != ENVIRONMENT_SERVICE \
+                        and owners.get(cond.service) != loop.id \
+                        and not (loop.id == master and stream in forwarded):
+                    report.add(f"loops[{li}]",
+                               f"policy '{policy.name}' reads '{cond.service}."
+                               f"{cond.parameter}', which loop '{loop.id}' never receives")
 
     _validate_environment(scenario, report)
 

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from fogloop.coordination import (
     AggregationSpec,
     Combinator,
-    OrphanActionError,
     aggregate,
     delegate,
 )
@@ -496,7 +495,8 @@ def test_c9_delegation_conservation():
     @given(delegation_cases())
     def check(case):
         plan, scopes, owner = case
-        subs = delegate(plan, scopes)
+        subs = delegate(plan, owner)
+        assert list(subs) == [loop_id for loop_id in scopes if loop_id in subs]
 
         def key(action):
             return (action.service, action.command, action.argument, action.delay_ms)
@@ -514,12 +514,12 @@ def test_c9_delegation_conservation():
             ]
 
     check()
-    with pytest.raises(OrphanActionError):
+    with pytest.raises(KeyError):
         delegate(
             AdaptationPlan(
                 "p", Symptom("pol", (), 0), (PlannedAction("ghost", "set-power", True),)
             ),
-            {"loop1": ("svc1",)},
+            {"svc1": "loop1"},
         )
     print(
         f"PASS C9a: delegation conserves the action multiset, ownership, and"

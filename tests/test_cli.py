@@ -9,7 +9,6 @@ import pytest
 
 from fogloop import cli
 from fogloop.cli import main
-from fogloop.coordination import OrphanActionError
 from fogloop.errors import ConfigError
 from fogloop.metrics import MetricsFold
 from fogloop.model import ValidationReport
@@ -105,7 +104,8 @@ def arm_clock_for_zero(data: dict) -> None:
 
 def light_a_lamp_no_slave_owns(data: dict) -> None:
     """The master turns office1's lamp off in the sun, but office1's scope no
-    longer holds the lamp, so no slave can take the action."""
+    longer holds the lamp, so no slave can take the action, and office1's
+    lamp rules no longer receive the lamp's samples."""
     loops = {loop["id"]: loop for loop in data["loops"]}
     loops["office1"]["scope"].remove("office1.lamp")
     data["policies"].append({
@@ -417,22 +417,27 @@ class TestRun:
 
     def test_master_action_no_slave_owns_is_a_validation_error(self, tmp_path, capsys):
         # This once validated, and its run then died when the master's rule
-        # fired with no slave to delegate the lamp to.
+        # fired with no slave to delegate the lamp to. Unchecked, the build
+        # now fails before the run starts.
         data = json.loads(Path(THREE_CENTRAL).read_text())
         light_a_lamp_no_slave_owns(data)
-        with pytest.raises(OrphanActionError):
+        with pytest.raises(ConfigError, match="^no slave owns 'office1.lamp' for actions "
+                                              "from '[^']*/building.execute'$"):
             run_scenario(parse_scenario(data), 1, 400_000, check=False)
         path = write_scenario(tmp_path, data)
-        line = ("control.master: policy 'building-lamp' acts on 'office1.lamp', "
-                "which no slave scope holds")
+        lines = ["control.master: policy 'building-lamp' acts on 'office1.lamp', "
+                 "which no slave scope holds"]
+        lines += [f"loops[0]: policy '{policy}' reads 'office1.lamp.power-state', "
+                  "which loop 'office1' never receives"
+                  for policy in ("office1-lights-off-sunny", "office1-lights-off-after-lock")]
         assert main(["validate", path]) == 1
-        assert capsys.readouterr().out.splitlines() == [line]
+        assert capsys.readouterr().out.splitlines() == lines
         code = main([
             "run", "--scenario", path, "--seed", "1",
             "--until-ms", "400000", "--out", str(tmp_path / "out"),
         ])
         assert code == 1
-        assert capsys.readouterr().out.splitlines() == [line]
+        assert capsys.readouterr().out.splitlines() == lines
         assert not (tmp_path / "out").exists()
 
     def test_exception_in_a_validated_run_exits_4_with_its_traceback(

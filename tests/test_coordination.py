@@ -13,7 +13,6 @@ from fogloop.coordination import (
     AggregationSpec,
     Combinator,
     ForwardingFilter,
-    OrphanActionError,
     aggregate,
     decide_round,
     delegate,
@@ -174,15 +173,18 @@ def master_plan(*pairs: tuple[str, str]) -> AdaptationPlan:
     return AdaptationPlan("building-p1", Symptom("policy", (), 0), actions)
 
 
-SCOPES = {
-    "office1": ("office1.heater", "office1.lamp"),
-    "office2": ("office2.heater", "office2.lamp"),
+# An ownership table as `Scenario.owners` builds it: loops in order.
+OWNERS = {
+    "office1.heater": "office1",
+    "office1.lamp": "office1",
+    "office2.heater": "office2",
+    "office2.lamp": "office2",
 }
 
 
 def test_delegate_partitions_by_owner():
     plan = master_plan(("office1.heater", "set-power"), ("office2.lamp", "set-power"))
-    subs = delegate(plan, SCOPES)
+    subs = delegate(plan, OWNERS)
     assert set(subs) == {"office1", "office2"}
     assert subs["office1"].plan_id == "building-p1.office1"
     assert [a.service for a in subs["office1"].actions] == ["office1.heater"]
@@ -191,25 +193,26 @@ def test_delegate_partitions_by_owner():
 
 def test_delegate_single_owner_keeps_whole_plan():
     plan = master_plan(("office1.heater", "set-power"), ("office1.lamp", "set-power"))
-    subs = delegate(plan, SCOPES)
+    subs = delegate(plan, OWNERS)
     assert list(subs) == ["office1"]
     assert subs["office1"].actions == plan.actions
 
 
 def test_delegate_rejects_orphan_targets():
-    with pytest.raises(OrphanActionError):
-        delegate(master_plan(("lobby.lamp", "set-power")), SCOPES)
+    with pytest.raises(KeyError):
+        delegate(master_plan(("lobby.lamp", "set-power")), OWNERS)
 
 
-@given(st.lists(st.sampled_from(sorted(SCOPES["office1"] + SCOPES["office2"])),
-                min_size=1, max_size=50))
+@given(st.lists(st.sampled_from(sorted(OWNERS)), min_size=1, max_size=50))
 def test_delegation_conserves_actions(targets):
     plan = master_plan(*[(svc, "set-power") for svc in targets])
-    subs = delegate(plan, SCOPES)
+    subs = delegate(plan, OWNERS)
     gathered = [a for sub in subs.values() for a in sub.actions]
     assert sorted(a.service for a in gathered) == sorted(targets)
+    # Sub-plans follow the table's loop order, whatever the action order.
+    assert list(subs) == [loop for loop in ("office1", "office2") if loop in subs]
     for loop_id, sub in subs.items():
-        ordered = [a for a in plan.actions if a.service in set(SCOPES[loop_id])]
+        ordered = [a for a in plan.actions if OWNERS[a.service] == loop_id]
         assert list(sub.actions) == ordered
 
 

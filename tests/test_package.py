@@ -278,3 +278,18 @@ def test_cli_opens_files_only_in_with_statements():
     assert opens
     bare = [f"line {node.lineno}" for node in opens if id(node) not in in_with]
     assert not bare, "cli.py calls open outside a with item: " + ", ".join(bare)
+
+
+# Modules that may read a loop's `.scope`: the schema, which builds the
+# ownership table `Scenario.owners` from scopes; placement, which places a
+# loop near its scope's devices; and the building generator.
+SCOPE_READERS = {"scenario.py", "placement.py", "smartbuilding.py"}
+
+
+def test_ownership_is_read_from_one_table():
+    readers = {path.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "scope"}
+    assert "scenario.py" in readers
+    assert readers <= SCOPE_READERS, (
+        f"{sorted(readers - SCOPE_READERS)} read .scope; read Scenario.owners instead")

@@ -457,6 +457,21 @@ def central_integer_sum() -> dict:
     return data
 
 
+def with_master_rule(data: dict, then: list[str], when: dict | None = None) -> dict:
+    """The master acts on every service of `then` (by default once a
+    minute, on the ambient temperature)."""
+    data["policies"].append({
+        "name": "building-rule",
+        "when": [when or {"service": "environment", "parameter": "outside-temp",
+                          "op": ">=", "value": -100}],
+        "then": [{"service": svc, "command": "set-power", "arg": False} for svc in then],
+        "cooldown_ms": 60_000,
+    })
+    next(loop for loop in data["loops"]
+         if loop["id"] == data["control"]["master"]["loop"])["policies"] = ["building-rule"]
+    return data
+
+
 def weather_and_heat_events() -> dict:
     return scenario_dict(1, events=[
         {"t": 30_000, "weather": "sunny"},
@@ -580,3 +595,98 @@ class TestChannels:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             Runtime(parse_scenario(data), seed=0, check=False, sink=sink)
         assert [trace.events for trace in traces] == [[]]
+
+    def test_a_master_action_no_slave_owns_fails_the_build(self):
+        data = with_master_rule(bundled("3office_centralized"), ["office1.lamp"])
+        data["loops"][0]["scope"].remove("office1.lamp")
+        traces: list[EventTrace] = []
+
+        def sink(header: dict) -> EventTrace:
+            traces.append(EventTrace(header))
+            return traces[-1]
+
+        message = "no slave owns 'office1.lamp' for actions from 'fog1/building.execute'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            Runtime(parse_scenario(data), seed=0, check=False, sink=sink)
+        assert [trace.events for trace in traces] == [[]]
+
+
+class TestOwnership:
+    """`Scenario.owners` answers "which loop acts on service S": each
+    device feeds its owner's monitor, master plans split by owner, and
+    decided round items run at their owners."""
+
+    @pytest.mark.parametrize("data", [
+        bundled("1office"),
+        with_offering(bundled("1office"), "apaas_split"),
+        bundled("3office_centralized"),
+        with_offering(bundled("3office_centralized"), "apaas_split"),
+        bundled("3office_decentralized"),
+        with_mode(bundled("3office_centralized"), "decentralized"),
+        with_master_rule(bundled("3office_centralized"),
+                         ["office3.heater", "office1.heater", "office2.lamp", "office1.lamp"]),
+    ], ids=["1office", "1office-apaas-split", "3office-centralized",
+            "3office-centralized-apaas-split", "3office-decentralized",
+            "mode-decentralized", "master-rule"])
+    def test_every_consumer_follows_the_table(self, data):
+        scenario = parse_scenario(data)
+        owners = scenario.owners
+        order = [loop.id for loop in scenario.managing_loops]
+        assert set(owners) == {svc for loop in scenario.loops for svc in loop.scope}
+        for svc, loop_id in owners.items():
+            holders = [loop.id for loop in scenario.managing_loops if svc in loop.scope]
+            assert loop_id == (holders[0] if holders else scenario.master_id)
+
+        runtime = Runtime(scenario, seed=3)
+        for svc, actor in runtime.devices.items():
+            if svc in owners:
+                assert actor.to_monitor.dst == runtime.loops[owners[svc]].addr["monitor"]
+            else:
+                assert actor.to_monitor is None
+        trace = runtime.sim.run_until(600_000)
+
+        planned = {row["detail"]["plan"]: row["detail"]["actions"]
+                   for row in trace.of_kind("plan")
+                   if row["detail"]["loop"] == runtime.master_id}
+        split: dict[str, list] = {}
+        to: dict[str, str] = {}
+        for row in trace.of_kind("delegate"):
+            detail = row["detail"]
+            split.setdefault(detail["plan"], []).append(detail)
+            to[detail["sub_plan"]] = detail["to"]
+        assert set(split) == set(planned)
+        for plan, subs in split.items():
+            assert [sub["to"] for sub in subs] == sorted((sub["to"] for sub in subs),
+                                                         key=order.index)
+            assert sum(sub["actions"] for sub in subs) == planned[plan]
+        decided = 0
+        for row in trace.of_kind("dispatch"):
+            detail = row["detail"]
+            if detail["plan"] in to:
+                assert detail["loop"] == to[detail["plan"]] == owners[detail["service"]]
+            if "round" in detail:
+                decided += 1
+                assert detail["loop"] == owners[detail["service"]]
+        if runtime.master_id is not None and runtime.loops[runtime.master_id].spec.policies:
+            assert len({sub["to"] for subs in split.values() for sub in subs}) == 3
+        if runtime.group:
+            assert decided
+
+    def test_a_service_only_the_master_holds_feeds_the_master(self):
+        # office1's meter leaves its scope and its aggregation input: only
+        # the master's scope holds it, and only a master rule reads it.
+        data = with_master_rule(bundled("3office_centralized"), ["office2.lamp"], {
+            "service": "office1.meter", "parameter": "kwh-reading", "op": ">=", "value": 0})
+        data["loops"][0]["scope"].remove("office1.meter")
+        (agg,) = data["control"]["master"]["aggregations"]
+        agg["inputs"] = [key for key in agg["inputs"] if key[0] != "office1"]
+        scenario = parse_scenario(data)
+        assert validate_scenario(scenario).ok
+        runtime = Runtime(scenario, seed=1)
+        master = runtime.loops["building"]
+        assert runtime.devices["office1.meter"].to_monitor.dst == master.addr["monitor"]
+        trace = runtime.sim.run_until(120_000)
+        assert master.kb.get("office1.meter", "kwh-reading") is not None
+        assert runtime.loops["office1"].kb.get("office1.meter", "kwh-reading") is None
+        delegated = trace.of_kind("delegate")
+        assert delegated and {row["detail"]["to"] for row in delegated} == {"office2"}

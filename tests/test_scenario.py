@@ -222,6 +222,12 @@ class TestValidation:
         assert any("already managed by loop 'office1'" in line
                    for line in report.lines())
 
+    def test_service_listed_twice_in_one_scope(self):
+        data = scenario_dict(2)
+        data["loops"][0]["scope"].append("office1.door")
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == ["loops[0]: 'office1.door' is listed twice in the scope"]
+
     def test_master_scope_may_overlap(self):
         data = scenario_dict(3, "centralized")
         assert validate_scenario(parse_scenario(data)).ok
@@ -521,6 +527,48 @@ class TestValidation:
         report = validate_scenario(parse_scenario(data))
         assert any("outside loop 'office2' scope" in line for line in report.lines())
 
+    def test_aggregation_input_from_the_master(self):
+        # Only slaves forward, so an input the master names never arrives
+        # and the aggregation never fires.
+        data = scenario_dict(3, "centralized")
+        agg = data["control"]["master"]["aggregations"][0]
+        agg["inputs"].append(["building", "office1.meter", "kwh-reading"])
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            "control.master.aggregations[0]: only the slave that owns 'office1.meter' "
+            "forwards it, not loop 'building'"]
+
+    def test_policy_reads_a_stream_its_loop_never_receives(self):
+        # Without the door in office1's scope, its samples go to the master.
+        data = scenario_dict(3, "centralized")
+        data["loops"][0]["scope"].remove("office1.door")
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            f"loops[0]: policy '{policy}' reads 'office1.door.lock-state', "
+            "which loop 'office1' never receives"
+            for policy in ("office1-arm-clock", "office1-lights-off-after-lock")]
+
+    @pytest.mark.parametrize("service, parameter, ok", [
+        ("environment", "outside-temp", True),
+        ("building", "total-kwh", True),
+        ("office1.meter", "kwh-reading", True),
+        ("office1.lamp", "power-state", False),
+    ], ids=["environment", "aggregation-output", "aggregation-input", "slave-stream"])
+    def test_master_receives_aggregation_streams(self, service, parameter, ok):
+        data = scenario_dict(2, "centralized")
+        data["policies"].append({
+            "name": "building-rule",
+            "when": [{"service": service, "parameter": parameter, "op": "==", "value": 1}],
+            "then": [{"service": "office2.lamp", "command": "set-power", "arg": False}],
+        })
+        data["loops"][-1]["policies"] = ["building-rule"]
+        if service == "office1.lamp":
+            data["policies"][-1]["when"][0]["value"] = True
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == ([] if ok else [
+            "loops[2]: policy 'building-rule' reads 'office1.lamp.power-state', "
+            "which loop 'building' never receives"])
+
     def test_aggregation_needs_numeric_inputs(self):
         data = scenario_dict(2, "centralized")
         agg = data["control"]["master"]["aggregations"][0]
@@ -549,7 +597,8 @@ class TestValidation:
     def test_coordinated_action_needs_a_member_owner(self, coordinate, ok):
         # With execute coordinated, each member runs only the decided actions
         # on its own scope: an action on a target no member holds would
-        # dispatch nowhere. Office2's own lamp rules lose their owner too.
+        # dispatch nowhere. Office2's own lamp rules lose their owner too,
+        # and with it the lamp's samples, in every case.
         data = scenario_dict(2, "decentralized")
         data["control"]["coordinate"] = coordinate
         office2 = next(loop for loop in data["loops"] if loop["id"] == "office2")
@@ -559,10 +608,12 @@ class TestValidation:
         report = validate_scenario(parse_scenario(data))
         offenders = [("office1-arm-clock", "office1"), ("office2-lights-off-sunny", "office2"),
                      ("office2-lights-off-after-lock", "office2")]
+        unread = [f"loops[1]: policy '{policy}' reads 'office2.lamp.power-state', "
+                  "which loop 'office2' never receives" for policy, _ in offenders[1:]]
         assert report.lines() == ([] if ok else [
             f"control.coordinate: policy '{policy}' of loop '{loop}' acts on "
             "'office2.lamp', which no group member's scope holds"
-            for policy, loop in offenders])
+            for policy, loop in offenders]) + unread
 
     @pytest.mark.parametrize("component, ok", [
         ("analyze", True), ("execute", True),
