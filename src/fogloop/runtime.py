@@ -35,6 +35,7 @@ from fogloop.mape import (
     Planner,
     PolicyIndex,
     StaleObservationError,
+    Symptom,
     analyze,
 )
 from fogloop.model import ValueType
@@ -44,7 +45,6 @@ from fogloop.simnet import (
     Address,
     Channel,
     EventTrace,
-    Message,
     Simulator,
     SinkFactory,
     TraceSink,
@@ -113,16 +113,15 @@ class DeviceActor:
         sim.send(SENSE, self.to_monitor, obs)
         sim.schedule(sim.now + spec.sample_interval_ms, partial(self._tick, spec))
 
-    def on_message(self, msg: Message) -> None:
+    def on_message(self, kind: str, pay: dict) -> None:
         sim = self.runtime.sim
         if self.office is not None:
             self.office.sync(sim.now)
-        pay = msg.payload
         action: PlannedAction = pay["action"]
         changed = self.device.apply(action.command, action.argument, sim.now)
         sim.emit(
             "actuate-applied",
-            msg.src,
+            pay["src"],
             self.addr,
             service=self.device.service,
             command=action.command,
@@ -257,8 +256,7 @@ class LoopActor:
 
     # --- monitor ---------------------------------------------------------
 
-    def _on_monitor(self, msg: Message) -> None:
-        obs: Observation = msg.payload
+    def _on_monitor(self, kind: str, obs: Observation) -> None:
         sim = self.runtime.sim
         sim.send(PIPELINE, self.to_analyze, obs)
         if (obs.service, obs.parameter) in self.forward_keys \
@@ -287,11 +285,11 @@ class LoopActor:
         self.index.put(key, before, obs.value)
         return True
 
-    def _on_analyze(self, msg: Message) -> None:
-        if msg.kind == COORDINATION:
-            self._on_round("analyze", msg.payload)
+    def _on_analyze(self, kind: str, payload: Any) -> None:
+        if kind == COORDINATION:
+            self._on_round("analyze", payload)
             return
-        if self.put(msg.payload):
+        if self.put(payload):
             self._analyze_now()
 
     def _analyze_now(self) -> None:
@@ -314,8 +312,7 @@ class LoopActor:
             else:
                 sim.send(PIPELINE, self.to_plan, symptom)
 
-    def _on_knowledge(self, msg: Message) -> None:
-        pay = msg.payload
+    def _on_knowledge(self, kind: str, pay: dict) -> None:
         obs: Observation = pay["obs"]
         if not self.put(obs):
             return
@@ -345,9 +342,9 @@ class LoopActor:
 
     # --- plan -------------------------------------------------------------
 
-    def _on_plan(self, msg: Message) -> None:
+    def _on_plan(self, kind: str, symptom: Symptom) -> None:
         sim = self.runtime.sim
-        plan = self.planner.plan(msg.payload, self.spec.policies)
+        plan = self.planner.plan(symptom, self.spec.policies)
         sim.emit(
             "plan",
             self.addr["plan"],
@@ -361,12 +358,12 @@ class LoopActor:
 
     # --- execute ----------------------------------------------------------
 
-    def _on_execute(self, msg: Message) -> None:
-        if msg.kind == COORDINATION:
-            self._on_round("execute", msg.payload)
+    def _on_execute(self, kind: str, payload: Any) -> None:
+        if kind == COORDINATION:
+            self._on_round("execute", payload)
             return
-        plan: AdaptationPlan = msg.payload
-        if msg.kind == DELEGATION:
+        plan: AdaptationPlan = payload
+        if kind == DELEGATION:
             self.executor.execute(plan, self.runtime.sim.now)
             return
         if self.is_master:
@@ -405,6 +402,7 @@ class LoopActor:
             if plan.round is not None:
                 detail["round"] = plan.round
             sim.emit("dispatch", self.addr["execute"], **detail)
+            channel = self.to_devices[action.service]
             payload = {
                 "action": action,
                 "plan": plan.plan_id,
@@ -412,8 +410,10 @@ class LoopActor:
                 "policy": plan.symptom.policy,
                 "loop": self.spec.id,
                 "base_ts": plan.symptom.base_ts,
+                # The source of the device's `actuate-applied` row.
+                "src": channel.src_text,
             }
-            sim.send(ACTUATE, self.to_devices[action.service], payload)
+            sim.send(ACTUATE, channel, payload)
 
         if at <= sim.now:
             fire()

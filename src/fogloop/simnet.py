@@ -3,7 +3,8 @@
 Virtual time is integer milliseconds. The event loop is single-threaded;
 ties at the same timestamp run in insertion order, so a run is a pure
 function of (scenario, seed). Components never share memory: everything
-crosses the scheduler as a Message.
+crosses the scheduler as a message, a (kind, payload) pair sent on a
+channel and handed to the destination's handler when it arrives.
 
 Events pile onto few distinct times, so the queue is a bucket queue: one
 FIFO list of callbacks per pending time, under a heap of those times. A
@@ -14,7 +15,6 @@ per event.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -63,16 +63,6 @@ class Address:
 
     def __str__(self) -> str:
         return self._text
-
-
-class Message(NamedTuple):
-    id: int
-    kind: str
-    payload: Any
-    src: Address
-    dst: Address
-    send_time: int
-    path: tuple[str, ...]
 
 
 # (path, summed link latency, jitter bound of each jittered hop in path order)
@@ -364,17 +354,16 @@ class EventTrace:
             yield "\n".join([line(row) for row in events[start:start + step]]) + "\n"
 
 
-Handler = Callable[[Message], None]
+# Called with a delivered message's (kind, payload).
+Handler = Callable[[str, Any], None]
 
 
 class Channel(NamedTuple):
     """One way from a source address to a destination address, resolved
-    once by `Simulator.channel`: the route's path, its summed link latency,
-    the jitter bound of each jittered hop in path order, and the handler
-    registered at the destination."""
+    once by `Simulator.channel`: the two addresses' texts, the route's
+    path, its summed link latency, the jitter bound of each jittered hop in
+    path order, and the handler registered at the destination."""
 
-    src: Address
-    dst: Address
     src_text: str
     dst_text: str
     path: tuple[str, ...]
@@ -390,10 +379,11 @@ class Simulator:
     destination) pair once, when a run is built, into a `Channel` holding
     its route and the destination's handler; a pair with no route or no
     handler is a `ConfigError` there, so no message can fail in flight.
-    `send` puts a message on a channel and schedules its delivery, and
-    `schedule` runs arbitrary callbacks at a future tick (timers, periodic
-    sampling). Everything lands in the trace, a sink built by `sink` from
-    the run header: an `EventTrace` keeps every row.
+    `send` puts a (kind, payload) message on a channel, schedules its
+    delivery and returns its id; the delivery calls the handler with
+    `(kind, payload)`. `schedule` runs arbitrary callbacks at a future tick
+    (timers, periodic sampling). Everything lands in the trace, a sink
+    built by `sink` from the run header: an `EventTrace` keeps every row.
 
     The queue is `_buckets`, each pending time's callbacks in the order they
     were scheduled, and `_times`, a heap of those times, each once. Callbacks
@@ -414,7 +404,8 @@ class Simulator:
         self.now = 0
         self._buckets: dict[int, list[Callable[[], None]]] = {}
         self._times: list[int] = []
-        self._msg_ids = itertools.count(1)
+        # The id of the last message sent; ids count from 1.
+        self._last_id = 0
         self._handlers: dict[str, Handler] = {}
         self.trace = sink({
             "kind": "header",
@@ -459,22 +450,22 @@ class Simulator:
         if handler is None:
             raise ConfigError(f"no handler at '{dst}' for messages from '{src}'")
         path, latency, jitters = route
-        return Channel(src, dst, src._text, dst._text, path, latency, jitters, handler)
+        return Channel(src._text, dst._text, path, latency, jitters, handler)
 
-    def send(self, kind: str, channel: Channel, payload: Any = None) -> Message:
+    def send(self, kind: str, channel: Channel, payload: Any = None) -> int:
         latency = channel.latency
         for jitter in channel.jitters:
             # The value `randint(0, jitter)` draws, without its two extra
             # frames; tests/test_simnet.py replays the draws with `randint`.
             latency += self.rng._randbelow(jitter + 1)
         now = self.now
-        msg_id = next(self._msg_ids)
-        msg = Message(msg_id, kind, payload, channel.src, channel.dst, now, channel.path)
+        msg_id = self._last_id = self._last_id + 1
         self.trace.sent(now, channel.src_text, channel.dst_text, msg_id, kind)
-        self.schedule(now + latency, partial(self._deliver, channel, msg))
-        return msg
+        self.schedule(now + latency, partial(self._deliver, channel, msg_id, kind, payload, now))
+        return msg_id
 
-    def _deliver(self, channel: Channel, msg: Message) -> None:
+    def _deliver(self, channel: Channel, msg_id: int, kind: str, payload: Any,
+                 sent: int) -> None:
         # Through `emit`, unlike `send`'s row: perfbench counts fog-to-cloud
         # hops from the `deliver` rows passed to `emit`. Once it counts from
         # the sink (ROADMAP item 1), this calls `self.trace.delivered`.
@@ -482,12 +473,12 @@ class Simulator:
             "deliver",
             channel.src_text,
             channel.dst_text,
-            id=msg.id,
-            interaction=msg.kind,
-            sent=msg.send_time,
+            id=msg_id,
+            interaction=kind,
+            sent=sent,
             path=channel.path,
         )
-        channel.handler(msg)
+        channel.handler(kind, payload)
 
     def run_until(self, horizon: int) -> TraceSink:
         """Process every event with time <= horizon, in (time, order

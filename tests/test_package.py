@@ -6,6 +6,9 @@ from __future__ import annotations
 import ast
 import builtins
 import importlib
+import json
+import subprocess
+import sys
 from collections import Counter
 from fnmatch import fnmatch
 from inspect import ismodule
@@ -14,8 +17,9 @@ from pathlib import Path
 import fogloop
 
 PACKAGE = Path(fogloop.__file__).parent
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-RUN_OUTPUTS = Path(__file__).resolve().parent.parent / "docs" / "run_outputs.md"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+RUN_OUTPUTS = ROOT / "docs" / "run_outputs.md"
 
 
 def _referenced_names(tree: ast.AST) -> Counter:
@@ -188,6 +192,54 @@ def test_every_name_perfbench_patches_still_exists():
         if not (hasattr(owner, name) or (ismodule(owner) and hasattr(builtins, name))):
             missing.append(f"{ast.unparse(owner_expr)}.{name}")
     assert not missing, "perfbench/tracer.py patches names that are gone: " + ", ".join(missing)
+
+
+# A traced `fogloop run`, as perfbench's traced repetition runs it: the
+# tracer is installed over a clocked `run_until`, and `summary` checks that
+# the self times under each call add up. Prints the summary as JSON.
+TRACED_RUN = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import rep
+from tracer import Tracer
+
+tracer = Tracer()
+out = sys.argv[2]
+result = rep.run_command(sys.argv[3:], out, prepare=tracer.install)
+trace_bytes = os.path.getsize(os.path.join(out, "trace.jsonl"))
+print(json.dumps(tracer.summary(trace_bytes, result["run_until"])))
+"""
+
+
+def test_perfbench_counts_what_the_run_does(tmp_path):
+    """perfbench counts handlers as `register` receives them, sends by
+    wrapping `send`, and fog-to-cloud hops from the `deliver` rows passed to
+    `emit`. A change to those call shapes would skew its counts without
+    failing a test outside `perfbench/`. The 1-office scenario runs with its
+    analysis in the cloud, so that some messages go from fog to cloud."""
+    from fogloop.metrics import compute_metrics
+    from fogloop.runtime import run_scenario
+    from fogloop.scenario import load_scenario, with_offering
+
+    bundled = json.loads((ROOT / "scenarios" / "smart_building_1office.json").read_text())
+    scenario, seed, horizon = tmp_path / "apaas_split.json", 1, 60_000
+    scenario.write_text(json.dumps(with_offering(bundled, "apaas_split")))
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(scenario), "--seed", str(seed),
+            "--until-ms", str(horizon), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACER.parent), str(out), *argv],
+        capture_output=True, text=True, timeout=120)
+    # `summary` raises unless its span accounting closes.
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    layers = json.loads(proc.stdout.splitlines()[-1])
+
+    lines = (out / "trace.jsonl").read_text().splitlines()[1:]
+    kinds = Counter(json.loads(line)["kind"] for line in lines)
+    assert layers["runtime.handler.calls"] == kinds["deliver"] > 0
+    assert layers["simnet.send.calls"] == kinds["send"] > 0
+    metrics = compute_metrics(run_scenario(load_scenario(str(scenario)), seed, horizon))
+    assert layers["model.fog_to_cloud"] == metrics.fog_to_cloud > 0
 
 
 # The kind of the row a `.trace.<method>(...)` call hands to the sink.

@@ -640,7 +640,8 @@ class TestOwnership:
         runtime = Runtime(scenario, seed=3)
         for svc, actor in runtime.devices.items():
             if svc in owners:
-                assert actor.to_monitor.dst == runtime.loops[owners[svc]].addr["monitor"]
+                monitor = runtime.loops[owners[svc]].addr["monitor"]
+                assert actor.to_monitor.dst_text == monitor._text
             else:
                 assert actor.to_monitor is None
         trace = runtime.sim.run_until(600_000)
@@ -684,7 +685,8 @@ class TestOwnership:
         assert validate_scenario(scenario).ok
         runtime = Runtime(scenario, seed=1)
         master = runtime.loops["building"]
-        assert runtime.devices["office1.meter"].to_monitor.dst == master.addr["monitor"]
+        to_monitor = runtime.devices["office1.meter"].to_monitor
+        assert to_monitor.dst_text == master.addr["monitor"]._text
         trace = runtime.sim.run_until(120_000)
         assert master.kb.get("office1.meter", "kwh-reading") is not None
         assert runtime.loops["office1"].kb.get("office1.meter", "kwh-reading") is None

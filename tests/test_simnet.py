@@ -45,9 +45,10 @@ def three_tier() -> Topology:
 
 
 def sink(sim: Simulator, address: Address) -> list:
-    """(delivery time, message) for every message delivered at `address`."""
+    """(delivery time, (kind, payload)) for every message delivered at
+    `address`."""
     inbox: list = []
-    sim.register(address, lambda msg: inbox.append((sim.now, msg)))
+    sim.register(address, lambda kind, payload: inbox.append((sim.now, (kind, payload))))
     return inbox
 
 
@@ -83,9 +84,9 @@ def test_device_to_fog_delivery_takes_link_latency():
     inbox = sink(sim, Address("fog1", "monitor"))
     channel = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
     sim.schedule(1000, lambda: sim.send("sense", channel, payload="on"))
-    sim.run_until(2000)
-    assert [t for t, _ in inbox] == [1001]
-    assert inbox[0][1].path == ("lamp1", "fog1")
+    trace = sim.run_until(2000)
+    assert inbox == [(1001, ("sense", "on"))]
+    assert [row["detail"]["path"] for row in trace.of_kind("deliver")] == [("lamp1", "fog1")]
 
 
 def test_fog_to_cloud_delivery_takes_default_latency():
@@ -135,6 +136,23 @@ def test_channel_takes_the_handler_registered_last():
     sim.send("sense", channel)
     sim.run_until(10)
     assert [t for t, _ in inbox] == [1]
+
+
+def test_send_returns_the_id_its_rows_carry():
+    sim = Simulator(three_tier(), seed=4)
+    inbox = sink(sim, Address("cloud", "knowledge"))
+    channel = sim.channel(Address("fog1", "monitor"), Address("cloud", "knowledge"))
+    payloads = [{"n": n} for n in range(3)]
+    ids: list[int] = []
+    for t, payload in zip((0, 5, 5), payloads):
+        sim.schedule(t, lambda p=payload: ids.append(sim.send("inter", channel, p)))
+    trace = sim.run_until(1_000)
+    assert len(set(ids)) == 3
+    for kind in ("send", "deliver"):
+        carried = [row["detail"]["id"] for row in trace.of_kind(kind)]
+        assert sorted(carried) == sorted(ids)
+    assert [message for _, message in inbox] == [("inter", p) for p in payloads]
+    assert all(got is want for (_, (_, got)), want in zip(inbox, payloads))
 
 
 def test_empty_run_leaves_clock_at_zero():
@@ -434,10 +452,14 @@ def test_jitter_stays_within_bounds_and_is_causal(seed: int, jitter: int):
     channel = sim.channel(Address("d", "d"), Address("f", "monitor"))
     for t in range(0, 200, 20):
         sim.schedule(t, lambda: sim.send("sense", channel))
-    sim.run_until(10_000)
-    assert len(inbox) == 10
-    for delivered, msg in inbox:
-        assert msg.send_time + 20 <= delivered <= msg.send_time + 20 + jitter
+    trace = sim.run_until(10_000)
+    sent_at = {row["detail"]["id"]: row["t"] for row in trace.of_kind("send")}
+    delivers = trace.of_kind("deliver")
+    assert len(inbox) == len(delivers) == len(sent_at) == 10
+    for (delivered, _), row in zip(inbox, delivers):
+        sent = row["detail"]["sent"]
+        assert row["t"] == delivered and sent == sent_at[row["detail"]["id"]]
+        assert sent + 20 <= delivered <= sent + 20 + jitter
 
 
 JITTER_SEED = 7
