@@ -59,7 +59,7 @@ from fogloop.scenario import (
     with_mode,
     with_offering,
 )
-from fogloop.simnet import Address, EventTrace, Link, Node, Simulator, Tier, Topology
+from fogloop.simnet import EventTrace, Link, Node, Simulator, Tier, Topology
 from fogloop.smartbuilding import (
     BuildingDefaults,
     Device,
@@ -73,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptationPlan",
-    "Address",
     "AggregationSpec",
     "BuildingDefaults",
     "CentralizedControl",

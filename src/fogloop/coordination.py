@@ -55,7 +55,6 @@ class AggregationSpec:
 @dataclass(frozen=True)
 class CentralizedControl:
     master: str
-    node: str | None = None
     aggregations: tuple[AggregationSpec, ...] = ()
 
 

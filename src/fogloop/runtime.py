@@ -41,14 +41,7 @@ from fogloop.mape import (
 from fogloop.model import ValueType
 from fogloop.placement import COMPONENTS, LoopSpec, Placement, place
 from fogloop.scenario import Scenario, validate_scenario
-from fogloop.simnet import (
-    Address,
-    Channel,
-    EventTrace,
-    Simulator,
-    SinkFactory,
-    TraceSink,
-)
+from fogloop.simnet import Channel, EventTrace, Simulator, SinkFactory, TraceSink
 from fogloop.smartbuilding import (
     ENVIRONMENT_SERVICE,
     READINGS,
@@ -75,7 +68,7 @@ class DeviceActor:
         self.device = device
         self.office = office
         host = runtime.scenario.topology.host_of(device.service)
-        self.addr = Address(host, device.service)
+        self.addr = f"{host}/{device.service}"
         # Every loop has registered its monitor by now.
         self.to_monitor: Channel | None = (
             None if owner is None else runtime.sim.channel(self.addr, owner.addr["monitor"])
@@ -177,11 +170,9 @@ class LoopActor:
         self.last_raised: dict[str, int] = {}
         self.planner = Planner(prefix=spec.id)
         self.executor = Executor(self._transport)
-        self.addr = {
-            comp: Address(runtime.placement.node_of(spec.id, comp), f"{spec.id}.{comp}")
-            for comp in COMPONENTS
-        }
-        if self.addr["analyze"].node != self.addr["knowledge"].node:
+        node_of = runtime.placement.node_of
+        self.addr = {comp: f"{node_of(spec.id, comp)}/{spec.id}.{comp}" for comp in COMPONENTS}
+        if node_of(spec.id, "analyze") != node_of(spec.id, "knowledge"):
             raise ConfigError(
                 f"loop '{spec.id}': analyze and knowledge must share a node"
             )
@@ -411,7 +402,7 @@ class LoopActor:
                 "loop": self.spec.id,
                 "base_ts": plan.symptom.base_ts,
                 # The source of the device's `actuate-applied` row.
-                "src": channel.src_text,
+                "src": channel.src,
             }
             sim.send(ACTUATE, channel, payload)
 

@@ -349,7 +349,7 @@ _SHAPES: dict[type, _Shape] = {shape.cls: shape for shape in (
                              "combinator": _enum(Combinator), "output": _str,
                              "output_type": _enum(ValueType)},
            always=("output_type",)),
-    _Shape(CentralizedControl, {"loop": _str, "node": _opt(_str),
+    _Shape(CentralizedControl, {"loop": _str,
                                 "aggregations": _tuple(_rec(AggregationSpec))},
            rename={"loop": "master"}),
     _Shape(DecentralizedControl, {"group": _tuple(_str), "coordinate": _tuple(_str)}),
@@ -656,9 +656,6 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                                    f"which no slave scope holds")
         if len(scenario.loops) < 2:
             report.add("control.master", "centralized control needs at least one slave")
-        if scenario.control.node is not None \
-                and scenario.control.node not in scenario.topology.by_id:
-            report.add("control.master", f"unknown node '{scenario.control.node}'")
         # Outputs are streams of a service named after the master loop, one
         # type each: no output reuses a declared parameter or another output.
         service = scenario.domain.find_service(master)

@@ -4,7 +4,9 @@ Virtual time is integer milliseconds. The event loop is single-threaded;
 ties at the same timestamp run in insertion order, so a run is a pure
 function of (scenario, seed). Components never share memory: everything
 crosses the scheduler as a message, a (kind, payload) pair sent on a
-channel and handed to the destination's handler when it arrives.
+channel and handed to the destination's handler when it arrives. A
+component's address is the text `node/component`; the trace and the handler
+registry key on it, and a channel is routed from the node it names.
 
 Events pile onto few distinct times, so the queue is a bucket queue: one
 FIFO list of callbacks per pending time, under a heap of those times. A
@@ -49,20 +51,6 @@ class Link:
     b: str
     latency_ms: int
     jitter_ms: int = 0
-
-
-@dataclass(frozen=True)
-class Address:
-    """A component instance located on a node, e.g. fog1/office1.analyze."""
-
-    node: str
-    component: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_text", f"{self.node}/{self.component}")
-
-    def __str__(self) -> str:
-        return self._text
 
 
 # (path, summed link latency, jitter bound of each jittered hop in path order)
@@ -130,8 +118,9 @@ class Topology:
             if node.id in seen:
                 report.add(f"nodes[{ni}]", f"duplicate node id '{node.id}'")
             seen.add(node.id)
-            # An address's text `node/component` names it, in the trace and
-            # as the simulator's handler key, only if the node id has no '/'.
+            # An address is the text `node/component`: the trace and the
+            # handler registry key on it and `Simulator.channel` routes from
+            # its node, the text before the first '/', so no node id has one.
             if "/" in node.id:
                 report.add(f"nodes[{ni}]", f"node id '{node.id}' contains '/'")
         clouds = [n for n in self.nodes if n.tier is Tier.CLOUD]
@@ -360,12 +349,12 @@ Handler = Callable[[str, Any], None]
 
 class Channel(NamedTuple):
     """One way from a source address to a destination address, resolved
-    once by `Simulator.channel`: the two addresses' texts, the route's
-    path, its summed link latency, the jitter bound of each jittered hop in
-    path order, and the handler registered at the destination."""
+    once by `Simulator.channel`: the two addresses, the route's path, its
+    summed link latency, the jitter bound of each jittered hop in path
+    order, and the handler registered at the destination."""
 
-    src_text: str
-    dst_text: str
+    src: str
+    dst: str
     path: tuple[str, ...]
     latency: int
     jitters: tuple[int, ...]
@@ -375,10 +364,12 @@ class Channel(NamedTuple):
 class Simulator:
     """Single-threaded event loop over a topology.
 
-    Handlers are registered per address. `channel` resolves a (source,
-    destination) pair once, when a run is built, into a `Channel` holding
-    its route and the destination's handler; a pair with no route or no
-    handler is a `ConfigError` there, so no message can fail in flight.
+    An address is the text `node/component`, e.g. `fog1/office1.analyze`;
+    node ids hold no '/'. Handlers are registered per address. `channel`
+    resolves a (source, destination) pair once, when a run is built, into a
+    `Channel` holding the route between the two addresses' nodes and the
+    destination's handler; a pair with no route or no handler is a
+    `ConfigError` there, so no message can fail in flight.
     `send` puts a (kind, payload) message on a channel, schedules its
     delivery and returns its id; the delivery calls the handler with
     `(kind, payload)`. `schedule` runs arbitrary callbacks at a future tick
@@ -398,6 +389,9 @@ class Simulator:
 
     def __init__(self, topology: Topology, seed: int, config_digest: str = "",
                  sink: SinkFactory = EventTrace):
+        for node in topology.nodes:
+            if "/" in node.id:
+                raise ConfigError(f"node id '{node.id}' contains '/'")
         self.topology = topology
         self.seed = seed
         self.rng = random.Random(seed)
@@ -415,18 +409,12 @@ class Simulator:
             "nodes": {n.id: n.tier.value for n in topology.nodes},
         })
 
-    def register(self, address: Address, handler: Handler) -> None:
-        self._handlers[address._text] = handler
+    def register(self, address: str, handler: Handler) -> None:
+        self._handlers[address] = handler
 
-    def emit(self, kind: str, src: Address | str | None = None,
-             dst: Address | str | None = None, /, **detail: Any) -> None:
-        self.trace.append(
-            self.now,
-            kind,
-            src._text if type(src) is Address else src,
-            dst._text if type(dst) is Address else dst,
-            detail,
-        )
+    def emit(self, kind: str, src: str | None = None, dst: str | None = None, /,
+             **detail: Any) -> None:
+        self.trace.append(self.now, kind, src, dst, detail)
 
     def schedule(self, at: int, fn: Callable[[], None]) -> None:
         """Run `fn` at time `at`, after every callback already scheduled
@@ -440,17 +428,18 @@ class Simulator:
         else:
             bucket.append(fn)
 
-    def channel(self, src: Address, dst: Address) -> Channel:
-        """The channel from `src` to `dst`, taking its handler from the
-        registry, so register every handler first."""
-        route = self.topology.route(src.node, dst.node)
+    def channel(self, src: str, dst: str) -> Channel:
+        """The channel from address `src` to address `dst`, routed between
+        their nodes and taking its handler from the registry, so register
+        every handler first."""
+        route = self.topology.route(src.partition("/")[0], dst.partition("/")[0])
         if route is None:
             raise ConfigError(f"no route from '{src}' to '{dst}'")
-        handler = self._handlers.get(dst._text)
+        handler = self._handlers.get(dst)
         if handler is None:
             raise ConfigError(f"no handler at '{dst}' for messages from '{src}'")
         path, latency, jitters = route
-        return Channel(src._text, dst._text, path, latency, jitters, handler)
+        return Channel(src, dst, path, latency, jitters, handler)
 
     def send(self, kind: str, channel: Channel, payload: Any = None) -> int:
         latency = channel.latency
@@ -460,7 +449,7 @@ class Simulator:
             latency += self.rng._randbelow(jitter + 1)
         now = self.now
         msg_id = self._last_id = self._last_id + 1
-        self.trace.sent(now, channel.src_text, channel.dst_text, msg_id, kind)
+        self.trace.sent(now, channel.src, channel.dst, msg_id, kind)
         self.schedule(now + latency, partial(self._deliver, channel, msg_id, kind, payload, now))
         return msg_id
 
@@ -471,8 +460,8 @@ class Simulator:
         # the sink (ROADMAP item 1), this calls `self.trace.delivered`.
         self.emit(
             "deliver",
-            channel.src_text,
-            channel.dst_text,
+            channel.src,
+            channel.dst,
             id=msg_id,
             interaction=kind,
             sent=sent,

@@ -346,7 +346,7 @@ class TestDecentralized:
         topology = runtime.scenario.topology
 
         def worst_latency(component: str) -> int:
-            nodes = sorted({runtime.loops[m].addr[component].node for m in runtime.group})
+            nodes = sorted({runtime.placement.node_of(m, component) for m in runtime.group})
             return max(topology.route(a, b)[1] for a in nodes for b in nodes)
 
         rounds: dict[str, list[dict]] = {}
@@ -641,7 +641,7 @@ class TestOwnership:
         for svc, actor in runtime.devices.items():
             if svc in owners:
                 monitor = runtime.loops[owners[svc]].addr["monitor"]
-                assert actor.to_monitor.dst_text == monitor._text
+                assert actor.to_monitor.dst == monitor
             else:
                 assert actor.to_monitor is None
         trace = runtime.sim.run_until(600_000)
@@ -686,7 +686,7 @@ class TestOwnership:
         runtime = Runtime(scenario, seed=1)
         master = runtime.loops["building"]
         to_monitor = runtime.devices["office1.meter"].to_monitor
-        assert to_monitor.dst_text == master.addr["monitor"]._text
+        assert to_monitor.dst == master.addr["monitor"]
         trace = runtime.sim.run_until(120_000)
         assert master.kb.get("office1.meter", "kwh-reading") is not None
         assert runtime.loops["office1"].kb.get("office1.meter", "kwh-reading") is None

@@ -131,6 +131,13 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="unknown keys.*plotting"):
             parse_scenario(data)
 
+    def test_master_node_is_an_unknown_key(self):
+        # The master's node comes from its loop's `node` and `components`.
+        data = scenario_dict(3, "centralized")
+        data["control"]["master"]["node"] = "fog1"
+        with pytest.raises(ConfigError, match=r"control\.master: unknown keys \['node'\]"):
+            parse_scenario(data)
+
     def test_unknown_policy_key(self):
         data = scenario_dict(1)
         data["policies"][0]["priority"] = 3

@@ -20,7 +20,6 @@ from fogloop.errors import ConfigError
 from fogloop.runtime import run_scenario
 from fogloop.scenario import parse_scenario, validate_scenario, with_offering
 from fogloop.simnet import (
-    Address,
     EventTrace,
     Link,
     Node,
@@ -44,7 +43,7 @@ def three_tier() -> Topology:
     )
 
 
-def sink(sim: Simulator, address: Address) -> list:
+def sink(sim: Simulator, address: str) -> list:
     """(delivery time, (kind, payload)) for every message delivered at
     `address`."""
     inbox: list = []
@@ -81,8 +80,8 @@ def test_past_event_is_rejected():
 
 def test_device_to_fog_delivery_takes_link_latency():
     sim = Simulator(three_tier(), seed=0)
-    inbox = sink(sim, Address("fog1", "monitor"))
-    channel = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
+    inbox = sink(sim, "fog1/monitor")
+    channel = sim.channel("lamp1/lamp1", "fog1/monitor")
     sim.schedule(1000, lambda: sim.send("sense", channel, payload="on"))
     trace = sim.run_until(2000)
     assert inbox == [(1001, ("sense", "on"))]
@@ -91,16 +90,16 @@ def test_device_to_fog_delivery_takes_link_latency():
 
 def test_fog_to_cloud_delivery_takes_default_latency():
     sim = Simulator(three_tier(), seed=0)
-    inbox = sink(sim, Address("cloud", "knowledge"))
-    sim.send("inter", sim.channel(Address("fog1", "monitor"), Address("cloud", "knowledge")))
+    inbox = sink(sim, "cloud/knowledge")
+    sim.send("inter", sim.channel("fog1/monitor", "cloud/knowledge"))
     sim.run_until(100)
     assert [t for t, _ in inbox] == [50]
 
 
 def test_same_node_delivery_is_immediate():
     sim = Simulator(three_tier(), seed=0)
-    inbox = sink(sim, Address("fog1", "analyze"))
-    channel = sim.channel(Address("fog1", "monitor"), Address("fog1", "analyze"))
+    inbox = sink(sim, "fog1/analyze")
+    channel = sim.channel("fog1/monitor", "fog1/analyze")
     sim.schedule(7, lambda: sim.send("inter", channel))
     sim.run_until(7)
     assert [t for t, _ in inbox] == [7]
@@ -114,34 +113,65 @@ def test_send_to_unlinked_node_raises():
         links=(Link("a", "b", 1), Link("b", "cloud", 50)),
     )
     sim = Simulator(topo, seed=0)
-    sink(sim, Address("island", "monitor"))
+    sink(sim, "island/monitor")
     with pytest.raises(ConfigError, match="^no route from 'a/a' to 'island/monitor'$"):
-        sim.channel(Address("a", "a"), Address("island", "monitor"))
+        sim.channel("a/a", "island/monitor")
 
 
 def test_channel_to_an_unregistered_address_raises():
     sim = Simulator(three_tier(), seed=0)
-    sink(sim, Address("fog1", "monitor"))
+    sink(sim, "fog1/monitor")
     with pytest.raises(ConfigError,
                        match="^no handler at 'fog1/analyze' for messages from 'lamp1/lamp1'$"):
-        sim.channel(Address("lamp1", "lamp1"), Address("fog1", "analyze"))
+        sim.channel("lamp1/lamp1", "fog1/analyze")
 
 
 def test_channel_takes_the_handler_registered_last():
     sim = Simulator(three_tier(), seed=0)
-    sink(sim, Address("fog1", "monitor"))
-    inbox = sink(sim, Address("fog1", "monitor"))
-    channel = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
+    sink(sim, "fog1/monitor")
+    inbox = sink(sim, "fog1/monitor")
+    channel = sim.channel("lamp1/lamp1", "fog1/monitor")
     assert (channel.path, channel.latency, channel.jitters) == (("lamp1", "fog1"), 1, ())
     sim.send("sense", channel)
     sim.run_until(10)
     assert [t for t, _ in inbox] == [1]
 
 
+def test_a_node_id_with_a_slash_is_refused_when_the_simulator_is_built():
+    """A channel routes from the text before an address's first '/', so a
+    node id holding one would route to the wrong node."""
+    topo = Topology(
+        nodes=(Node("lamp1", Tier.DEVICE), Node("fog/1", Tier.FOG), Node("cloud", Tier.CLOUD)),
+        links=(Link("lamp1", "fog/1", 1), Link("fog/1", "cloud", 50)),
+    )
+    with pytest.raises(ConfigError, match="^node id 'fog/1' contains '/'$"):
+        Simulator(topo, seed=0)
+
+
+def test_a_component_name_with_a_slash_routes_from_its_node():
+    topo = Topology(
+        nodes=(Node("dev1", Tier.DEVICE, hosted=("office1/lamp",)), Node("fog1", Tier.FOG),
+               Node("cloud", Tier.CLOUD)),
+        links=(Link("dev1", "fog1", 2), Link("fog1", "cloud", 50)),
+    )
+    sim = Simulator(topo, seed=0)
+    inbox = sink(sim, "dev1/office1/lamp")
+    sink(sim, "fog1/monitor")
+    sense = sim.channel("dev1/office1/lamp", "fog1/monitor")
+    actuate = sim.channel("fog1/execute", "dev1/office1/lamp")
+    assert (sense.path, sense.latency) == (("dev1", "fog1"), 2)
+    assert (actuate.path, actuate.latency) == (("fog1", "dev1"), 2)
+    sim.send("actuate", actuate, "on")
+    trace = sim.run_until(10)
+    assert inbox == [(2, ("actuate", "on"))]
+    (row,) = trace.of_kind("deliver")
+    assert (row["src"], row["dst"]) == ("fog1/execute", "dev1/office1/lamp")
+
+
 def test_send_returns_the_id_its_rows_carry():
     sim = Simulator(three_tier(), seed=4)
-    inbox = sink(sim, Address("cloud", "knowledge"))
-    channel = sim.channel(Address("fog1", "monitor"), Address("cloud", "knowledge"))
+    inbox = sink(sim, "cloud/knowledge")
+    channel = sim.channel("fog1/monitor", "cloud/knowledge")
     payloads = [{"n": n} for n in range(3)]
     ids: list[int] = []
     for t, payload in zip((0, 5, 5), payloads):
@@ -318,10 +348,10 @@ def test_bucket_queue_fires_as_a_seq_heap_does(starts, spawns, raising, horizons
 
 def scripted_run(seed: int) -> str:
     sim = Simulator(three_tier(), seed=seed, config_digest="abc123")
-    sink(sim, Address("fog1", "monitor"))
-    sink(sim, Address("cloud", "knowledge"))
-    sense = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
-    inter = sim.channel(Address("fog1", "monitor"), Address("cloud", "knowledge"))
+    sink(sim, "fog1/monitor")
+    sink(sim, "cloud/knowledge")
+    sense = sim.channel("lamp1/lamp1", "fog1/monitor")
+    inter = sim.channel("fog1/monitor", "cloud/knowledge")
     for t in range(0, 50, 10):
         sim.schedule(t, lambda: sim.send("sense", sense))
     sim.schedule(25, lambda: sim.send("inter", inter))
@@ -334,8 +364,8 @@ def test_same_seed_gives_byte_identical_traces():
 
 def test_trace_times_never_decrease():
     sim = Simulator(three_tier(), seed=1)
-    sink(sim, Address("cloud", "knowledge"))
-    channel = sim.channel(Address("fog1", "monitor"), Address("cloud", "knowledge"))
+    sink(sim, "cloud/knowledge")
+    channel = sim.channel("fog1/monitor", "cloud/knowledge")
     for t in (30, 10, 20, 10):
         sim.schedule(t, lambda: sim.send("inter", channel))
     trace = sim.run_until(500)
@@ -346,8 +376,8 @@ def test_trace_times_never_decrease():
 
 def test_every_send_has_exactly_one_delivery():
     sim = Simulator(three_tier(), seed=9)
-    sink(sim, Address("fog1", "monitor"))
-    channel = sim.channel(Address("lamp1", "lamp1"), Address("fog1", "monitor"))
+    sink(sim, "fog1/monitor")
+    channel = sim.channel("lamp1/lamp1", "fog1/monitor")
     for t in range(0, 100, 7):
         sim.schedule(t, lambda: sim.send("sense", channel))
     trace = sim.run_until(10_000)
@@ -448,8 +478,8 @@ def test_jitter_stays_within_bounds_and_is_causal(seed: int, jitter: int):
         links=(Link("d", "f", 20, jitter_ms=jitter), Link("f", "cloud", 50)),
     )
     sim = Simulator(topo, seed=seed)
-    inbox = sink(sim, Address("f", "monitor"))
-    channel = sim.channel(Address("d", "d"), Address("f", "monitor"))
+    inbox = sink(sim, "f/monitor")
+    channel = sim.channel("d/d", "f/monitor")
     for t in range(0, 200, 20):
         sim.schedule(t, lambda: sim.send("sense", channel))
     trace = sim.run_until(10_000)
