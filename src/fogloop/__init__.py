@@ -47,7 +47,7 @@ from fogloop.model import (
     ValueType,
     validate_domain,
 )
-from fogloop.placement import LoopSpec, Offering, Placement, place, validate_placement
+from fogloop.placement import LoopSpec, Offering, Placement, place
 from fogloop.runtime import RunResult, Runtime, discrete_snapshot, run_scenario
 from fogloop.scenario import (
     Scenario,
@@ -132,7 +132,6 @@ __all__ = [
     "run_scenario",
     "summary_text",
     "validate_domain",
-    "validate_placement",
     "validate_scenario",
     "with_mode",
     "with_offering",

@@ -1,10 +1,12 @@
 """Assigns control-loop components to topology nodes.
 
-Two offerings exist: a full loop hosted on a fog node near its devices,
-and a split offering that keeps monitor and execute at the fog while
-analyze, plan, and knowledge run on the cloud. "Near" is made concrete
-as the fog node minimizing the summed shortest-path latency from the
-scope devices' host nodes, ties broken by lexicographic node id.
+The offering alone decides where a loop's components run, so every
+placement rule holds by construction. Two offerings exist: a full loop
+hosted on a fog node near its devices, and a split offering that keeps
+monitor and execute at the fog while analyze, plan, and knowledge run on
+the cloud. "Near" is made concrete as the fog node minimizing the summed
+shortest-path latency from the scope devices' host nodes, ties broken by
+lexicographic node id.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from fogloop.errors import ConfigError, FogloopError
+from fogloop.errors import ConfigError
 from fogloop.mape import Policy
-from fogloop.model import ValidationReport
 from fogloop.simnet import Tier, Topology
 
 COMPONENTS = ("monitor", "analyze", "plan", "execute", "knowledge")
@@ -26,7 +27,7 @@ class Offering(str, Enum):
     APAAS_SPLIT = "apaas_split"
 
 
-class NoFogNodeError(FogloopError):
+class NoFogNodeError(ConfigError):
     """No fog node is reachable from a loop's scope devices."""
 
 
@@ -36,8 +37,6 @@ class LoopSpec:
     scope: tuple[str, ...]
     offering: Offering
     policies: tuple[Policy, ...] = ()
-    node: str | None = None
-    components: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass
@@ -86,69 +85,14 @@ def _cloud_node(topology: Topology) -> str:
 
 
 def place(loops: Iterable[LoopSpec], topology: Topology) -> Placement:
-    """Pick nodes for every loop component, honoring explicit overrides."""
+    """Pick nodes for every loop component from its offering alone:
+    monitor and execute at the loop's nearest fog node, analyze, plan and
+    knowledge there too under `mapeaas` and on the cloud under
+    `apaas_split`. Analyze and knowledge therefore always share a node."""
     assignments: dict[tuple[str, str], str] = {}
     for loop in loops:
-        if loop.node is not None:
-            if loop.node not in topology.by_id:
-                raise ConfigError(f"loop '{loop.id}': unknown node '{loop.node}'")
-            fog = loop.node
-        else:
-            fog = _nearest_fog(loop, topology)
-        if loop.offering is Offering.MAPEAAS:
-            chosen = {comp: fog for comp in COMPONENTS}
-        else:
-            cloud = _cloud_node(topology)
-            chosen = {
-                "monitor": fog,
-                "execute": fog,
-                "analyze": cloud,
-                "plan": cloud,
-                "knowledge": cloud,
-            }
-        for comp, node in loop.components:
-            if node not in topology.by_id:
-                raise ConfigError(f"loop '{loop.id}': unknown node '{node}' for {comp}")
-            chosen[comp] = node
+        fog = _nearest_fog(loop, topology)
+        core = fog if loop.offering is Offering.MAPEAAS else _cloud_node(topology)
         for comp in COMPONENTS:
-            assignments[(loop.id, comp)] = chosen[comp]
+            assignments[(loop.id, comp)] = fog if comp in ("monitor", "execute") else core
     return Placement(assignments)
-
-
-def validate_placement(
-    placement: Placement, loops: Iterable[LoopSpec], topology: Topology
-) -> ValidationReport:
-    report = ValidationReport()
-    try:
-        cloud = _cloud_node(topology)
-    except ConfigError:
-        cloud = None
-        report.add("topology", "exactly one cloud node required")
-    known: set[tuple[str, str]] = set()
-    for loop in loops:
-        for comp in COMPONENTS:
-            key = (loop.id, comp)
-            known.add(key)
-            path = f"{loop.id}.{comp}"
-            node_id = placement.assignments.get(key)
-            if node_id is None:
-                report.add(path, "placement not total")
-                continue
-            node = topology.by_id.get(node_id)
-            if node is None:
-                report.add(path, f"unknown node '{node_id}'")
-                continue
-            if loop.offering is Offering.MAPEAAS:
-                if node.tier is not Tier.FOG:
-                    report.add(path, f"{comp} must live on a fog node, got '{node_id}'")
-            else:
-                if comp in ("monitor", "execute"):
-                    if node.tier is not Tier.FOG:
-                        report.add(path, f"{comp} must remain at fog, got '{node_id}'")
-                elif cloud is not None and node_id != cloud:
-                    report.add(path, f"{comp} must live on the cloud node, got '{node_id}'")
-    for key in placement.assignments:
-        if key not in known:
-            report.add(f"{key[0]}.{key[1]}", "assignment for unknown loop")
-    return report
-

@@ -156,9 +156,9 @@ class PeerRounds:
 class LoopActor:
     """One MAPE-K loop: five addressed components sharing a knowledge base.
 
-    Analyze and knowledge must share a node; the other components may sit
-    anywhere placement puts them, with all hand-offs sent as messages. A
-    loop in a decentralized group holds `PeerRounds` for each component it
+    Placement follows the offering, so analyze and knowledge always share
+    a node; every other hand-off is sent as a message. A loop in a
+    decentralized group holds `PeerRounds` for each component it
     coordinates.
     """
 
@@ -172,10 +172,6 @@ class LoopActor:
         self.executor = Executor(self._transport)
         node_of = runtime.placement.node_of
         self.addr = {comp: f"{node_of(spec.id, comp)}/{spec.id}.{comp}" for comp in COMPONENTS}
-        if node_of(spec.id, "analyze") != node_of(spec.id, "knowledge"):
-            raise ConfigError(
-                f"loop '{spec.id}': analyze and knowledge must share a node"
-            )
         self.is_master = runtime.master_id == spec.id
         self.agg_inputs: dict[tuple[str, str, str], Any] = {}
         sim = runtime.sim
@@ -527,9 +523,7 @@ class Runtime:
         self.placement: Placement = place(scenario.loops, scenario.topology)
         self.sim = Simulator(scenario.topology, seed, config_digest=scenario.digest,
                              sink=sink)
-        self.env = Environment(
-            scenario.defaults.weather, scenario.defaults.outside_temp_c
-        )
+        self.env = Environment()
 
         control = scenario.control
         self.control = control
@@ -571,47 +565,37 @@ class Runtime:
         for loop in self.loops.values():
             loop.connect()
 
-        self._emit_env(self.env.weather, self.env.outside_temp_c)
-        self._inject_env(weather=self.env.weather,
-                         outside_temp=self.env.outside_temp_c)
+        defaults = scenario.defaults
+        self._apply_env(EnvironmentEvent(0, defaults.weather, defaults.outside_temp_c))
         for actor in self.devices.values():
             actor.announce()
         for actor in self.devices.values():
             actor.start_sampling()
 
         for event in scenario.environment_events:
-            self.sim.schedule(event.t, lambda e=event: self._apply_env(e))
+            self.sim.schedule(event.t, partial(self._apply_env, event))
 
-    def _emit_env(self, weather: str | None, outside_temp: float | None) -> None:
-        detail: dict[str, Any] = {}
-        if weather is not None:
-            detail["weather"] = weather
-        if outside_temp is not None:
-            detail["outside_temp_c"] = outside_temp
-        self.sim.emit("env", **detail)
-
-    def _inject_env(self, weather: str | None = None,
-                    outside_temp: float | None = None) -> None:
+    def _apply_env(self, event: EnvironmentEvent) -> None:
         """Ambient context skips the network: every knowledge base learns
         environment values the instant they change. The values wait there for
         the loop's next observation to be analyzed."""
         now = self.sim.now
-        for actor in self.loops.values():
-            if weather is not None:
-                actor.put(Observation(ENVIRONMENT_SERVICE, "weather", weather, now))
-            if outside_temp is not None:
-                actor.put(Observation(ENVIRONMENT_SERVICE, "outside-temp", outside_temp,
-                                      now))
-
-    def _apply_env(self, event: EnvironmentEvent) -> None:
         for office in self.offices.values():
-            office.sync(self.sim.now)
+            office.sync(now)
+        observed: list[Observation] = []
+        detail: dict[str, Any] = {}
         if event.weather is not None:
-            self.env.weather = event.weather
+            detail["weather"] = event.weather
+            observed.append(Observation(ENVIRONMENT_SERVICE, "weather", event.weather, now))
         if event.outside_temp_c is not None:
             self.env.outside_temp_c = event.outside_temp_c
-        self._emit_env(event.weather, event.outside_temp_c)
-        self._inject_env(weather=event.weather, outside_temp=event.outside_temp_c)
+            detail["outside_temp_c"] = event.outside_temp_c
+            observed.append(Observation(ENVIRONMENT_SERVICE, "outside-temp",
+                                        event.outside_temp_c, now))
+        self.sim.emit("env", **detail)
+        for actor in self.loops.values():
+            for obs in observed:
+                actor.put(obs)
 
     def finalize(self, horizon: int) -> None:
         for office in self.offices.values():

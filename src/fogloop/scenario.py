@@ -47,14 +47,7 @@ from fogloop.model import (
     validate_domain,
     value_conforms,
 )
-from fogloop.placement import (
-    COMPONENTS,
-    LoopSpec,
-    NoFogNodeError,
-    Offering,
-    place,
-    validate_placement,
-)
+from fogloop.placement import LoopSpec, Offering, place
 from fogloop.simnet import Link, Node, Tier, Topology
 from fogloop.smartbuilding import (
     _DEFAULT_STATE,
@@ -206,14 +199,6 @@ def _rec(cls: type) -> Reader:
     return lambda value, path: _record(cls, value, path)
 
 
-def _components(value: Any, path: str) -> tuple[tuple[str, str], ...]:
-    for comp, node in _expect(value, dict, path).items():
-        if comp not in COMPONENTS:
-            raise ConfigError(f"{path}: unknown component '{comp}'")
-        _str(node, f"{path}.{comp}")
-    return tuple(sorted(value.items()))
-
-
 def _initial(value: Any, path: str) -> dict:
     for key, item in _expect(value, dict, path).items():
         _scalar(item, f"{path}.{key}")
@@ -342,8 +327,7 @@ _SHAPES: dict[type, _Shape] = {shape.cls: shape for shape in (
     _Shape(Topology, {"nodes": _tuple(_rec(Node)), "links": _tuple(_rec(Link))}),
     _Shape(LoopSpec, {"id": _str, "scope": _tuple(_str), "offering": _enum(Offering),
                       "policies": (_tuple(_str),
-                                   lambda policies: [p.name for p in policies]),
-                      "node": _opt(_str), "components": (_components, dict)},
+                                   lambda policies: [p.name for p in policies])},
            always=("policies",)),
     _Shape(AggregationSpec, {"name": _str, "inputs": _tuple(_input),
                              "combinator": _enum(Combinator), "output": _str,
@@ -738,22 +722,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     if report.ok:
         try:
-            placement = place(scenario.loops, scenario.topology)
-        except (NoFogNodeError, ConfigError) as exc:
+            place(scenario.loops, scenario.topology)
+        except ConfigError as exc:
             report.add("loops", str(exc))
-        else:
-            report.extend(validate_placement(placement, scenario.loops,
-                                             scenario.topology))
-            for loop in scenario.loops:
-                # Analysis reads the knowledge base directly, so the two
-                # components cannot be split across nodes.
-                if placement.node_of(loop.id, "analyze") != placement.node_of(
-                    loop.id, "knowledge"
-                ):
-                    report.add(
-                        f"loops.{loop.id}",
-                        "analyze and knowledge must share a node",
-                    )
     return report
 
 

@@ -241,7 +241,6 @@ class Device:
 
 @dataclass
 class Environment:
-    weather: str = "not-sunny"
     outside_temp_c: float = 14.0
 
 

@@ -13,7 +13,7 @@ from fogloop.errors import ConfigError
 from fogloop.metrics import MetricsFold
 from fogloop.model import ValidationReport
 from fogloop.runtime import run_scenario
-from fogloop.scenario import parse_scenario, with_offering
+from fogloop.scenario import parse_scenario
 from fogloop.simnet import EventTrace
 from fogloop.smartbuilding import BadArgumentError, Device, UnknownCommandError
 
@@ -190,14 +190,15 @@ class TestValidate:
 
     def test_violations_print_one_per_line(self, tmp_path, capsys):
         data = json.loads(Path(ONE_OFFICE).read_text())
-        split = with_offering(data, "apaas_split")
-        for loop in split["loops"]:
-            loop["components"] = {"execute": "cloud"}
-        path = write_scenario(tmp_path, split)
+        data["loops"][0]["policies"] += ["no-such-rule", "nor-this-one"]
+        path = write_scenario(tmp_path, data)
         assert main(["validate", path]) == 1
-        out = capsys.readouterr().out
-        assert "execute must remain at fog" in out
-        assert all(line for line in out.strip().splitlines())
+        out = capsys.readouterr().out.strip().splitlines()
+        assert [line for line in out if "unknown policy" in line] == [
+            "loops[0].policies: unknown policy 'no-such-rule'",
+            "loops[0].policies: unknown policy 'nor-this-one'",
+        ]
+        assert all(line for line in out)
 
 
 class TestRun:

@@ -7,6 +7,7 @@ import ast
 import builtins
 import importlib
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -315,6 +316,32 @@ def test_the_command_table_is_documented_as_devices_apply_it():
         (kind.value, name, "none" if record.argument_type is None
          else record.argument_type.value, record.accepts)
         for kind, commands in COMMANDS.items() for name, record in commands.items()]
+
+
+def _schema_examples() -> dict[str, list]:
+    """The JSON examples of docs/scenario_schema.md, by the top-level key
+    their section documents."""
+    examples = {}
+    for section in SCENARIO_SCHEMA.read_text().split("\n## `")[1:]:
+        key = section.split("`", 1)[0]
+        examples[key] = [json.loads(block)
+                         for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+    return examples
+
+
+def test_the_schema_examples_parse():
+    from fogloop.scenario import parse_scenario
+
+    examples = _schema_examples()
+    (domain,), (policy,), (topology,), (loop,), (devices,), (environment,) = (
+        examples[key] for key in
+        ("domain", "policies", "topology", "loops", "devices", "environment"))
+    assert [control["mode"] for control in examples["control"]] == [
+        "centralized", "decentralized"]
+    for control in examples["control"]:
+        parse_scenario({"domain": domain, "policies": [policy], "topology": topology,
+                        "loops": [loop], "control": control, "devices": devices,
+                        "environment": environment})
 
 
 def test_cli_opens_files_only_in_with_statements():

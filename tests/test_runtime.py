@@ -387,18 +387,18 @@ class TestRobustness:
         assert drops[0]["detail"]["t_latest"] >= 100
         assert loop.kb.get("office1.door", "lock-state").value == "locked"
 
-    def test_analyze_and_knowledge_must_share_a_node(self):
-        data = scenario_dict(2)
-        for loop in data["loops"]:
-            if loop["id"] == "office1":
-                loop["components"] = {"knowledge": "fog2"}
+    def test_unplaceable_loop_is_a_config_error(self):
+        # Every service on the cloud and no fog node: the topology checks
+        # pass, and placement finds no fog for the loop.
+        data = bundled("1office")
+        topology = data["topology"]
+        hosted = [svc for node in topology["nodes"] for svc in node.get("hosts", [])]
+        topology["nodes"] = [{"id": "cloud", "tier": "cloud", "hosts": hosted}]
+        topology["links"] = []
         scenario = parse_scenario(data)
-        report = validate_scenario(scenario)
-        assert not report.ok
-        assert any("share a node" in line for line in report.lines())
-        with pytest.raises(ConfigError):
-            Runtime(scenario, seed=0)
-        with pytest.raises(ConfigError):
+        assert validate_scenario(scenario).lines() == [
+            "loops: loop 'office1': no fog node reaches its scope devices"]
+        with pytest.raises(ConfigError, match="no fog node"):
             Runtime(scenario, seed=0, check=False)
 
     def test_invalid_scenario_is_rejected_before_running(self):

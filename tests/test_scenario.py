@@ -132,7 +132,7 @@ class TestStrictParsing:
             parse_scenario(data)
 
     def test_master_node_is_an_unknown_key(self):
-        # The master's node comes from its loop's `node` and `components`.
+        # The master's node comes from its loop's offering and scope.
         data = scenario_dict(3, "centralized")
         data["control"]["master"]["node"] = "fog1"
         with pytest.raises(ConfigError, match=r"control\.master: unknown keys \['node'\]"):
@@ -168,10 +168,14 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="expected integer"):
             parse_scenario(data)
 
-    def test_unknown_component_override(self):
+    @pytest.mark.parametrize("key, pin", [("node", "fog1"),
+                                          ("components", {"knowledge": "fog1"})])
+    def test_loop_placement_pins_are_unknown_keys(self, key, pin):
+        # A loop's offering alone places its components.
         data = scenario_dict(1)
-        data["loops"][0]["components"] = {"observe": "cloud"}
-        with pytest.raises(ConfigError, match="unknown component"):
+        data["loops"][0][key] = pin
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"loops[0]: unknown keys ['{key}']")):
             parse_scenario(data)
 
     def test_defaults_reject_wrong_types(self):
@@ -201,7 +205,6 @@ class TestStrictParsing:
          lambda d: d["domain"]["tasks"][0]["services"][0]["parameters"][0], "unit"),
         ("domain.tasks[0].composites[0].goal",
          lambda d: d["domain"]["tasks"][0]["composites"][0], "goal"),
-        ("loops[0].node", lambda d: d["loops"][0], "node"),
         ("environment[0].weather", lambda d: d["environment"][0], "weather"),
         ("devices.office1.lamp.office", lambda d: d["devices"]["office1.lamp"], "office"),
     ])
@@ -519,13 +522,6 @@ class TestValidation:
         report = validate_scenario(parse_scenario(data))
         assert report.lines() == [
             "tasks[2].services[0]: duplicate service name 'office1.lamp'"]
-
-    def test_execute_forced_to_cloud_is_flagged(self):
-        data = scenario_dict(1)
-        data["loops"][0]["offering"] = "apaas_split"
-        data["loops"][0]["components"] = {"execute": "cloud"}
-        report = validate_scenario(parse_scenario(data))
-        assert any("execute must remain at fog" in line for line in report.lines())
 
     def test_aggregation_input_outside_scope(self):
         data = scenario_dict(2, "centralized")
