@@ -131,7 +131,6 @@ class PlannedAction:
     service: str
     command: str
     argument: Any = None
-    delay_ms: int = 0
 
 
 @dataclass(frozen=True)
@@ -144,15 +143,12 @@ class Policy:
 
 @dataclass(frozen=True)
 class Symptom:
-    policy: str
-    observations: tuple[Observation, ...]
-    raised_at: int
+    """A policy that fired. `base_ts` is the newest timestamp among the
+    entries the policy read; decision latency is measured from there to the
+    actuation taking effect."""
 
-    @property
-    def base_ts(self) -> int:
-        """Newest observation behind the symptom; decision latency is measured
-        from here to the actuation taking effect."""
-        return max(o.timestamp for o in self.observations) if self.observations else self.raised_at
+    policy: str
+    base_ts: int
 
 
 @dataclass(frozen=True)
@@ -162,20 +158,6 @@ class AdaptationPlan:
     actions: tuple[PlannedAction, ...]
     # The peer round that decided this sub-plan, if any.
     round: str | None = None
-
-
-def _snapshot(policy: Policy, kb: KnowledgeBase, now: int) -> tuple[Observation, ...]:
-    picked: list[Observation] = []
-    seen: set[tuple[str, str]] = set()
-    for cond in policy.when:
-        key = (cond.service, cond.parameter)
-        if key in seen:
-            continue
-        seen.add(key)
-        entry = kb.get(*key)
-        if entry is not None:
-            picked.append(Observation(cond.service, cond.parameter, entry.value, entry.timestamp))
-    return tuple(picked)
 
 
 def analyze(
@@ -219,7 +201,9 @@ def analyze(
             if start > now:
                 break
         else:
-            symptoms.append(Symptom(policy.name, _snapshot(policy, kb, now), now))
+            newest = max((latest[cond.service, cond.parameter].timestamp
+                          for cond in policy.when), default=now)
+            symptoms.append(Symptom(policy.name, newest))
     return symptoms
 
 
@@ -235,23 +219,17 @@ class PolicyIndex:
     in cooldown, one waiting for an `elapsed_since` deadline, one that just
     fired. `live` keeps declaration order, so `analyze(kb, index.live, ...)`
     returns what it would over every policy.
+
+    State is keyed by policy name, which validation makes unique within a
+    loop, so the index is plain data that survives a pickle.
     """
 
     def __init__(self, policies: Iterable[Policy]) -> None:
         self.policies = tuple(policies)
         self.live = list(self.policies)
-        # Policies are keyed by id: the tuple keeps them alive, and a policy
-        # listed twice sleeps and wakes with itself.
-        self._asleep: set[int] = set()
-        self._sleepers: dict[tuple[str, str], set[int]] = {}
-        # (id(policy), id(condition)) -> the streams read up to that condition.
-        self._wakers: dict[tuple[int, int], tuple[tuple[str, str], ...]] = {}
-        for policy in self.policies:
-            streams: list[tuple[str, str]] = []
-            for cond in policy.when:
-                if (cond.service, cond.parameter) not in streams:
-                    streams.append((cond.service, cond.parameter))
-                self._wakers.setdefault((id(policy), id(cond)), tuple(streams))
+        self._asleep: set[str] = set()
+        # Stream -> the names of the policies a new value there wakes.
+        self._sleepers: dict[tuple[str, str], set[str]] = {}
 
     def put(self, key: tuple[str, str], before: KbEntry | None, value: Any) -> None:
         """Stream `key` took `value`; `before` is the entry it replaced."""
@@ -260,15 +238,15 @@ class PolicyIndex:
         woken = self._sleepers.pop(key, None)
         if woken and not woken.isdisjoint(self._asleep):
             self._asleep -= woken
-            self.live = [p for p in self.policies if id(p) not in self._asleep]
+            self.live = [p for p in self.policies if p.name not in self._asleep]
 
     def sleep(self, blocked: list[tuple[Policy, Condition]]) -> None:
         """Put to sleep the live policies `analyze` reported in `blocked`."""
         for policy, cond in blocked:
-            self._asleep.add(id(policy))
-            for key in self._wakers[id(policy), id(cond)]:
-                self._sleepers.setdefault(key, set()).add(id(policy))
-        self.live = [p for p in self.policies if id(p) not in self._asleep]
+            self._asleep.add(policy.name)
+            for read in policy.when[:policy.when.index(cond) + 1]:
+                self._sleepers.setdefault((read.service, read.parameter), set()).add(policy.name)
+        self.live = [p for p in self.policies if p.name not in self._asleep]
 
 
 Reader = Callable[[], Any]
@@ -309,14 +287,14 @@ class Planner:
         raise UnknownPolicyError(f"no policy named '{symptom.policy}'")
 
 
-Transport = Callable[[AdaptationPlan, int, PlannedAction, int], Any]
+Transport = Callable[[AdaptationPlan, int, PlannedAction], Any]
 
 
 @dataclass
 class Executor:
     """Dispatches each plan exactly once through an actuation transport.
 
-    The transport sends one actuation per action, timed at now + delay;
+    The transport sends one actuation per action, in plan order, at once;
     link latency is added downstream by the network. The runtime's transport
     resolves its channel to every target when the run is built, so no
     dispatch can fail to route.
@@ -325,11 +303,9 @@ class Executor:
     transport: Transport
     dispatched: set[str] = field(default_factory=set)
 
-    def execute(self, plan: AdaptationPlan, now: int) -> list[Any]:
+    def execute(self, plan: AdaptationPlan) -> None:
         if plan.plan_id in self.dispatched:
             raise DoubleDispatchError(f"plan '{plan.plan_id}' already dispatched")
         self.dispatched.add(plan.plan_id)
-        return [
-            self.transport(plan, idx, action, now + action.delay_ms)
-            for idx, action in enumerate(plan.actions)
-        ]
+        for idx, action in enumerate(plan.actions):
+            self.transport(plan, idx, action)

@@ -351,14 +351,14 @@ class LoopActor:
             return
         plan: AdaptationPlan = payload
         if kind == DELEGATION:
-            self.executor.execute(plan, self.runtime.sim.now)
+            self.executor.execute(plan)
             return
         if self.is_master:
             self._delegate(plan)
         elif "execute" in self.rounds:
             self._queue("execute", plan)
         else:
-            self.executor.execute(plan, self.runtime.sim.now)
+            self.executor.execute(plan)
 
     def _delegate(self, plan: AdaptationPlan) -> None:
         sim = self.runtime.sim
@@ -373,39 +373,31 @@ class LoopActor:
             )
             sim.send(DELEGATION, self.to_slaves[loop_id], sub)
 
-    def _transport(self, plan: AdaptationPlan, idx: int, action: PlannedAction,
-                   at: int) -> None:
+    def _transport(self, plan: AdaptationPlan, idx: int, action: PlannedAction) -> None:
         sim = self.runtime.sim
-
-        def fire() -> None:
-            detail = {
-                "loop": self.spec.id,
-                "plan": plan.plan_id,
-                "idx": idx,
-                "service": action.service,
-                "command": action.command,
-                "arg": action.argument,
-            }
-            if plan.round is not None:
-                detail["round"] = plan.round
-            sim.emit("dispatch", self.addr["execute"], **detail)
-            channel = self.to_devices[action.service]
-            payload = {
-                "action": action,
-                "plan": plan.plan_id,
-                "idx": idx,
-                "policy": plan.symptom.policy,
-                "loop": self.spec.id,
-                "base_ts": plan.symptom.base_ts,
-                # The source of the device's `actuate-applied` row.
-                "src": channel.src,
-            }
-            sim.send(ACTUATE, channel, payload)
-
-        if at <= sim.now:
-            fire()
-        else:
-            sim.schedule(at, fire)
+        detail = {
+            "loop": self.spec.id,
+            "plan": plan.plan_id,
+            "idx": idx,
+            "service": action.service,
+            "command": action.command,
+            "arg": action.argument,
+        }
+        if plan.round is not None:
+            detail["round"] = plan.round
+        sim.emit("dispatch", self.addr["execute"], **detail)
+        channel = self.to_devices[action.service]
+        payload = {
+            "action": action,
+            "plan": plan.plan_id,
+            "idx": idx,
+            "policy": plan.symptom.policy,
+            "loop": self.spec.id,
+            "base_ts": plan.symptom.base_ts,
+            # The source of the device's `actuate-applied` row.
+            "src": channel.src,
+        }
+        sim.send(ACTUATE, channel, payload)
 
     # --- peer coordination --------------------------------------------------
 
@@ -490,7 +482,7 @@ class LoopActor:
                 if owned:
                     sub = AdaptationPlan(f"{item.plan_id}@{self.spec.id}", item.symptom,
                                          owned, round=pay["round"])
-                    self.executor.execute(sub, sim.now)
+                    self.executor.execute(sub)
         sim.send(COORDINATION, state.to_leader, {"type": "ack", "round": pay["round"]})
         if state.pending:
             sim.send(COORDINATION, state.to_leader, {"type": "request"})

@@ -315,8 +315,8 @@ _SHAPES: dict[type, _Shape] = {shape.cls: shape for shape in (
     _Shape(ElapsedSinceCondition, {"service": _str, "parameter": _str,
                                    "value": _scalar, "ms": _int},
            rename={"ms": "duration_ms"}),
-    _Shape(PlannedAction, {"service": _str, "command": _str, "arg": _scalar,
-                           "delay_ms": _int}, rename={"arg": "argument"}),
+    _Shape(PlannedAction, {"service": _str, "command": _str, "arg": _scalar},
+           rename={"arg": "argument"}),
     _Shape(Policy, {"name": _str,
                     "when": (_tuple(_condition),
                              lambda when: [_condition_json(c) for c in when]),
@@ -503,8 +503,6 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
                 and not record.admits(action.argument):
             report.add(apath, f"argument {_echo(action.argument)} of '{action.command}' "
                               f"on {with_article(kind.value)} is not {record.accepts}")
-        if action.delay_ms < 0:
-            report.add(apath, "delay must be >= 0")
 
 
 def _check_readings(path: str, source: str, readings: Mapping[str, ValueType],
@@ -597,6 +595,12 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             elif loop.id != master and owners[svc] != loop.id:
                 report.add(path, f"'{svc}' already managed by loop '{owners[svc]}'")
             listed.add(svc)
+        # A policy listed twice would raise two symptoms for each firing.
+        named: set[str] = set()
+        for policy in loop.policies:
+            if policy.name in named:
+                report.add(f"{path}.policies", f"policy '{policy.name}' is listed twice")
+            named.add(policy.name)
 
     for service in sorted(physical):
         if service not in setup_for:
@@ -760,8 +764,9 @@ def with_mode(data: dict, mode: str) -> dict:
     """Variant transform: switch the control mode.
 
     A centralized scenario turns decentralized by dropping the master loop
-    and grouping the remaining loops over analyze+execute. Centralized
-    cannot be synthesized: the scenario must already define a master.
+    and the policies only it lists, and grouping the remaining loops over
+    analyze+execute. Centralized cannot be synthesized: the scenario must
+    already define a master.
     """
     out = json.loads(json.dumps(data))
     control = out.get("control")
@@ -773,10 +778,14 @@ def with_mode(data: dict, mode: str) -> dict:
         raise ConfigError(f"unknown mode '{mode}'")
     if isinstance(control, dict) and control.get("mode") == "decentralized":
         return out
-    master = None
     if isinstance(control, dict) and control.get("mode") == "centralized":
         master = control["master"]["loop"]
+        mine = {name for loop in out["loops"] if loop["id"] == master
+                for name in loop.get("policies", [])}
         out["loops"] = [loop for loop in out["loops"] if loop["id"] != master]
+        # The master's own policies may read its aggregates, gone with it.
+        mine -= {name for loop in out["loops"] for name in loop.get("policies", [])}
+        out["policies"] = [p for p in out["policies"] if p["name"] not in mine]
     group = [loop["id"] for loop in out["loops"]]
     if len(group) < 2:
         raise ConfigError("decentralized control needs at least two loops")

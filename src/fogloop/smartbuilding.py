@@ -14,8 +14,10 @@ exact. The generator installs the three standing rules per office:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
 from fogloop.coordination import (
@@ -159,8 +161,17 @@ COMMANDS: dict[DeviceKind, dict[str, DeviceCommand]] = {
 # A reading derived from a state key rather than stored under its own name,
 # with the key and how: a clock is armed while it holds its arming time.
 _DERIVED: dict[str, tuple[str, Callable[[Any], Any]]] = {
-    "armed": ("armed-at", lambda armed_at: armed_at is not None),
+    "armed": ("armed-at", partial(operator.is_not, None)),
 }
+
+
+def _read(state: Mapping[str, Any], parameter: str) -> Any:
+    """`parameter` as a device in `state` reads it."""
+    if parameter in _DERIVED:
+        key, derive = _DERIVED[parameter]
+        return derive(state[key])
+    return state[parameter]
+
 
 # Ambient context: the service whose streams the environment feeds to every
 # knowledge base, and the type of each of them.
@@ -200,17 +211,15 @@ class Device:
         return 0
 
     def reader(self, parameter: str) -> Callable[[], Any]:
-        """A function of no arguments that reads `parameter`; ConfigError
-        when this device cannot read it."""
+        """A `partial` of no arguments that reads `parameter`, so a run that
+        holds it pickles; ConfigError when this device cannot read it."""
         if parameter in self.readers:
             return self.readers[parameter]
-        state = self.state
         if parameter in READINGS[self.kind]:
             if parameter in _DERIVED:
-                key, derive = _DERIVED[parameter]
-                return lambda: derive(state[key])
-            if parameter in state:
-                return lambda: state[parameter]
+                return partial(_read, self.state, parameter)
+            if parameter in self.state:
+                return partial(self.state.__getitem__, parameter)
         raise ConfigError(f"{self.service} has no readable parameter '{parameter}'")
 
     def read(self, parameter: str) -> Any:
@@ -231,9 +240,9 @@ class Device:
             after[key] = arg if to is ARG else now if to is NOW else to
         changed = []
         for parameter in READINGS[self.kind]:
-            key, derive = _DERIVED.get(parameter, (parameter, lambda value: value))
-            if key in record.sets and derive(after[key]) != derive(self.state[key]):
-                changed.append(Observation(self.service, parameter, derive(after[key]), now))
+            key = _DERIVED[parameter][0] if parameter in _DERIVED else parameter
+            if key in record.sets and _read(after, parameter) != _read(self.state, parameter):
+                changed.append(Observation(self.service, parameter, _read(after, parameter), now))
         if changed:
             self.state.update(after)
         return changed
@@ -514,7 +523,7 @@ def instantiate_office(
             power = defaults.lamp_w
         elif setup.kind is DeviceKind.HEATER:
             power = defaults.heater_w
-            readers["room-temp"] = lambda: office.room_temp_c
+            readers["room-temp"] = partial(getattr, office, "room_temp_c")
         elif setup.kind is DeviceKind.ENERGY_METER:
             readers["kwh-reading"] = office.kwh
         devices[setup.service] = Device(

@@ -494,11 +494,10 @@ def delegation_cases(draw):
             draw(st.sampled_from(pool)),
             draw(st.sampled_from(("set-power", "set-position", "arm"))),
             draw(st.one_of(st.none(), st.booleans(), st.integers(0, 1000))),
-            draw(st.integers(0, 5000)),
         )
         for _ in range(n_actions)
     )
-    plan = AdaptationPlan("p-master", Symptom("policy-x", (), 0), actions)
+    plan = AdaptationPlan("p-master", Symptom("policy-x", 0), actions)
     return plan, scopes, owner
 
 
@@ -517,7 +516,7 @@ def test_c9_delegation_conservation():
         assert list(subs) == [loop_id for loop_id in scopes if loop_id in subs]
 
         def key(action):
-            return (action.service, action.command, action.argument, action.delay_ms)
+            return (action.service, action.command, action.argument)
 
         assert Counter(
             key(a) for sub in subs.values() for a in sub.actions
@@ -535,7 +534,7 @@ def test_c9_delegation_conservation():
     with pytest.raises(KeyError):
         delegate(
             AdaptationPlan(
-                "p", Symptom("pol", (), 0), (PlannedAction("ghost", "set-power", True),)
+                "p", Symptom("pol", 0), (PlannedAction("ghost", "set-power", True),)
             ),
             {"svc1": "loop1"},
         )

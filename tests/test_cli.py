@@ -510,6 +510,25 @@ class TestCompare:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
 
+    def test_mode_variants_of_a_master_acting_on_its_aggregate(self, tmp_path, capsys):
+        # The decentralized variant has no master, nor the master's policies.
+        data = json.loads(Path(THREE_CENTRAL).read_text())
+        data["policies"].append({
+            "name": "building-energy-cap",
+            "when": [{"service": "building", "parameter": "total-kwh",
+                      "op": ">", "value": 0.0001}],
+            "then": [{"service": "office1.lamp", "command": "set-power", "arg": False}]})
+        data["loops"][-1]["policies"] = ["building-energy-cap"]
+        code = main([
+            "compare", "--scenario", write_scenario(tmp_path, data),
+            "--variants", "centralized,decentralized",
+            "--seed", "7", "--until-ms", "5000",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.out + captured.err
+        assert [line.split()[0] for line in captured.out.strip().splitlines()[1:]] == [
+            "centralized", "decentralized"]
+
     def test_violating_variant_is_a_validation_error(self, tmp_path, capsys):
         data = json.loads(Path(ONE_OFFICE).read_text())
         data["loops"][0]["scope"] = ["office1.door", "ghost-service"]

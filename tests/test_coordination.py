@@ -170,7 +170,7 @@ def test_forwarding_filter_sends_only_changes():
 
 def master_plan(*pairs: tuple[str, str]) -> AdaptationPlan:
     actions = tuple(PlannedAction(svc, cmd) for svc, cmd in pairs)
-    return AdaptationPlan("building-p1", Symptom("policy", (), 0), actions)
+    return AdaptationPlan("building-p1", Symptom("policy", 0), actions)
 
 
 # An ownership table as `Scenario.owners` builds it: loops in order.

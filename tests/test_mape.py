@@ -103,10 +103,7 @@ def test_analyze_raises_symptom_when_all_conditions_hold():
         Observation("office1.window", "position", "open", 200),
         Observation("office1.lamp", "power-state", True, 100),
     )
-    symptoms = analyze(kb, [LIGHTS_OFF_SUNNY], now=301)
-    assert [s.policy for s in symptoms] == ["lights-off-sunny"]
-    assert symptoms[0].raised_at == 301
-    assert symptoms[0].base_ts == 300
+    assert analyze(kb, [LIGHTS_OFF_SUNNY], now=301) == [Symptom("lights-off-sunny", 300)]
 
 
 def test_analyze_needs_every_condition():
@@ -175,19 +172,25 @@ def test_analyze_is_pure_and_ordered():
     assert all(kb.latest[key] is entry for key, entry in before.items())
 
 
-def test_symptom_snapshot_satisfies_policy():
+def test_symptom_base_ts_is_the_newest_entry_its_policy_read():
     kb = kb_with(
-        Observation("environment", "weather", "sunny", 300),
-        Observation("office1.window", "position", "open", 200),
-        Observation("office1.lamp", "power-state", True, 100),
+        Observation("environment", "weather", "sunny", 100),
+        Observation("office1.window", "position", "open", 400),
+        Observation("office1.lamp", "power-state", True, 250),
+        # Newer, but not read by the policy.
+        Observation("office1.door", "lock-state", "locked", 900),
     )
-    (symptom,) = analyze(kb, [LIGHTS_OFF_SUNNY], now=301)
-    replay = kb_with(*symptom.observations)
-    assert analyze(replay, [LIGHTS_OFF_SUNNY], symptom.raised_at) == [symptom]
+    assert analyze(kb, [LIGHTS_OFF_SUNNY], now=1000) == [Symptom("lights-off-sunny", 400)]
+    # A refresh of one stream moves it, whichever condition reads that stream.
+    kb.put(Observation("office1.lamp", "power-state", True, 700))
+    assert analyze(kb, [LIGHTS_OFF_SUNNY], now=1000) == [Symptom("lights-off-sunny", 700)]
+    twice = Policy("twice", LIGHTS_OFF_SUNNY.when + LIGHTS_OFF_SUNNY.when[:1],
+                   LIGHTS_OFF_SUNNY.then)
+    assert analyze(kb, [twice], now=1000) == [Symptom("twice", 700)]
 
 
 def test_plan_copies_policy_actions_verbatim():
-    symptom = Symptom("lights-off-sunny", (), raised_at=301)
+    symptom = Symptom("lights-off-sunny", base_ts=301)
     planner = Planner("office1")
     plan = planner.plan(symptom, [LIGHTS_OFF_SUNNY])
     assert plan.actions == LIGHTS_OFF_SUNNY.then
@@ -203,12 +206,12 @@ def test_two_action_plan_preserves_order():
             PlannedAction("office1.window", "set-position", "open"),
         ),
     )
-    plan = Planner().plan(Symptom("too-hot", (), 0), [policy])
+    plan = Planner().plan(Symptom("too-hot", 0), [policy])
     assert [a.command for a in plan.actions] == ["set-power", "set-position"]
 
 
 def test_replanning_gives_fresh_ids_same_actions():
-    symptom = Symptom("lights-off-sunny", (), raised_at=301)
+    symptom = Symptom("lights-off-sunny", base_ts=301)
     planner = Planner("office1")
     first = planner.plan(symptom, [LIGHTS_OFF_SUNNY])
     second = planner.plan(symptom, [LIGHTS_OFF_SUNNY])
@@ -218,42 +221,39 @@ def test_replanning_gives_fresh_ids_same_actions():
 
 def test_planner_rejects_unknown_policy():
     with pytest.raises(UnknownPolicyError):
-        Planner().plan(Symptom("ghost", (), 0), [LIGHTS_OFF_SUNNY])
+        Planner().plan(Symptom("ghost", 0), [LIGHTS_OFF_SUNNY])
 
 
 def record_transport(log: list):
-    def transport(plan: AdaptationPlan, idx: int, action: PlannedAction, at: int):
-        log.append((plan.plan_id, idx, action.command, at))
-        return at
+    def transport(plan: AdaptationPlan, idx: int, action: PlannedAction):
+        log.append((plan.plan_id, idx, action.command))
     return transport
 
 
-def test_execute_times_actions_by_delay():
+def test_execute_dispatches_each_action_once_in_order():
     log: list = []
     executor = Executor(record_transport(log))
     plan = AdaptationPlan(
         "p1",
-        Symptom("x", (), 1001),
-        (PlannedAction("office1.lamp", "set-power", False),),
+        Symptom("x", 1001),
+        (PlannedAction("office1.heater", "set-power", False),
+         PlannedAction("office1.window", "set-position", "open"),
+         PlannedAction("office1.heater", "set-power", False)),
     )
-    executor.execute(plan, now=1001)
-    assert log == [("p1", 0, "set-power", 1001)]
-
-    delayed = AdaptationPlan(
-        "p2", Symptom("x", (), 0), (PlannedAction("office1.lamp", "set-power", False,
-                                                  delay_ms=600_000),)
-    )
-    executor.execute(delayed, now=1000)
-    assert log[-1] == ("p2", 0, "set-power", 601_000)
+    executor.execute(plan)
+    assert log == [("p1", 0, "set-power"), ("p1", 1, "set-position"), ("p1", 2, "set-power")]
+    executor.execute(AdaptationPlan("p2", Symptom("x", 0),
+                                    (PlannedAction("office1.lamp", "set-power", False),)))
+    assert log[3:] == [("p2", 0, "set-power")]
 
 
 def test_execute_dispatches_exactly_once():
     log: list = []
     executor = Executor(record_transport(log))
-    plan = AdaptationPlan("p1", Symptom("x", (), 0), (PlannedAction("s", "c"),))
-    executor.execute(plan, now=0)
+    plan = AdaptationPlan("p1", Symptom("x", 0), (PlannedAction("s", "c"),))
+    executor.execute(plan)
     with pytest.raises(DoubleDispatchError):
-        executor.execute(plan, now=5)
+        executor.execute(plan)
     assert len(log) == 1
 
 
@@ -293,8 +293,8 @@ def test_cooldown_spaces_symptoms(cooldown, ticks):
     for step in ticks:
         now += step
         for symptom in analyze(kb, [policy], now, last_raised):
-            last_raised[symptom.policy] = symptom.raised_at
-            raised.append(symptom.raised_at)
+            last_raised[symptom.policy] = now
+            raised.append(now)
     assert all(b - a >= cooldown for a, b in zip(raised, raised[1:]))
 
 
@@ -394,7 +394,7 @@ def test_indexed_analysis_matches_analysis_of_every_policy(policies, steps):
         expected = analyze(kb, policies, at, dict(last_raised))
         assert indexed_outcome(kb, index, at, last_raised) == expected
         for symptom in expected:
-            last_raised[symptom.policy] = symptom.raised_at
+            last_raised[symptom.policy] = at
 
 
 def test_index_keeps_a_policy_waiting_for_a_deadline_live():

@@ -359,6 +359,16 @@ def test_cli_opens_files_only_in_with_statements():
     assert not bare, "cli.py calls open outside a with item: " + ", ".join(bare)
 
 
+def test_the_package_calls_no_builtin_id():
+    # An object's id changes when a run is pickled and loaded, so run state
+    # keyed by `id()` would not resume; see `TestCheckpoint` in test_runtime.
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "id"]
+    assert not calls, "src/fogloop calls id(): " + ", ".join(calls)
+
+
 # Modules that may read a loop's `.scope`: the schema, which builds the
 # ownership table `Scenario.owners` from scopes; placement, which places a
 # loop near its scope's devices; and the building generator.

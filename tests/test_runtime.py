@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,11 +15,13 @@ import pytest
 
 from fogloop.errors import ConfigError
 from fogloop.mape import KnowledgeBase, Observation
+from fogloop.metrics import compute_metrics, metrics_csv
 from fogloop.model import value_conforms
-from fogloop.runtime import Runtime, discrete_snapshot, run_scenario
+from fogloop.runtime import Runtime, RunResult, discrete_snapshot, run_scenario
 from fogloop.scenario import (
     _stream_types,
     building_to_dict,
+    load_scenario,
     parse_scenario,
     validate_scenario,
     with_mode,
@@ -236,6 +240,81 @@ class TestDeterminism:
         result = run_scenario(parse_scenario(data), seed=2, horizon=3_000)
         for line in result.trace.to_jsonl().splitlines():
             json.loads(line)
+
+
+CHECKPOINT_MS, RESUMED_MS = 600_000, 1_800_000
+
+
+def finish(runtime: Runtime, horizon: int) -> RunResult:
+    """`runtime` run on to `horizon` and finished as `run_scenario` does."""
+    runtime.sim.run_until(horizon)
+    runtime.finalize(horizon)
+    return RunResult(runtime.scenario, runtime.sim.seed, horizon, runtime.sim.trace,
+                     runtime.offices, {}, runtime.placement)
+
+
+def digests(result: RunResult) -> list[str]:
+    """The sha256 of the trace's JSONL and of the metrics CSV."""
+    return [hashlib.sha256(text.encode()).hexdigest()
+            for text in (result.trace.to_jsonl(), metrics_csv(compute_metrics(result)))]
+
+
+# One side of a checkpoint in a fresh interpreter; argv: scenario, pickle,
+# horizon. Without the pickle, run the scenario at seed 42 to the horizon
+# and save it; with it, load it, finish it at the horizon and print `digests`.
+CHECKPOINT = """
+import hashlib, os, pickle, sys
+from fogloop.metrics import compute_metrics, metrics_csv
+from fogloop.runtime import Runtime, RunResult
+from fogloop.scenario import load_scenario
+scenario, checkpoint, horizon = sys.argv[1], sys.argv[2], int(sys.argv[3])
+if not os.path.exists(checkpoint):
+    runtime = Runtime(load_scenario(scenario), 42)
+    runtime.sim.run_until(horizon)
+    with open(checkpoint, "wb") as fh:
+        pickle.dump(runtime, fh)
+    sys.exit()
+with open(checkpoint, "rb") as fh:
+    runtime = pickle.load(fh)
+runtime.sim.run_until(horizon)
+runtime.finalize(horizon)
+result = RunResult(runtime.scenario, 42, horizon, runtime.sim.trace, runtime.offices, {},
+                   runtime.placement)
+for text in (result.trace.to_jsonl(), metrics_csv(compute_metrics(result))):
+    print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+class TestCheckpoint:
+    """A run is plain data: pickled between two `run_until` calls and
+    loaded again, it finishes with the uninterrupted run's bytes. A closure
+    or an `id()` key in run state fails this."""
+
+    @pytest.mark.parametrize("name,offering", [
+        ("1office", "mapeaas"), ("1office", "apaas_split"),
+        ("3office_centralized", "mapeaas"), ("3office_decentralized", "mapeaas")])
+    def test_a_resumed_run_matches_the_uninterrupted_one(self, name, offering):
+        scenario = parse_scenario(with_offering(bundled(name), offering))
+        runtime = Runtime(scenario, 42)
+        runtime.sim.run_until(CHECKPOINT_MS)
+        resumed = finish(pickle.loads(pickle.dumps(runtime)), RESUMED_MS)
+        assert digests(resumed) == digests(run_scenario(scenario, 42, RESUMED_MS))
+
+    def test_a_run_saved_under_one_hash_seed_resumes_under_another(self, tmp_path):
+        path = str(SCENARIOS / "smart_building_1office.json")
+        checkpoint = str(tmp_path / "run.pickle")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        printed = [
+            subprocess.run(
+                [sys.executable, "-c", CHECKPOINT, path, checkpoint, str(horizon)],
+                capture_output=True, text=True, check=True, timeout=120,
+                env=dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                         PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+            ).stdout.split()
+            for hash_seed, horizon in ((0, CHECKPOINT_MS), (1, RESUMED_MS))
+        ]
+        assert printed[0] == []
+        assert printed[1] == digests(run_scenario(load_scenario(path), 42, RESUMED_MS))
 
 
 class TestCentralized:

@@ -238,6 +238,14 @@ class TestValidation:
         report = validate_scenario(parse_scenario(data))
         assert report.lines() == ["loops[0]: 'office1.door' is listed twice in the scope"]
 
+    def test_policy_listed_twice_in_one_loop(self):
+        # Both entries would fire together, doubling every plan and dispatch.
+        data = scenario_dict(2)
+        data["loops"][1]["policies"].append("office2-too-hot")
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            "loops[1].policies: policy 'office2-too-hot' is listed twice"]
+
     def test_master_scope_may_overlap(self):
         data = scenario_dict(3, "centralized")
         assert validate_scenario(parse_scenario(data)).ok
@@ -659,6 +667,28 @@ class TestVariants:
         scenario = parse_scenario(out)
         assert validate_scenario(scenario).ok, "\n".join(
             validate_scenario(scenario).lines())
+
+    def test_decentralized_drops_the_policies_only_the_master_listed(self):
+        data = scenario_dict(3, "centralized")
+        data["policies"] += [
+            {"name": "building-energy-cap",
+             "when": [{"service": "building", "parameter": "total-kwh",
+                       "op": ">", "value": 0.0001}],
+             "then": [{"service": "office1.lamp", "command": "set-power", "arg": False}]},
+            {"name": "shared-rule",
+             "when": [{"service": "environment", "parameter": "weather",
+                       "op": "==", "value": "sunny"}],
+             "then": [{"service": "office1.lamp", "command": "set-power", "arg": False}]},
+        ]
+        data["loops"][0]["policies"].append("shared-rule")
+        data["loops"][-1]["policies"] = ["building-energy-cap", "shared-rule"]
+        assert validate_scenario(parse_scenario(data)).ok
+        out = with_mode(data, "decentralized")
+        names = [policy["name"] for policy in out["policies"]]
+        assert names == [policy["name"] for policy in data["policies"]
+                         if policy["name"] != "building-energy-cap"]
+        report = validate_scenario(parse_scenario(out))
+        assert report.ok, "\n".join(report.lines())
 
     def test_mode_is_idempotent(self):
         data = scenario_dict(2, "decentralized")
