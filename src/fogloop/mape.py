@@ -4,13 +4,15 @@ The analyzer is a deterministic event-condition-action engine: a policy
 fires when every condition holds over the knowledge base's latest values
 and its cooldown has elapsed. Analysis is pure: re-trigger state (the
 last-raised map) is owned by the caller and passed in explicitly. A
-`PolicyIndex` spares analysis the policies no put since their last check
-can make fire. Value types are checked once, by `validate_scenario`, so
-nothing here checks them again.
+`PolicyIndex` spares analysis the policies that cannot fire yet: those no
+new value since their last check can make fire, until the cooldown or
+`elapsed_since` deadline they wait for comes. Value types are checked once,
+by `validate_scenario`, so nothing here checks them again.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -165,7 +167,7 @@ def analyze(
     policies: Iterable[Policy],
     now: int,
     last_raised: Mapping[str, int] | None = None,
-    blocked: list[tuple[Policy, Condition]] | None = None,
+    blocked: list[tuple[Policy, Condition | None, int | None]] | None = None,
 ) -> list[Symptom]:
     """One symptom per policy whose conditions all hold and whose cooldown has
     elapsed. Evaluation follows declaration order and stops at the first
@@ -176,29 +178,29 @@ def analyze(
     it; policies and values that skipped validation are the caller's to
     vouch for.
 
-    If `blocked` is given, it receives `(policy, condition)` for every policy
-    whose evaluation stopped at a condition that cannot hold while its
-    stream's latest entry stands: the stream has no entry, or `holds_from`
-    is None for it."""
+    If `blocked` is given, it receives `(policy, condition, until)` for every
+    policy that does not fire: what stopped it and the earliest time it can
+    fire while the streams it read keep their values.
+    - In cooldown: `(policy, None, last + cooldown_ms)`.
+    - At a condition that cannot hold while its stream's latest entry
+      stands (no entry, or `holds_from` is None): `(policy, condition, None)`.
+    - At an `elapsed_since` deadline still ahead: `(policy, condition,
+      deadline)`."""
     last_raised = last_raised or {}
     latest = kb.latest
     symptoms: list[Symptom] = []
     for policy in policies:
         last = last_raised.get(policy.name)
         if last is not None and now - last < policy.cooldown_ms:
+            if blocked is not None:
+                blocked.append((policy, None, last + policy.cooldown_ms))
             continue
         for cond in policy.when:
             entry = latest.get((cond.service, cond.parameter))
-            if entry is None:
+            start = None if entry is None else cond.holds_from(entry)
+            if start is None or start > now:
                 if blocked is not None:
-                    blocked.append((policy, cond))
-                break
-            start = cond.holds_from(entry)
-            if start is None:
-                if blocked is not None:
-                    blocked.append((policy, cond))
-                break
-            if start > now:
+                    blocked.append((policy, cond, start))
                 break
         else:
             newest = max((latest[cond.service, cond.parameter].timestamp
@@ -208,20 +210,23 @@ def analyze(
 
 
 class PolicyIndex:
-    """The policies of one loop that analysis must check after a put.
+    """The policies of one loop that analysis must check.
 
-    A policy sleeps once `analyze` reports it blocked, until a stream read by
-    the blocking condition, or by a condition before it, gets a new value.
-    Until then checking it cannot fire it: a condition's verdict depends
+    A policy sleeps once `analyze` reports it blocked. It wakes on whichever
+    comes first: a new value on a stream read by the blocking condition or a
+    condition before it, or the time `analyze` reported, which `due` passes
+    on. Until then checking it cannot fire it: a condition's verdict depends
     only on its stream's value, of which only equality counts on a stream
-    of one type, and on `since`, which moves only with the value. Every
-    other policy stays live and is checked at every put, on any stream: one
-    in cooldown, one waiting for an `elapsed_since` deadline, one that just
-    fired. `live` keeps declaration order, so `analyze(kb, index.live, ...)`
-    returns what it would over every policy.
+    of one type, on `since`, which moves only with the value, and on the
+    time; a cooldown depends only on the time. Waking a policy early is
+    always safe, since analysis is pure. Only a policy that just fired stays
+    live until the next analysis. `live` keeps declaration order, so
+    `analyze(kb, index.due(now), ...)` returns what it would over every
+    policy.
 
     State is keyed by policy name, which validation makes unique within a
-    loop, so the index is plain data that survives a pickle.
+    loop, so the index is plain data that survives a pickle. Each sleeping
+    policy holds at most one pending `(time, name)` wake, kept sorted.
     """
 
     def __init__(self, policies: Iterable[Policy]) -> None:
@@ -230,6 +235,11 @@ class PolicyIndex:
         self._asleep: set[str] = set()
         # Stream -> the names of the policies a new value there wakes.
         self._sleepers: dict[tuple[str, str], set[str]] = {}
+        self._wakes: list[tuple[int, str]] = []
+
+    def _wake(self, names: Iterable[str]) -> None:
+        self._asleep.difference_update(names)
+        self.live = [p for p in self.policies if p.name not in self._asleep]
 
     def put(self, key: tuple[str, str], before: KbEntry | None, value: Any) -> None:
         """Stream `key` took `value`; `before` is the entry it replaced."""
@@ -237,15 +247,28 @@ class PolicyIndex:
             return
         woken = self._sleepers.pop(key, None)
         if woken and not woken.isdisjoint(self._asleep):
-            self._asleep -= woken
-            self.live = [p for p in self.policies if p.name not in self._asleep]
+            self._wake(woken)
 
-    def sleep(self, blocked: list[tuple[Policy, Condition]]) -> None:
+    def due(self, now: int) -> list[Policy]:
+        """Wake every policy whose time has come by `now`; the live policies."""
+        wakes = self._wakes
+        if wakes and wakes[0][0] <= now:
+            count = bisect.bisect_right(wakes, now, key=operator.itemgetter(0))
+            self._wake(name for _, name in wakes[:count])
+            del wakes[:count]
+        return self.live
+
+    def sleep(self, blocked: list[tuple[Policy, Condition | None, int | None]]) -> None:
         """Put to sleep the live policies `analyze` reported in `blocked`."""
-        for policy, cond in blocked:
-            self._asleep.add(policy.name)
-            for read in policy.when[:policy.when.index(cond) + 1]:
-                self._sleepers.setdefault((read.service, read.parameter), set()).add(policy.name)
+        for policy, cond, until in blocked:
+            name = policy.name
+            self._asleep.add(name)
+            if cond is not None:
+                for read in policy.when[:policy.when.index(cond) + 1]:
+                    self._sleepers.setdefault((read.service, read.parameter), set()).add(name)
+            self._wakes = [wake for wake in self._wakes if wake[1] != name]
+            if until is not None:
+                bisect.insort(self._wakes, (until, name))
         self.live = [p for p in self.policies if p.name not in self._asleep]
 
 

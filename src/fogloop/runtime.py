@@ -281,8 +281,11 @@ class LoopActor:
 
     def _analyze_now(self) -> None:
         sim = self.runtime.sim
+        live = self.index.due(sim.now)
+        if not live:
+            return
         blocked: list = []
-        symptoms = analyze(self.kb, self.index.live, sim.now, self.last_raised, blocked)
+        symptoms = analyze(self.kb, live, sim.now, self.last_raised, blocked)
         if blocked:
             self.index.sleep(blocked)
         for symptom in symptoms:

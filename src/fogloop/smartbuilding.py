@@ -195,20 +195,14 @@ class Device:
         kind: DeviceKind,
         power_w: int = 0,
         initial: Mapping[str, Any] | None = None,
-        readers: Mapping[str, Callable[[], Any]] | None = None,
     ):
         self.service = service
         self.kind = kind
         self.power_w = power_w
-        self.readers = dict(readers or {})
+        # Readings taken from elsewhere than the state, by parameter.
+        self.readers: dict[str, Callable[[], Any]] = {}
         self.state: dict[str, Any] = dict(_DEFAULT_STATE[kind])
         self.state.update(initial or {})
-
-    @property
-    def active_power_w(self) -> int:
-        if self.kind in (DeviceKind.LAMP, DeviceKind.HEATER) and self.state["power-state"]:
-            return self.power_w
-        return 0
 
     def reader(self, parameter: str) -> Callable[[], Any]:
         """A `partial` of no arguments that reads `parameter`, so a run that
@@ -267,7 +261,8 @@ class OfficeState:
     power level changes so each segment integrates the power that actually
     held over it. The office integrates lazily: `sync(now)` advances it
     exactly to `now` under `env`, so every read and every power change sits
-    on a segment boundary.
+    on a segment boundary. The heater, the window and the powered devices
+    are resolved once, here, so a step scans no devices.
     """
 
     def __init__(
@@ -289,25 +284,24 @@ class OfficeState:
         self.leak_closed_per_min = leak_closed_per_min
         self.energy_mj = 0
         self._accounted_at = 0
-
-    def _of_kind(self, kind: DeviceKind) -> Device | None:
-        for device in self.devices.values():
-            if device.kind is kind:
-                return device
-        return None
+        # The state of the first device of each kind.
+        of_kind = {device.kind: device.state for device in reversed(devices.values())}
+        self._heater = of_kind.get(DeviceKind.HEATER, {"power-state": False})
+        self._window = of_kind.get(DeviceKind.WINDOW, {"position": "closed"})
+        # (state, watts) of every device that draws power while switched on.
+        self._powered = [(device.state, device.power_w) for device in devices.values()
+                         if device.kind in (DeviceKind.LAMP, DeviceKind.HEATER)]
 
     @property
     def heater_on(self) -> bool:
-        heater = self._of_kind(DeviceKind.HEATER)
-        return bool(heater and heater.state["power-state"])
+        return bool(self._heater["power-state"])
 
     @property
     def window_open(self) -> bool:
-        window = self._of_kind(DeviceKind.WINDOW)
-        return bool(window and window.state["position"] == "open")
+        return self._window["position"] == "open"
 
     def power_w(self) -> int:
-        return sum(device.active_power_w for device in self.devices.values())
+        return sum(watts for state, watts in self._powered if state["power-state"])
 
     def account(self, now: int) -> None:
         if now < self._accounted_at:
@@ -505,8 +499,14 @@ def instantiate_office(
     env: Environment | None = None,
 ) -> OfficeState:
     """Create live devices plus the shared physics for one office, which
-    integrates under `env`."""
-    devices: dict[str, Device] = {}
+    integrates under `env`. The office reads its devices, and the heater and
+    the meter read the office."""
+    watts = {DeviceKind.LAMP: defaults.lamp_w, DeviceKind.HEATER: defaults.heater_w}
+    devices = {
+        setup.service: Device(setup.service, setup.kind, power_w=watts.get(setup.kind, 0),
+                              initial=setup.initial)
+        for setup in setups
+    }
     office = OfficeState(
         office_id,
         devices,
@@ -516,19 +516,11 @@ def instantiate_office(
         leak_closed_per_min=defaults.leak_closed_per_min,
         env=env,
     )
-    for setup in setups:
-        readers: dict[str, Callable[[], Any]] = {}
-        power = 0
-        if setup.kind is DeviceKind.LAMP:
-            power = defaults.lamp_w
-        elif setup.kind is DeviceKind.HEATER:
-            power = defaults.heater_w
-            readers["room-temp"] = partial(getattr, office, "room_temp_c")
-        elif setup.kind is DeviceKind.ENERGY_METER:
-            readers["kwh-reading"] = office.kwh
-        devices[setup.service] = Device(
-            setup.service, setup.kind, power_w=power, initial=setup.initial, readers=readers
-        )
+    for device in devices.values():
+        if device.kind is DeviceKind.HEATER:
+            device.readers["room-temp"] = partial(getattr, office, "room_temp_c")
+        elif device.kind is DeviceKind.ENERGY_METER:
+            device.readers["kwh-reading"] = office.kwh
     return office
 
 

@@ -27,11 +27,19 @@ from fogloop.coordination import (
     delegate,
 )
 from fogloop.mape import AdaptationPlan, PlannedAction, Symptom
-from fogloop.metrics import compute_metrics, metrics_csv
+from fogloop.cli import main
+from fogloop.metrics import MetricsFold, compute_metrics, metrics_csv
 from fogloop.placement import LoopSpec, Offering, place
 from fogloop.runtime import Runtime, RunResult, discrete_snapshot, run_scenario
-from fogloop.scenario import load_scenario, parse_scenario, with_offering
+from fogloop.scenario import (
+    building_to_dict,
+    load_scenario,
+    parse_scenario,
+    with_mode,
+    with_offering,
+)
 from fogloop.simnet import Link, Node, Tier, Topology
+from fogloop.smartbuilding import EnvironmentEvent, build_smart_building
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ONE_OFFICE = SCENARIOS / "smart_building_1office.json"
@@ -388,6 +396,72 @@ def test_golden_digests(run_one_mapeaas, run_one_apaas, run_three_cen, run_three
         measured[name] = (len(result.trace.events), trace, metrics)
     assert measured == GOLDEN
     print(f"PASS golden: trace and metrics digests of {len(GOLDEN)} two-hour runs")
+
+
+def jittered_building(seed: int, horizon: int) -> dict:
+    """Three offices under a centralized master, in the shape of the
+    benchmark's buildings: one weather flip and one outside-temperature step
+    per minute at seeded times, each link's jitter drawn from 0..latency,
+    and a master rule that turns every heater off while it is warm outside."""
+    rng = random.Random(seed)
+    count = horizon // 60_000
+    flips = sorted(rng.randrange(1, horizon) for _ in range(count))
+    steps = sorted(rng.randrange(1, horizon) for _ in range(count))
+    events = [EnvironmentEvent(t, weather="sunny" if i % 2 == 0 else "not-sunny")
+              for i, t in enumerate(flips)]
+    events += [EnvironmentEvent(t, outside_temp_c=rng.randrange(0, 61) / 2) for t in steps]
+    events.sort(key=lambda event: event.t)
+    building = build_smart_building(3, control="centralized", environment_events=events)
+    data = building_to_dict(building, f"jittered-3office-seed{seed}")
+    for link in data["topology"]["links"]:
+        link["jitter_ms"] = rng.randint(0, link["latency_ms"])
+    data["policies"].append({
+        "name": "building-heat-off-when-warm",
+        "when": [{"service": "environment", "parameter": "outside-temp",
+                  "op": ">=", "value": 20.0}],
+        "then": [{"service": f"office{i}.heater", "command": "set-power", "arg": False}
+                 for i in (1, 2, 3)],
+        "cooldown_ms": 60_000,
+    })
+    master = data["control"]["master"]["loop"]
+    next(loop for loop in data["loops"] if loop["id"] == master)["policies"].append(
+        "building-heat-off-when-warm")
+    return data
+
+
+# Trace rows and sha256 prefixes of trace.to_jsonl() and metrics_csv() of
+# `jittered_building(3, 300_000)` at seed 3, to 300,000 ms.
+JITTERED = {
+    "centralized": (28_230, "d33bd35d9d5b5c6d", "aa2bdc1bae217c9b"),
+    "decentralized": (26_189, "bdb79279ed289bec", "777032c0ce4271e6"),
+}
+
+
+def test_jittered_building_digests(tmp_path, capsys):
+    """Jitter, environment events and a master rule, which no bundled
+    scenario has, are pinned in both control modes; the folded metrics and
+    `fogloop compare` agree with the kept trace."""
+    seed, horizon = 3, 300_000
+    data = jittered_building(seed, horizon)
+    measured, rows = {}, []
+    for mode in JITTERED:
+        scenario = parse_scenario(with_mode(data, mode))
+        result = run_scenario(scenario, seed, horizon)
+        metrics = compute_metrics(result)
+        csv = metrics_csv(metrics)
+        measured[mode] = (len(result.trace.events),
+                          hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest()[:16],
+                          hashlib.sha256(csv.encode()).hexdigest()[:16])
+        folded = run_scenario(scenario, seed, horizon, sink=MetricsFold)
+        assert metrics_csv(compute_metrics(folded)) == csv
+        rows.append(f"{mode:<16} {metrics.latency_mean:>16.3f} "
+                    f"{metrics.fog_to_cloud:>13} {metrics.total_kwh:>14.9f}")
+    assert measured == JITTERED
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["compare", "--scenario", str(path), "--variants", ",".join(JITTERED),
+                 "--seed", str(seed), "--until-ms", str(horizon)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == rows
 
 
 @st.composite

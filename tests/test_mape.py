@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -356,7 +358,7 @@ def index_steps(draw):
 
 def indexed_outcome(kb: KnowledgeBase, index: PolicyIndex, now: int, last_raised: dict):
     blocked: list = []
-    symptoms = analyze(kb, index.live, now, last_raised, blocked)
+    symptoms = analyze(kb, index.due(now), now, last_raised, blocked)
     index.sleep(blocked)
     return symptoms
 
@@ -364,6 +366,14 @@ def indexed_outcome(kb: KnowledgeBase, index: PolicyIndex, now: int, last_raised
 @example(policies=[AFTER_LOCK],
          steps=[("s", "word", "on", 1, 0, 0, True), ("s", "count", 1, 1, 0, 0, True),
                 ("s", "flag", False, 18, 0, 0, True)])
+@example(  # analysis times that go backwards, past a deadline and a cooldown
+    policies=[AFTER_LOCK, Policy("p", (ThresholdCondition("s", "count", Comparator.GE, 1),),
+                                 NOOP, cooldown_ms=10)],
+    steps=[("s", "count", 1, 1, 0, 0, True), ("s", "word", "on", 1, 0, 0, True),
+           ("s", "flag", False, 1, 0, 40, True), ("s", "flag", True, 1, 0, 0, True),
+           ("s", "flag", False, 1, 0, 43, True), ("s", "count", 2, 1, 0, 0, True),
+           ("s", "word", "off", 1, 0, 0, True), ("s", "flag", True, 1, 0, 50, True)],
+)
 @example(  # an equal value of another type on a real stream: 1 == 1.0
     policies=[Policy("p", (ThresholdCondition("s", "count", Comparator.GE, 1),
                            ThresholdCondition("s", "word", Comparator.EQ, "on")), NOOP)],
@@ -397,23 +407,73 @@ def test_indexed_analysis_matches_analysis_of_every_policy(policies, steps):
             last_raised[symptom.policy] = at
 
 
-def test_index_keeps_a_policy_waiting_for_a_deadline_live():
+def put_into(kb: KnowledgeBase, index: PolicyIndex, obs: Observation) -> None:
+    key = (obs.service, obs.parameter)
+    before = kb.latest.get(key)
+    kb.put(obs)
+    index.put(key, before, obs.value)
+
+
+def test_index_sleeps_a_policy_until_its_deadline():
     """`-lights-off-after-lock`'s trap: the deadline passes with no put on
-    either stream the policy reads, and the next put, on another stream,
-    fires it."""
-    blocked_rule = Policy("sunny", (ThresholdCondition("s", "word", Comparator.EQ, "off"),),
-                          NOOP)
+    either stream the policy reads. The policy sleeps until the deadline, and
+    the first analysis at or after it fires the policy, here after a put on
+    another stream."""
     kb = KnowledgeBase()
-    index = PolicyIndex([blocked_rule, AFTER_LOCK])
-    for obs in (Observation("s", "word", "on", 1), Observation("s", "count", 1, 2)):
-        before = kb.latest.get((obs.service, obs.parameter))
-        kb.put(obs)
-        index.put((obs.service, obs.parameter), before, obs.value)
+    index = PolicyIndex([AFTER_LOCK])
+    for obs in (Observation("s", "count", 1, 1), Observation("s", "word", "on", 2)):
+        put_into(kb, index, obs)
         assert indexed_outcome(kb, index, obs.timestamp, {}) == []
-    assert index.live == [AFTER_LOCK]
-    kb.put(Observation("s", "flag", False, 20))
-    index.put(("s", "flag"), None, False)
-    assert [s.policy for s in indexed_outcome(kb, index, 20, {})] == ["after-lock"]
+    assert index.live == []
+    for now in (5, 11):
+        put_into(kb, index, Observation("s", "flag", now % 2 == 0, now))
+        assert index.due(now) == []
+    put_into(kb, index, Observation("s", "flag", False, 14))
+    assert [s.policy for s in indexed_outcome(kb, index, 14, {})] == ["after-lock"]
+
+
+def test_index_sleeps_a_policy_through_its_cooldown():
+    """A policy that fired is not checked before `last + cooldown_ms`, a new
+    value in the meantime does not fire it, and the first analysis once the
+    cooldown has passed does."""
+    hot = Policy("hot", (ThresholdCondition("s", "count", Comparator.GE, 2),), NOOP,
+                 cooldown_ms=30)
+    kb = KnowledgeBase()
+    index = PolicyIndex([hot])
+    last_raised: dict[str, int] = {}
+    put_into(kb, index, Observation("s", "count", 2, 0))
+    assert indexed_outcome(kb, index, 0, last_raised) == [Symptom("hot", 0)]
+    last_raised["hot"] = 0
+    put_into(kb, index, Observation("s", "count", 3, 10))
+    assert indexed_outcome(kb, index, 10, last_raised) == []
+    for now, value in ((20, 2.5), (29, 3)):
+        put_into(kb, index, Observation("s", "count", value, now))
+        assert index.due(now) == []
+        assert indexed_outcome(kb, index, now, last_raised) == []
+    put_into(kb, index, Observation("s", "count", 3, 30))
+    assert indexed_outcome(kb, index, 30, last_raised) == [Symptom("hot", 30)]
+
+
+def test_index_holds_one_pending_wake_per_policy():
+    """Slept and woken thousands of times, on streams and on time, with
+    deadlines far ahead, a policy holds at most one pending wake time."""
+    waiting = Policy("waiting", (ElapsedSinceCondition("s", "word", "on", 100),
+                                 ThresholdCondition("s", "flag", Comparator.EQ, True)),
+                     NOOP, cooldown_ms=200)
+    kb = KnowledgeBase()
+    index = PolicyIndex([waiting])
+    last_raised: dict[str, int] = {}
+    fired = 0
+    rng = random.Random(0)
+    for now in range(0, 50_000, 10):
+        parameter = rng.choice(["word", "flag"])
+        value = rng.choice(["on", "on", "off"]) if parameter == "word" else rng.random() < 0.9
+        put_into(kb, index, Observation("s", parameter, value, now))
+        for symptom in indexed_outcome(kb, index, now, last_raised):
+            last_raised[symptom.policy] = now
+            fired += 1
+        assert len(index._wakes) <= 1
+    assert fired > 10
 
 
 def test_index_wakes_a_policy_only_when_a_stream_it_waits_on_changes_value():
