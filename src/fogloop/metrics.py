@@ -3,7 +3,9 @@
 Every count is a pure function of the trace, so an external script can
 recompute the delimited output line by line and match it exactly.
 `MetricsFold` computes the tallies as events arrive; a run that uses it as
-its trace sink keeps no rows.
+its trace sink keeps no rows. It counts message rows in counter cells
+resolved once per (interaction, path) and copies them into `RunMetrics`
+when its `metrics` is read.
 """
 
 from __future__ import annotations
@@ -72,73 +74,85 @@ class RunMetrics:
 class MetricsFold:
     """A trace sink that folds each event into `RunMetrics` and keeps no
     rows; `events` stays empty. Energy is not an event: `compute_metrics`
-    adds it from the offices after the run."""
+    adds it from the offices after the run.
+
+    A message row bumps counter cells, one-element lists: the first
+    delivery of an (interaction, path) key resolves the cells every
+    delivery of that key bumps, its interaction's and one per tier hop along
+    the path. Reading `metrics` copies the cells into `RunMetrics`, work in
+    proportion to the distinct interactions, hop names and event kinds."""
 
     events: tuple[()] = ()
 
     def __init__(self, header: dict[str, Any]):
         self.header = header
-        self.metrics = RunMetrics()
+        self._metrics = RunMetrics()
         self._tiers: dict[str, str] = header["nodes"]
-        self._hops_of: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._counts: dict[str, int] = {}  # every kind but `send` and `deliver`
+        # Cells by interaction and by hop name, and the cells one delivery
+        # of each (interaction, path) key bumps.
+        self._sends: dict[Any, list[int]] = {}
+        self._deliveries: dict[Any, list[int]] = {}
+        self._hops: dict[str, list[int]] = {}
+        self._cells: dict[tuple[Any, Any], tuple[list[int], ...]] = {}
+
+    @property
+    def metrics(self) -> RunMetrics:
+        """The fold's `RunMetrics`, its tables copied from the counts now."""
+        metrics, counts = self._metrics, dict(self._counts)
+        metrics.sends = {key: cell[0] for key, cell in self._sends.items()}
+        metrics.deliveries = {key: cell[0] for key, cell in self._deliveries.items()}
+        metrics.hops = {hop: cell[0] for hop, cell in self._hops.items()}
+        for kind, table in (("send", metrics.sends), ("deliver", metrics.deliveries)):
+            if table:
+                counts[kind] = sum(table.values())
+        metrics.event_counts = counts
+        return metrics
 
     def sent(self, t: int, src: str, dst: str, id: int, interaction: str) -> None:
-        metrics = self.metrics
-        counts, sends = metrics.event_counts, metrics.sends
-        counts["send"] = counts.get("send", 0) + 1
-        sends[interaction] = sends.get(interaction, 0) + 1
+        try:
+            self._sends[interaction][0] += 1
+        except KeyError:
+            self._sends[interaction] = [1]
 
     def delivered(self, t: int, src: str, dst: str, id: int, interaction: str,
                   sent: int, path: tuple[str, ...]) -> None:
-        metrics = self.metrics
-        counts, deliveries = metrics.event_counts, metrics.deliveries
-        counts["deliver"] = counts.get("deliver", 0) + 1
-        deliveries[interaction] = deliveries.get(interaction, 0) + 1
-        hops = self._hops_of.get(path)
-        if hops is None:
-            hops = self._hop_names(path)
-        tally = metrics.hops
-        for hop in hops:
-            tally[hop] = tally.get(hop, 0) + 1
+        for cell in self._cells.get((interaction, path)) or self._resolve(interaction, path):
+            cell[0] += 1
 
     def counted(self, sends: dict[Any, int], delivers: dict[tuple[Any, Any], int]) -> None:
         """Fold message rows `n` at a time, from the counts per interaction
         and per (interaction, path) that `EventTrace.tally` returns."""
-        metrics = self.metrics
-        counts, hop_tally = metrics.event_counts, metrics.hops
         for interaction, n in sends.items():
-            counts["send"] = counts.get("send", 0) + n
-            metrics.sends[interaction] = metrics.sends.get(interaction, 0) + n
+            self._sends.setdefault(interaction, [0])[0] += n
         for (interaction, path), n in delivers.items():
-            counts["deliver"] = counts.get("deliver", 0) + n
-            metrics.deliveries[interaction] = metrics.deliveries.get(interaction, 0) + n
-            for hop in self._hop_names(path):
-                hop_tally[hop] = hop_tally.get(hop, 0) + n
+            for cell in self._cells.get((interaction, path)) or self._resolve(interaction, path):
+                cell[0] += n
 
-    def _hop_names(self, path: tuple[str, ...]) -> tuple[str, ...]:
-        """The tier hop of each link along `path`, built once per path."""
-        hops, tiers = self._hops_of.get(path), self._tiers
-        if hops is None:
-            hops = self._hops_of[path] = tuple(
-                f"{tiers[a]}->{tiers[b]}" for a, b in zip(path, path[1:]))
-        return hops
+    def _resolve(self, interaction: Any, path: tuple[str, ...]) -> tuple[list[int], ...]:
+        """The cells a delivery of (interaction, path) bumps, built once per key."""
+        tiers, hops = self._tiers, self._hops
+        cells = self._cells[interaction, path] = (
+            self._deliveries.setdefault(interaction, [0]),
+            *(hops.setdefault(f"{tiers[a]}->{tiers[b]}", [0]) for a, b in zip(path, path[1:])))
+        return cells
 
     def append(self, t: int, kind: str, src: str | None, dst: str | None,
                detail: dict[str, Any]) -> None:
         # `Simulator._deliver` emits its row through `emit`. Once ROADMAP
         # item 1 counts from the sink, it calls `delivered` directly.
         if kind == "deliver":
-            self.delivered(t, src, dst, detail["id"], detail["interaction"],
-                           detail["sent"], detail["path"])
+            key = detail["interaction"], detail["path"]
+            for cell in self._cells.get(key) or self._resolve(*key):
+                cell[0] += 1
             return
         if kind == "send":
             self.sent(t, src, dst, detail["id"], detail["interaction"])
             return
-        metrics = self.metrics
-        counts = metrics.event_counts
+        counts = self._counts
         counts[kind] = counts.get(kind, 0) + 1
         if kind == "actuate-applied":
-            latency = detail["latency"]
+            metrics, latency = self._metrics, detail["latency"]
             metrics.latency_sum += latency
             metrics.latency_max = max(metrics.latency_max, latency)
 

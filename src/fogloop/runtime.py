@@ -76,6 +76,8 @@ class DeviceActor:
         self.monitor = Monitor()
         service = runtime.scenario.domain.find_service(device.service)
         self.parameters = service.parameters
+        # One sampling callback per stream, which reschedules itself.
+        self.ticks = tuple(partial(self._tick, i) for i in range(len(self.parameters)))
         for spec in service.parameters:
             self.monitor.register_touchpoint(device.service, spec.name,
                                              device.reader(spec.name))
@@ -95,16 +97,17 @@ class DeviceActor:
     def start_sampling(self) -> None:
         if self.to_monitor is None:
             return
-        for spec in self.parameters:
-            self.runtime.sim.schedule(0, partial(self._tick, spec))
+        for tick in self.ticks:
+            self.runtime.sim.schedule(0, tick)
 
-    def _tick(self, spec) -> None:
-        sim = self.runtime.sim
+    def _tick(self, i: int) -> None:
+        sim, spec = self.runtime.sim, self.parameters[i]
+        now = sim.now
         if self.office is not None:
-            self.office.sync(sim.now)
-        obs = self.monitor.sample(self.device.service, spec.name, sim.now)
+            self.office.sync(now)
+        obs = self.monitor.sample(self.device.service, spec.name, now)
         sim.send(SENSE, self.to_monitor, obs)
-        sim.schedule(sim.now + spec.sample_interval_ms, partial(self._tick, spec))
+        sim.schedule(now + spec.sample_interval_ms, self.ticks[i])
 
     def on_message(self, kind: str, pay: dict) -> None:
         sim = self.runtime.sim
@@ -246,7 +249,7 @@ class LoopActor:
     def _on_monitor(self, kind: str, obs: Observation) -> None:
         sim = self.runtime.sim
         sim.send(PIPELINE, self.to_analyze, obs)
-        if (obs.service, obs.parameter) in self.forward_keys \
+        if self.forward_keys and (obs.service, obs.parameter) in self.forward_keys \
                 and self.forward_filter.offer(obs):
             sim.send(PIPELINE, self.to_master, {"loop": self.spec.id, "obs": obs})
 

@@ -607,11 +607,18 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             report.add(f"devices.{service}", "physical device has no setup entry")
         elif scenario.topology.host_of(service) is None:
             report.add(f"devices.{service}", "device is hosted on no node")
+    # An office's physics reads one heater and one window.
+    sole: dict[tuple[str, DeviceKind], str] = {}
     for setup in scenario.devices:
         path = f"devices.{setup.service}"
         if setup.service not in physical:
             report.add(path, "setup for unknown or non-physical service")
             continue
+        if setup.office is not None and setup.kind in (DeviceKind.HEATER, DeviceKind.WINDOW):
+            first = sole.setdefault((setup.office, setup.kind), setup.service)
+            if first != setup.service:
+                report.add(path, f"office '{setup.office}' already has "
+                                 f"{with_article(setup.kind.value)} '{first}'")
         if setup.office is None and setup.kind in (DeviceKind.HEATER,
                                                    DeviceKind.ENERGY_METER):
             report.add(path, f"{setup.kind.value} needs an office for physics")

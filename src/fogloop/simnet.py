@@ -444,9 +444,13 @@ class Simulator:
     def send(self, kind: str, channel: Channel, payload: Any = None) -> int:
         latency = channel.latency
         for jitter in channel.jitters:
-            # The value `randint(0, jitter)` draws, without its two extra
-            # frames; tests/test_simnet.py replays the draws with `randint`.
-            latency += self.rng._randbelow(jitter + 1)
+            # `randint(0, jitter)`'s draw, by `Random._randbelow`'s loop without
+            # its frames; tests/test_simnet.py replays the draws with `randint`.
+            bits = (jitter + 1).bit_length()
+            draw = self.rng.getrandbits(bits)
+            while draw > jitter:
+                draw = self.rng.getrandbits(bits)
+            latency += draw
         now = self.now
         msg_id = self._last_id = self._last_id + 1
         self.trace.sent(now, channel.src, channel.dst, msg_id, kind)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -18,7 +18,7 @@ from fogloop.metrics import (
     metrics_csv,
     summary_text,
 )
-from fogloop.runtime import run_scenario
+from fogloop.runtime import Runtime, run_scenario
 from fogloop.scenario import building_to_dict, load_scenario, parse_scenario, with_offering
 from fogloop.simnet import EventTrace
 from fogloop.smartbuilding import BuildingDefaults, build_smart_building
@@ -221,6 +221,53 @@ class TestFold:
         assert metrics_csv(got) == metrics_csv(want)
         if all(method == "append" for method, _ in rows):
             assert not {"send", "deliver"} & got.event_counts.keys()
+
+    def test_a_tier_hop_repeated_along_a_path_counts_per_link(self):
+        # A relay route over three fog nodes crosses fog->fog twice.
+        header = {"kind": "header", "nodes": {**NODES, "fog3": "fog"}}
+        relay = ("dev1", "fog1", "fog2", "fog3", "cloud")
+        kept, fed = EventTrace(header), MetricsFold(header)
+        for sink in (kept, fed):
+            sink.delivered(5, "dev1", "cloud", 1, "read", 1, relay)
+            sink.append(9, "deliver", "dev1", "cloud",
+                        {"id": 2, "interaction": "read", "sent": 4, "path": relay})
+        want = {"device->fog": 2, "fog->fog": 4, "fog->cloud": 2}
+        got = [compute_metrics(SimpleNamespace(trace=trace, offices={}))
+               for trace in (fed, kept)]
+        assert [metrics.hops for metrics in got] == [want, want]
+        assert metrics_csv(got[0]) == metrics_csv(got[1])
+
+    def test_a_message_row_writes_no_metrics_table(self):
+        # Rows bump the fold's counter cells; only reading `metrics` fills
+        # the tables, so read-only ones survive every message row.
+        fold = MetricsFold({"kind": "header", "nodes": NODES})
+        metrics = fold.metrics
+        for table in ("event_counts", "sends", "deliveries", "hops"):
+            setattr(metrics, table, MappingProxyType({}))
+        fold.sent(1, "dev1", "cloud", 1, "read")
+        fold.delivered(3, "dev1", "cloud", 1, "read", 1, CLOUD_PATH)
+        fold.append(4, "send", "dev1", "cloud", {"id": 2, "interaction": "read"})
+        fold.append(6, "deliver", "dev1", "cloud",
+                    {"id": 2, "interaction": "read", "sent": 4, "path": CLOUD_PATH})
+        fold.counted({"read": 1}, {("read", CLOUD_PATH): 1})
+        assert fold.metrics is metrics
+        assert (metrics.event_counts, metrics.sends, metrics.deliveries, metrics.hops) == (
+            {"send": 3, "deliver": 3}, {"read": 3}, {"read": 3},
+            {"device->fog": 3, "fog->cloud": 3})
+
+    def test_a_read_between_runs_is_current_and_the_last_is_exact(self):
+        scenario = parse_scenario(with_offering(one_office(), "apaas_split"))
+        runtime = Runtime(scenario, 42, sink=MetricsFold)
+        fold = runtime.sim.trace
+        runtime.sim.run_until(150_000)
+        early = run_scenario(scenario, 42, 150_000, sink=MetricsFold).trace.metrics
+        assert metrics_csv(fold.metrics) == metrics_csv(early)
+        runtime.sim.run_until(320_000)
+        runtime.finalize(320_000)
+        result = SimpleNamespace(trace=fold, offices=runtime.offices)
+        whole = compute_metrics(run_scenario(scenario, 42, 320_000, sink=MetricsFold))
+        assert metrics_csv(compute_metrics(result)) == metrics_csv(whole)
+        assert metrics_csv(fold.metrics) == metrics_csv(whole)
 
     @pytest.mark.parametrize("name, offering", [
         ("smart_building_1office", None),

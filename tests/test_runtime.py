@@ -15,7 +15,7 @@ import pytest
 
 from fogloop.errors import ConfigError
 from fogloop.mape import KnowledgeBase, Observation, analyze
-from fogloop.metrics import compute_metrics, metrics_csv
+from fogloop.metrics import MetricsFold, compute_metrics, metrics_csv
 from fogloop.model import value_conforms
 from fogloop.runtime import Runtime, RunResult, discrete_snapshot, run_scenario
 from fogloop.scenario import (
@@ -317,6 +317,16 @@ class TestCheckpoint:
         runtime.sim.run_until(CHECKPOINT_MS)
         resumed = finish(pickle.loads(pickle.dumps(runtime)), RESUMED_MS)
         assert digests(resumed) == digests(run_scenario(scenario, 42, RESUMED_MS))
+
+    def test_a_resumed_fold_matches_the_uninterrupted_one(self):
+        # The fold's counter cells are shared between the (interaction,
+        # path) keys that bump them, and stay shared through the pickle.
+        scenario = parse_scenario(with_offering(bundled("1office"), "apaas_split"))
+        runtime = Runtime(scenario, 42, sink=MetricsFold)
+        runtime.sim.run_until(CHECKPOINT_MS)
+        resumed = finish(pickle.loads(pickle.dumps(runtime)), RESUMED_MS)
+        whole = run_scenario(scenario, 42, RESUMED_MS, sink=MetricsFold)
+        assert metrics_csv(compute_metrics(resumed)) == metrics_csv(compute_metrics(whole))
 
     def test_a_run_saved_under_one_hash_seed_resumes_under_another(self, tmp_path):
         path = str(SCENARIOS / "smart_building_1office.json")

@@ -246,6 +246,23 @@ class TestValidation:
         assert report.lines() == [
             "loops[1].policies: policy 'office2-too-hot' is listed twice"]
 
+    @pytest.mark.parametrize("kind", ["heater", "window"])
+    def test_an_office_has_one_heater_and_one_window(self, kind):
+        # Its physics reads the first of each kind, while every powered
+        # device draws energy, so a second one would be half modelled.
+        data = scenario_dict(1)
+        first, second = f"office1.{kind}", f"office1.{kind}2"
+        task = next(task for task in data["domain"]["tasks"]
+                    if any(svc["name"] == first for svc in task["services"]))
+        task["services"].append({**service(data, first), "name": second})
+        data["topology"]["nodes"].append({"id": second, "tier": "device", "hosts": [second]})
+        data["topology"]["links"].append({"a": second, "b": "fog1", "latency_ms": 1})
+        data["loops"][0]["scope"].append(second)
+        data["devices"][second] = data["devices"][first]
+        report = validate_scenario(parse_scenario(data))
+        assert report.lines() == [
+            f"devices.{second}: office 'office1' already has a {kind} '{first}'"]
+
     def test_master_scope_may_overlap(self):
         data = scenario_dict(3, "centralized")
         assert validate_scenario(parse_scenario(data)).ok
