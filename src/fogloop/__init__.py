@@ -62,6 +62,7 @@ from fogloop.scenario import (
 from fogloop.simnet import EventTrace, Link, Node, Simulator, Tier, Topology
 from fogloop.smartbuilding import (
     BuildingDefaults,
+    BuildingParams,
     Device,
     DeviceKind,
     EnvironmentEvent,
@@ -75,6 +76,7 @@ __all__ = [
     "AdaptationPlan",
     "AggregationSpec",
     "BuildingDefaults",
+    "BuildingParams",
     "CentralizedControl",
     "Combinator",
     "CommandSpec",

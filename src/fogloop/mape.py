@@ -145,9 +145,10 @@ class Policy:
 
 @dataclass(frozen=True)
 class Symptom:
-    """A policy that fired. `base_ts` is the newest timestamp among the
-    entries the policy read; decision latency is measured from there to the
-    actuation taking effect."""
+    """A policy that fired. `base_ts` is when its cause arose: the latest,
+    over its conditions, of the entry's timestamp and the time the condition
+    began to hold, so an `elapsed_since` deadline counts as a cause. Decision
+    latency is measured from there to the actuation taking effect."""
 
     policy: str
     base_ts: int
@@ -195,6 +196,7 @@ def analyze(
             if blocked is not None:
                 blocked.append((policy, None, last + policy.cooldown_ms))
             continue
+        base = -math.inf
         for cond in policy.when:
             entry = latest.get((cond.service, cond.parameter))
             start = None if entry is None else cond.holds_from(entry)
@@ -202,10 +204,9 @@ def analyze(
                 if blocked is not None:
                     blocked.append((policy, cond, start))
                 break
+            base = max(base, entry.timestamp, start)
         else:
-            newest = max((latest[cond.service, cond.parameter].timestamp
-                          for cond in policy.when), default=now)
-            symptoms.append(Symptom(policy.name, newest))
+            symptoms.append(Symptom(policy.name, base if policy.when else now))
     return symptoms
 
 

@@ -152,12 +152,6 @@ def _int(value: Any, path: str) -> int:
     return _expect(value, int, path)
 
 
-def _bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a boolean")
-    return value
-
-
 def _number(value: Any, path: str) -> float | int:
     """The number as a float, or the int itself when it is beyond the float
     range: `validate_scenario` then reports it as not real, as it does NaN."""
@@ -291,9 +285,12 @@ def _dump(record: Any) -> dict:
     return out
 
 
-_DEFAULTS_READER = {bool: _bool, int: _int, float: _number, str: _str}
-_DEFAULT_TYPES = {bool: ValueType.BOOLEAN, int: ValueType.INTEGER, float: ValueType.REAL,
-                  str: ValueType.ENUM_OF_STRINGS}
+_DEFAULTS_READER = {int: _int, float: _number, str: _str}
+_DEFAULT_TYPES = {int: ValueType.INTEGER, float: ValueType.REAL, str: ValueType.ENUM_OF_STRINGS}
+# The powers and thermal rates: a negative one makes energy or the room's
+# temperature run the wrong way.
+_NON_NEGATIVE = ("lamp_w", "heater_w", "heat_rate_c_per_min", "leak_open_per_min",
+                 "leak_closed_per_min")
 
 # The scenario format, one entry per record type. A loop's policies are
 # names here; parse_scenario resolves them against the policies section.
@@ -554,6 +551,8 @@ def _validate_environment(scenario: Scenario, report: ValidationReport) -> None:
         value, vtype = getattr(scenario.defaults, f.name), _DEFAULT_TYPES[type(f.default)]
         if not value_conforms(value, vtype):
             report.add(f"defaults.{f.name}", f"{_echo(value)} is not {vtype.value}")
+        elif f.name in _NON_NEGATIVE and value < 0:
+            report.add(f"defaults.{f.name}", f"{_echo(value)} is negative")
     if scenario.defaults.weather not in WEATHER_VALUES:
         report.add("defaults.weather", f"weather must be one of {list(WEATHER_VALUES)}")
 

@@ -335,9 +335,8 @@ def step_thermal(office: OfficeState, env: Environment, dt_ms: int) -> float:
 
 @dataclass(frozen=True)
 class BuildingDefaults:
-    sample_interval_ms: int = 1000
-    clock_duration_ms: int = 600_000
-    setpoint_c: float = 21.0
+    """A scenario's `defaults`: what a run reads of the building."""
+
     room_temp_c: float = 21.0
     outside_temp_c: float = 14.0
     weather: str = "not-sunny"
@@ -346,6 +345,16 @@ class BuildingDefaults:
     heat_rate_c_per_min: float = 0.5
     leak_open_per_min: float = 0.2
     leak_closed_per_min: float = 0.05
+
+
+@dataclass(frozen=True)
+class BuildingParams:
+    """What `build_smart_building` writes into the building it generates.
+    A scenario file holds their effect, not these values."""
+
+    sample_interval_ms: int = 1000
+    clock_duration_ms: int = 600_000
+    setpoint_c: float = 21.0
     door_locked: bool = True
     lamp_on: bool = True
     window_open: bool = True
@@ -414,14 +423,14 @@ def _office_services(office: str, interval: int) -> tuple[Service, ...]:
     )
 
 
-def office_policies(office: str, defaults: BuildingDefaults) -> tuple[Policy, ...]:
+def office_policies(office: str, params: BuildingParams) -> tuple[Policy, ...]:
     def svc(short: str) -> str:
         return f"{office}.{short}"
 
     # Cooldowns must outlast one sampling period plus the slowest actuation
     # round trip, or stale samples re-raise the symptom before the effect
     # is observed; 200 ms covers the cloud-hosted analyzer's round trip.
-    guard = defaults.sample_interval_ms + 200
+    guard = params.sample_interval_ms + 200
     return (
         Policy(
             f"{office}-lights-off-sunny",
@@ -439,58 +448,58 @@ def office_policies(office: str, defaults: BuildingDefaults) -> tuple[Policy, ..
                 ThresholdCondition(svc("door"), "lock-state", Comparator.EQ, "locked"),
                 ThresholdCondition(svc("clock"), "armed", Comparator.EQ, False),
             ),
-            then=(PlannedAction(svc("clock"), "arm", defaults.clock_duration_ms),),
+            then=(PlannedAction(svc("clock"), "arm", params.clock_duration_ms),),
             cooldown_ms=guard,
         ),
         Policy(
             f"{office}-lights-off-after-lock",
             when=(
                 ElapsedSinceCondition(
-                    svc("door"), "lock-state", "locked", defaults.clock_duration_ms
+                    svc("door"), "lock-state", "locked", params.clock_duration_ms
                 ),
                 ThresholdCondition(svc("lamp"), "power-state", Comparator.EQ, True),
             ),
             then=(PlannedAction(svc("lamp"), "set-power", False),),
-            cooldown_ms=defaults.clock_duration_ms,
+            cooldown_ms=params.clock_duration_ms,
         ),
         Policy(
             f"{office}-too-hot",
             when=(
                 ThresholdCondition(
-                    svc("heater"), "room-temp", Comparator.GE, defaults.setpoint_c + 1.0
+                    svc("heater"), "room-temp", Comparator.GE, params.setpoint_c + 1.0
                 ),
             ),
             then=(
                 PlannedAction(svc("heater"), "set-power", False),
                 PlannedAction(svc("window"), "set-position", "open"),
             ),
-            cooldown_ms=defaults.p3_cooldown_ms,
+            cooldown_ms=params.p3_cooldown_ms,
         ),
         Policy(
             f"{office}-too-cold",
             when=(
                 ThresholdCondition(
-                    svc("heater"), "room-temp", Comparator.LE, defaults.setpoint_c - 1.0
+                    svc("heater"), "room-temp", Comparator.LE, params.setpoint_c - 1.0
                 ),
             ),
             then=(
                 PlannedAction(svc("window"), "set-position", "closed"),
                 PlannedAction(svc("heater"), "set-power", True),
             ),
-            cooldown_ms=defaults.p3_cooldown_ms,
+            cooldown_ms=params.p3_cooldown_ms,
         ),
     )
 
 
-def _initial_state(short: str, defaults: BuildingDefaults) -> dict[str, Any]:
+def _initial_state(short: str, params: BuildingParams) -> dict[str, Any]:
     if short == "door":
-        return {"lock-state": "locked" if defaults.door_locked else "unlocked"}
+        return {"lock-state": "locked" if params.door_locked else "unlocked"}
     if short == "window":
-        return {"position": "open" if defaults.window_open else "closed"}
+        return {"position": "open" if params.window_open else "closed"}
     if short == "heater":
-        return {"power-state": defaults.heater_on, "setpoint-c": defaults.setpoint_c}
+        return {"power-state": params.heater_on, "setpoint-c": params.setpoint_c}
     if short == "lamp":
-        return {"power-state": defaults.lamp_on}
+        return {"power-state": params.lamp_on}
     return {}
 
 
@@ -529,8 +538,18 @@ def build_smart_building(
     defaults: BuildingDefaults | None = None,
     control: str = "none",
     environment_events: Iterable[EnvironmentEvent] = (),
+    params: BuildingParams | None = None,
 ) -> Building:
-    """Generate the N-office building: domain, topology, loops, and rules."""
+    """Generate the N-office building: domain, topology, loops, and rules.
+
+    The building keeps `defaults`, what its runs read. `params` is spent
+    here: `sample_interval_ms` sets every parameter's interval and the rules'
+    cooldown guard; `clock_duration_ms` the clock's `arm` argument and the
+    lock-to-lights-off delay and cooldown; `setpoint_c` the heaters'
+    `setpoint-c` and the thermostat thresholds a degree either side;
+    `p3_cooldown_ms` the thermostat cooldown; `door_locked`, `lamp_on`,
+    `window_open` and `heater_on` the initial states; `device_fog_latency_ms`,
+    `fog_fog_latency_ms` and `fog_cloud_latency_ms` the links."""
     if n < 1:
         raise InvalidCountError(f"need at least one office, got {n}")
     if control not in ("none", "centralized", "decentralized"):
@@ -538,6 +557,7 @@ def build_smart_building(
     if control == "decentralized" and n < 2:
         raise ConfigError("decentralized control needs at least two offices")
     defaults = defaults or BuildingDefaults()
+    params = params or BuildingParams()
 
     offices = [f"office{i}" for i in range(1, n + 1)]
     tasks: list[Task] = []
@@ -548,7 +568,7 @@ def build_smart_building(
     setups: list[DeviceSetup] = []
 
     for office in offices:
-        services = _office_services(office, defaults.sample_interval_ms)
+        services = _office_services(office, params.sample_interval_ms)
         tasks.append(
             Task(
                 office,
@@ -573,9 +593,9 @@ def build_smart_building(
         for short, kind in _KIND_BY_SHORT.items():
             service = f"{office}.{short}"
             nodes.append(Node(service, Tier.DEVICE, hosted=(service,)))
-            links.append(Link(service, fog, defaults.device_fog_latency_ms))
-            setups.append(DeviceSetup(service, kind, office, _initial_state(short, defaults)))
-        office_rules = office_policies(office, defaults)
+            links.append(Link(service, fog, params.device_fog_latency_ms))
+            setups.append(DeviceSetup(service, kind, office, _initial_state(short, params)))
+        office_rules = office_policies(office, params)
         policies.extend(office_rules)
         loops.append(
             LoopSpec(office, tuple(s.name for s in services), Offering.MAPEAAS,
@@ -591,9 +611,9 @@ def build_smart_building(
     fogs = [f"fog{i}" for i in range(1, n + 1)]
     for i, a in enumerate(fogs):
         for b in fogs[i + 1:]:
-            links.append(Link(a, b, defaults.fog_fog_latency_ms))
+            links.append(Link(a, b, params.fog_fog_latency_ms))
     nodes.append(Node("cloud", Tier.CLOUD))
-    links.extend(Link(fog, "cloud", defaults.fog_cloud_latency_ms) for fog in fogs)
+    links.extend(Link(fog, "cloud", params.fog_cloud_latency_ms) for fog in fogs)
 
     mode: ControlMode | None = None
     if control == "centralized":

@@ -21,15 +21,14 @@ from fogloop.metrics import (
 from fogloop.runtime import Runtime, run_scenario
 from fogloop.scenario import building_to_dict, load_scenario, parse_scenario, with_offering
 from fogloop.simnet import EventTrace
-from fogloop.smartbuilding import BuildingDefaults, build_smart_building
+from fogloop.smartbuilding import BuildingDefaults, BuildingParams, build_smart_building
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def one_office(**overrides) -> dict:
-    base = dict(sample_interval_ms=1000, outside_temp_c=21.0, room_temp_c=21.0)
-    base.update(overrides)
-    building = build_smart_building(1, BuildingDefaults(**base))
+def one_office(**params) -> dict:
+    building = build_smart_building(1, BuildingDefaults(outside_temp_c=21.0, room_temp_c=21.0),
+                                    params=BuildingParams(sample_interval_ms=1000, **params))
     data = building_to_dict(building, name="metrics-1office")
     data["environment"] = [{"t": 300_000, "weather": "sunny"}]
     return data

@@ -132,6 +132,31 @@ def test_every_field_and_attribute_is_read():
     assert not unread, "fields in src/fogloop that nothing reads: " + ", ".join(unread)
 
 
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_every_scenario_default_is_read_by_a_run():
+    """A `BuildingDefaults` field is a `defaults` key a scenario file may
+    set, so a run must read it: `Runtime.__init__` or `instantiate_office`
+    loads it as `defaults.<field>`. A value only the generator reads belongs
+    in `BuildingParams`, which no file holds."""
+    from dataclasses import fields
+
+    from fogloop.smartbuilding import BuildingDefaults
+
+    runtime = next(node for node in ast.parse((PACKAGE / "runtime.py").read_text()).body
+                   if isinstance(node, ast.ClassDef) and node.name == "Runtime")
+    readers = (_function(runtime, "__init__"),
+               _function(ast.parse((PACKAGE / "smartbuilding.py").read_text()),
+                         "instantiate_office"))
+    read = {node.attr for reader in readers for node in ast.walk(reader)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "defaults"}
+    assert [f.name for f in fields(BuildingDefaults) if f.name not in read] == []
+
+
 def _tracer_install() -> ast.FunctionDef:
     return next(node for node in ast.walk(ast.parse(TRACER.read_text()))
                 if isinstance(node, ast.FunctionDef) and node.name == "install")

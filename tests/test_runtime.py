@@ -28,16 +28,22 @@ from fogloop.scenario import (
     with_offering,
 )
 from fogloop.simnet import EventTrace, Topology
-from fogloop.smartbuilding import ENVIRONMENT_SERVICE, BuildingDefaults, build_smart_building
+from fogloop.smartbuilding import (
+    ENVIRONMENT_SERVICE,
+    BuildingDefaults,
+    BuildingParams,
+    build_smart_building,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 CLOCK_MS = 600_000
 
 
-def scenario_dict(n: int = 1, control: str = "none", events=(), **overrides) -> dict:
-    defaults = BuildingDefaults(**overrides)
-    building = build_smart_building(n, defaults, control=control)
+def scenario_dict(n: int = 1, control: str = "none", events=(),
+                  params: BuildingParams | None = None, **defaults) -> dict:
+    building = build_smart_building(n, BuildingDefaults(**defaults), control=control,
+                                    params=params)
     data = building_to_dict(building, name=f"run-{n}-{control}")
     if events:
         data["environment"] = [dict(e) for e in events]
@@ -47,7 +53,8 @@ def scenario_dict(n: int = 1, control: str = "none", events=(), **overrides) -> 
 def quiet_one_office(**overrides) -> dict:
     """One office in thermal equilibrium: only the standing light/clock
     rules can fire, so timing is exact."""
-    base = dict(sample_interval_ms=1000, outside_temp_c=21.0, room_temp_c=21.0)
+    base = dict(outside_temp_c=21.0, room_temp_c=21.0,
+                params=BuildingParams(sample_interval_ms=1000))
     base.update(overrides)
     return scenario_dict(1, **base)
 
@@ -154,7 +161,7 @@ class TestPhysics:
                               horizon=3_333)
         assert result.offices["office1"].energy_mj == 60 * 3_333
 
-        hot = quiet_one_office(heater_on=True)
+        hot = quiet_one_office(params=BuildingParams(heater_on=True))
         result = run_scenario(parse_scenario(hot), seed=3, horizon=3_333)
         assert result.offices["office1"].energy_mj == (60 + 2000) * 3_333
 
@@ -171,7 +178,7 @@ class TestPhysics:
         assert result.offices["office1"].room_temp_c > 21.5
 
     def test_cold_room_turns_the_heater_on(self):
-        data = scenario_dict(1, sample_interval_ms=1000)
+        data = scenario_dict(1, params=BuildingParams(sample_interval_ms=1000))
         result = run_scenario(parse_scenario(data), seed=11, horizon=120_000)
         events = applied(result, "too-cold")
         services = {e["detail"]["service"] for e in events}
@@ -358,7 +365,7 @@ class TestCentralized:
     def test_forwarding_is_change_based(self):
         data = scenario_dict(
             3, "centralized",
-            lamp_on=False, door_locked=False, outside_temp_c=21.0,
+            params=BuildingParams(lamp_on=False, door_locked=False), outside_temp_c=21.0,
         )
         result = run_scenario(parse_scenario(data), seed=1, horizon=5_000)
         to_master = [
@@ -478,7 +485,7 @@ class TestDecentralized:
 
 class TestRobustness:
     def test_stale_observation_is_dropped(self):
-        data = scenario_dict(1, sample_interval_ms=100)
+        data = scenario_dict(1, params=BuildingParams(sample_interval_ms=100))
         runtime = Runtime(parse_scenario(data), seed=0)
         runtime.sim.run_until(150)
         door = runtime.devices["office1.door"]
@@ -515,7 +522,7 @@ class TestRobustness:
             Runtime(parse_scenario(data), seed=0)
 
     def test_unmanaged_device_is_never_sampled(self):
-        data = scenario_dict(1, sample_interval_ms=1000)
+        data = scenario_dict(1, params=BuildingParams(sample_interval_ms=1000))
         data["domain"]["tasks"][0]["services"].append({
             "name": "office1.spare",
             "kind": "physical_device",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -26,13 +26,16 @@ from fogloop.scenario import (
 )
 from fogloop.smartbuilding import (
     BuildingDefaults,
+    BuildingParams,
     EnvironmentEvent,
     build_smart_building,
 )
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-def scenario_dict(n: int = 1, control: str = "none", **defaults) -> dict:
-    building = build_smart_building(n, BuildingDefaults(**defaults), control=control)
+
+def scenario_dict(n: int = 1, control: str = "none") -> dict:
+    building = build_smart_building(n, control=control)
     return building_to_dict(building, name=f"building-{n}-{control}")
 
 
@@ -184,6 +187,15 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="defaults.lamp_w"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("key", [f.name for f in fields(BuildingParams)])
+    def test_a_generator_parameter_is_an_unknown_key(self, key):
+        # Only build_smart_building reads these; a run never does.
+        data = scenario_dict(1)
+        data["defaults"][key] = getattr(BuildingParams(), key)
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"defaults: unknown keys ['{key}']")):
+            parse_scenario(data)
+
     def test_control_mode_required(self):
         data = scenario_dict(2, "decentralized")
         data["control"]["mode"] = "federated"
@@ -322,16 +334,32 @@ class TestValidation:
     @pytest.mark.parametrize("name, value, expected", [
         ("outside_temp_c", "warm", "real"),
         ("outside_temp_c", True, "real"),
-        ("setpoint_c", None, "real"),
-        ("sample_interval_ms", 1000.0, "integer"),
+        ("room_temp_c", None, "real"),
+        ("lamp_w", 60.0, "integer"),
         ("heater_w", True, "integer"),
-        ("door_locked", 1, "boolean"),
     ])
     def test_defaults_must_have_their_declared_types(self, name, value, expected):
         scenario = parse_scenario(scenario_dict(1))
         scenario.defaults = replace(scenario.defaults, **{name: value})
         assert validate_scenario(scenario).lines() == [
             f"defaults.{name}: {value!r} is not {expected}"]
+        with pytest.raises(ConfigError, match=f"defaults.{name}"):
+            run_scenario(scenario, seed=1, horizon=2_000)
+
+    @pytest.mark.parametrize("name, value", [
+        ("lamp_w", -60),
+        ("heater_w", -2000),
+        ("heat_rate_c_per_min", -0.5),
+        ("leak_open_per_min", -1.0),
+        ("leak_closed_per_min", -0.05),
+    ])
+    def test_powers_and_rates_must_not_be_negative(self, name, value):
+        # A negative draw makes energy fall; a negative leak makes the room
+        # run away from the outside temperature.
+        data = reparse(scenario_dict(1))
+        data["defaults"][name] = value
+        scenario = parse_scenario(data)
+        assert validate_scenario(scenario).lines() == [f"defaults.{name}: {value!r} is negative"]
         with pytest.raises(ConfigError, match=f"defaults.{name}"):
             run_scenario(scenario, seed=1, horizon=2_000)
 
@@ -764,23 +792,41 @@ def test_generated_scenarios_always_validate(n, control):
 
 
 @pytest.mark.parametrize("n, control, digest", [
-    (1, "none", "a72ac0aef9dd92d4"),
-    (3, "centralized", "6448213944fd4144"),
-    (3, "decentralized", "43d10c21e38a6e1d"),
+    (1, "none", "5db72a9abd0b3e10"),
+    (3, "centralized", "c678e8d463b9818b"),
+    (3, "decentralized", "f7966dca4f420c4a"),
 ])
 def test_generated_scenario_digests(n, control, digest):
     assert config_digest(scenario_dict(n, control))[:16] == digest
 
 
+@pytest.mark.parametrize("stem, n, control, defaults", [
+    ("smart_building_1office", 1, "none", BuildingDefaults(outside_temp_c=21.0)),
+    ("smart_building_3office_centralized", 3, "centralized", BuildingDefaults()),
+    ("smart_building_3office_decentralized", 3, "decentralized", BuildingDefaults()),
+], ids=["1office", "3office_centralized", "3office_decentralized"])
+def test_each_bundled_scenario_is_the_generator_output(stem, n, control, defaults):
+    """A bundled file is `build_smart_building` with the generator's own
+    parameters, its environment and, for one office, a mild outside; a hand
+    edit or a stale key fails here."""
+    data = json.loads((SCENARIOS / f"{stem}.json").read_text())
+    events = parse_scenario(data).environment_events
+    building = build_smart_building(n, defaults, control=control, environment_events=events)
+    assert reparse(building_to_dict(building, name=data["name"])) == data
+
+
 _finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 _defaults = st.builds(
     BuildingDefaults,
-    sample_interval_ms=st.integers(1, 5000),
-    setpoint_c=_finite,
     outside_temp_c=_finite,
     weather=st.sampled_from(["sunny", "not-sunny"]),
     lamp_w=st.integers(0, 500),
     leak_closed_per_min=_finite,
+)
+_params = st.builds(
+    BuildingParams,
+    sample_interval_ms=st.integers(1, 5000),
+    setpoint_c=_finite,
     door_locked=st.booleans(),
     heater_on=st.booleans(),
     fog_cloud_latency_ms=st.integers(1, 200),
@@ -797,13 +843,14 @@ _events = st.lists(
     n=st.integers(min_value=1, max_value=4),
     control=st.sampled_from(["none", "centralized", "decentralized"]),
     defaults=_defaults,
+    params=_params,
     events=_events,
 )
-def test_building_round_trips_through_the_schema(n, control, defaults, events):
+def test_building_round_trips_through_the_schema(n, control, defaults, params, events):
     if control == "decentralized":
         n = max(n, 2)
     building = build_smart_building(n, defaults, control=control,
-                                    environment_events=events)
+                                    environment_events=events, params=params)
     scenario = parse_scenario(reparse(building_to_dict(building, name="rt")))
     assert scenario.domain == building.domain
     assert scenario.policies == building.policies
@@ -816,7 +863,7 @@ def test_building_round_trips_through_the_schema(n, control, defaults, events):
     assert scenario.environment_events == building.environment_events
 
 
-ONE_OFFICE = Path(__file__).resolve().parent.parent / "scenarios" / "smart_building_1office.json"
+ONE_OFFICE = SCENARIOS / "smart_building_1office.json"
 # Arguments of every JSON scalar type, and, per declared argument type, values
 # of that type: some each device takes, some it refuses.
 ANY_ARGUMENT = st.sampled_from(["ajar", 0, -5, True, None, False, "open", "closed", 1, 2.5])

@@ -495,7 +495,7 @@ def test_jitter_stays_within_bounds_and_is_causal(seed: int, jitter: int):
 JITTER_SEED = 7
 JITTER_HORIZON = 5_000
 # sha256 prefix of the jittered run's `to_jsonl()`.
-JITTER_TRACE = "39957f091286d43f"
+JITTER_TRACE = "46495aa4c84b2c18"
 
 
 def test_every_delivery_takes_base_latency_plus_the_replayed_jitter_draws():
