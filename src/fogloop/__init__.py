@@ -1,8 +1,9 @@
 """Deterministic discrete-event simulator for fog-hosted IoT control loops.
 
-Build a domain of device services, place MAPE-K loops across a
-device/fog/cloud topology, pick a control mode, and run scenarios to a
-virtual horizon; traces, metrics, and comparisons are exact and repeatable.
+Declare each device once (its kind, node and sampled readings), place
+MAPE-K loops across a device/fog/cloud topology, pick a control mode, and
+run scenarios to a virtual horizon; traces, metrics, and comparisons are
+exact and repeatable.
 """
 
 from fogloop.coordination import (
@@ -36,17 +37,7 @@ from fogloop.metrics import (
     metrics_csv,
     summary_text,
 )
-from fogloop.model import (
-    CommandSpec,
-    Composite,
-    Domain,
-    ParameterSpec,
-    Service,
-    ServiceKind,
-    Task,
-    ValueType,
-    validate_domain,
-)
+from fogloop.model import ValueType
 from fogloop.placement import LoopSpec, Offering, Placement, place
 from fogloop.runtime import RunResult, Runtime, discrete_snapshot, run_scenario
 from fogloop.scenario import (
@@ -79,15 +70,12 @@ __all__ = [
     "BuildingParams",
     "CentralizedControl",
     "Combinator",
-    "CommandSpec",
     "Comparator",
-    "Composite",
     "ConfigError",
     "ControlMode",
     "DecentralizedControl",
     "Device",
     "DeviceKind",
-    "Domain",
     "ElapsedSinceCondition",
     "EnvironmentEvent",
     "EventTrace",
@@ -101,7 +89,6 @@ __all__ = [
     "Observation",
     "Offering",
     "OfficeState",
-    "ParameterSpec",
     "Placement",
     "PlannedAction",
     "Policy",
@@ -109,11 +96,8 @@ __all__ = [
     "RunResult",
     "Runtime",
     "Scenario",
-    "Service",
-    "ServiceKind",
     "Simulator",
     "Symptom",
-    "Task",
     "ThresholdCondition",
     "Tier",
     "Topology",
@@ -133,7 +117,6 @@ __all__ = [
     "place",
     "run_scenario",
     "summary_text",
-    "validate_domain",
     "validate_scenario",
     "with_mode",
     "with_offering",

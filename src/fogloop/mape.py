@@ -214,41 +214,55 @@ class PolicyIndex:
     """The policies of one loop that analysis must check.
 
     A policy sleeps once `analyze` reports it blocked. It wakes on whichever
-    comes first: a new value on a stream read by the blocking condition or a
-    condition before it, or the time `analyze` reported, which `due` passes
-    on. Until then checking it cannot fire it: a condition's verdict depends
-    only on its stream's value, of which only equality counts on a stream
-    of one type, on `since`, which moves only with the value, and on the
-    time; a cooldown depends only on the time. Waking a policy early is
-    always safe, since analysis is pure. Only a policy that just fired stays
-    live until the next analysis. `live` keeps declaration order, so
+    comes first: a new value under which its blocking condition holds, or
+    the time `analyze` reported, which `due` passes on. Until then checking
+    it cannot fire it: a condition's verdict depends only on its stream's
+    value, of which only equality counts on a stream of one type, on
+    `since`, which moves only with the value, and on the time; a cooldown
+    depends only on the time. The conditions before the blocking one need
+    no watch: while the blocking one cannot hold the policy cannot fire,
+    and waking checks them all again. Waking a policy early is always safe,
+    since analysis is pure. Only a policy that just fired stays live until
+    the next analysis. `live` keeps declaration order, so
     `analyze(kb, index.due(now), ...)` returns what it would over every
     policy.
 
     State is keyed by policy name, which validation makes unique within a
-    loop, so the index is plain data that survives a pickle. Each sleeping
-    policy holds at most one pending `(time, name)` wake, kept sorted.
+    loop, so the index is plain data that survives a pickle. A sleeping
+    policy watches at most one stream, and holds at most one pending
+    `(time, name)` wake, kept sorted.
     """
 
     def __init__(self, policies: Iterable[Policy]) -> None:
         self.policies = tuple(policies)
         self.live = list(self.policies)
         self._asleep: set[str] = set()
-        # Stream -> the names of the policies a new value there wakes.
-        self._sleepers: dict[tuple[str, str], set[str]] = {}
+        # Stream -> the name of each policy asleep on it, with the condition
+        # a new value there must satisfy to wake it.
+        self._sleepers: dict[tuple[str, str], dict[str, Condition]] = {}
+        # Policy name -> the stream it watches.
+        self._watching: dict[str, tuple[str, str]] = {}
         self._wakes: list[tuple[int, str]] = []
 
     def _wake(self, names: Iterable[str]) -> None:
-        self._asleep.difference_update(names)
+        for name in names:
+            self._asleep.discard(name)
+            key = self._watching.pop(name, None)
+            if key is not None:
+                del self._sleepers[key][name]
         self.live = [p for p in self.policies if p.name not in self._asleep]
 
     def put(self, key: tuple[str, str], before: KbEntry | None, value: Any) -> None:
         """Stream `key` took `value`; `before` is the entry it replaced."""
         if before is not None and before.value == value:
             return
-        woken = self._sleepers.pop(key, None)
-        if woken and not woken.isdisjoint(self._asleep):
-            self._wake(woken)
+        sleepers = self._sleepers.get(key)
+        if sleepers:
+            entry = KbEntry(value, 0, 0)
+            woken = [name for name, cond in sleepers.items()
+                     if cond.holds_from(entry) is not None]
+            if woken:
+                self._wake(woken)
 
     def due(self, now: int) -> list[Policy]:
         """Wake every policy whose time has come by `now`; the live policies."""
@@ -261,15 +275,18 @@ class PolicyIndex:
 
     def sleep(self, blocked: list[tuple[Policy, Condition | None, int | None]]) -> None:
         """Put to sleep the live policies `analyze` reported in `blocked`."""
+        names = {policy.name for policy, _, _ in blocked}
+        wakes = [wake for wake in self._wakes if wake[1] not in names]
         for policy, cond, until in blocked:
             name = policy.name
             self._asleep.add(name)
             if cond is not None:
-                for read in policy.when[:policy.when.index(cond) + 1]:
-                    self._sleepers.setdefault((read.service, read.parameter), set()).add(name)
-            self._wakes = [wake for wake in self._wakes if wake[1] != name]
+                key = self._watching[name] = (cond.service, cond.parameter)
+                self._sleepers.setdefault(key, {})[name] = cond
             if until is not None:
-                bisect.insort(self._wakes, (until, name))
+                wakes.append((until, name))
+        wakes.sort()
+        self._wakes = wakes
         self.live = [p for p in self.policies if p.name not in self._asleep]
 
 

@@ -46,6 +46,7 @@ from fogloop.smartbuilding import (
     ENVIRONMENT_SERVICE,
     READINGS,
     Device,
+    DeviceSetup,
     Environment,
     EnvironmentEvent,
     OfficeState,
@@ -62,25 +63,25 @@ COORDINATION = InteractionKind.INTRA_COORDINATION.value
 class DeviceActor:
     """Hosts one device on its node: periodic sampling plus actuation."""
 
-    def __init__(self, runtime: Runtime, device: Device, office: OfficeState | None,
-                 owner: LoopActor | None):
+    def __init__(self, runtime: Runtime, setup: DeviceSetup, device: Device,
+                 office: OfficeState | None, owner: LoopActor | None):
         self.runtime = runtime
         self.device = device
         self.office = office
-        host = runtime.scenario.topology.host_of(device.service)
-        self.addr = f"{host}/{device.service}"
+        self.addr = f"{setup.node}/{device.service}"
         # Every loop has registered its monitor by now.
         self.to_monitor: Channel | None = (
             None if owner is None else runtime.sim.channel(self.addr, owner.addr["monitor"])
         )
         self.monitor = Monitor()
-        service = runtime.scenario.domain.find_service(device.service)
-        self.parameters = service.parameters
+        for name in setup.samples:
+            self.monitor.register_touchpoint(device.service, name, device.reader(name))
+        # (reading, interval) in the kind's order, not the file's, which the
+        # config digest does not see.
+        self.samples = tuple((name, setup.samples[name]) for name in READINGS[device.kind]
+                             if name in setup.samples)
         # One sampling callback per stream, which reschedules itself.
-        self.ticks = tuple(partial(self._tick, i) for i in range(len(self.parameters)))
-        for spec in service.parameters:
-            self.monitor.register_touchpoint(device.service, spec.name,
-                                             device.reader(spec.name))
+        self.ticks = tuple(partial(self._tick, i) for i in range(len(self.samples)))
         runtime.sim.register(self.addr, self.on_message)
 
     def announce(self) -> None:
@@ -101,13 +102,13 @@ class DeviceActor:
             self.runtime.sim.schedule(0, tick)
 
     def _tick(self, i: int) -> None:
-        sim, spec = self.runtime.sim, self.parameters[i]
+        sim, (name, interval) = self.runtime.sim, self.samples[i]
         now = sim.now
         if self.office is not None:
             self.office.sync(now)
-        obs = self.monitor.sample(self.device.service, spec.name, now)
+        obs = self.monitor.sample(self.device.service, name, now)
         sim.send(SENSE, self.to_monitor, obs)
-        sim.schedule(now + spec.sample_interval_ms, self.ticks[i])
+        sim.schedule(now + interval, self.ticks[i])
 
     def on_message(self, kind: str, pay: dict) -> None:
         sim = self.runtime.sim
@@ -556,7 +557,7 @@ class Runtime:
                 office = None
                 device = Device(setup.service, setup.kind, initial=setup.initial)
             owner = self.loops.get(self.owners.get(setup.service))
-            actor = DeviceActor(self, device, office, owner)
+            actor = DeviceActor(self, setup, device, office, owner)
             self.devices[setup.service] = actor
         # Every handler is registered: resolve the loops' channels, before
         # the first row.

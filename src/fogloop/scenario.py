@@ -1,7 +1,7 @@
 """Scenario files: strict JSON schema, validation, and canonical digests.
 
-A scenario is one JSON object with sections domain, policies, topology,
-loops, devices, defaults, environment, and optionally control. Parsing is
+A scenario is one JSON object with sections policies, topology, loops,
+devices, defaults, environment, and optionally control. Parsing is
 strict (unknown keys are rejected); semantic problems are collected as
 violations so a validate command can print them all. The config digest is
 the SHA-256 of the canonical JSON form, making traces attributable to the
@@ -33,20 +33,7 @@ from fogloop.mape import (
     Policy,
     ThresholdCondition,
 )
-from fogloop.model import (
-    CommandSpec,
-    Composite,
-    Domain,
-    ParameterSpec,
-    Service,
-    ServiceKind,
-    Task,
-    ValidationReport,
-    ValueType,
-    Violation,
-    validate_domain,
-    value_conforms,
-)
+from fogloop.model import ValidationReport, ValueType, Violation, value_conforms
 from fogloop.placement import LoopSpec, Offering, place
 from fogloop.simnet import Link, Node, Tier, Topology
 from fogloop.smartbuilding import (
@@ -57,7 +44,6 @@ from fogloop.smartbuilding import (
     READINGS,
     Building,
     BuildingDefaults,
-    DeviceCommand,
     DeviceKind,
     DeviceSetup,
     EnvironmentEvent,
@@ -78,7 +64,6 @@ def config_digest(data: Any) -> str:
 @dataclass
 class Scenario:
     name: str
-    domain: Domain
     policies: tuple[Policy, ...]
     topology: Topology
     loops: tuple[LoopSpec, ...]
@@ -189,14 +174,13 @@ def _tuple(read: Reader) -> Reader:
     )
 
 
+def _mapping(read: Reader) -> Reader:
+    return lambda value, path: {key: read(item, f"{path}.{key}")
+                                for key, item in _expect(value, dict, path).items()}
+
+
 def _rec(cls: type) -> Reader:
     return lambda value, path: _record(cls, value, path)
-
-
-def _initial(value: Any, path: str) -> dict:
-    for key, item in _expect(value, dict, path).items():
-        _scalar(item, f"{path}.{key}")
-    return dict(value)
 
 
 def _input(value: Any, path: str) -> tuple[str, str, str]:
@@ -295,17 +279,6 @@ _NON_NEGATIVE = ("lamp_w", "heater_w", "heat_rate_c_per_min", "leak_open_per_min
 # The scenario format, one entry per record type. A loop's policies are
 # names here; parse_scenario resolves them against the policies section.
 _SHAPES: dict[type, _Shape] = {shape.cls: shape for shape in (
-    _Shape(ParameterSpec, {"name": _str, "value_type": _enum(ValueType),
-                           "unit": _opt(_str), "sample_interval_ms": _int},
-           always=("sample_interval_ms",)),
-    _Shape(CommandSpec, {"name": _str, "argument_type": _opt(_enum(ValueType))}),
-    _Shape(Service, {"name": _str, "kind": _enum(ServiceKind),
-                     "parameters": _tuple(_rec(ParameterSpec)),
-                     "commands": _tuple(_rec(CommandSpec))}),
-    _Shape(Composite, {"name": _str, "members": _tuple(_str), "goal": _str}),
-    _Shape(Task, {"name": _str, "services": _tuple(_rec(Service)),
-                  "composites": _tuple(_rec(Composite))}),
-    _Shape(Domain, {"name": _str, "tasks": _tuple(_rec(Task))}, required=("tasks",)),
     _Shape(ThresholdCondition, {"service": _str, "parameter": _str,
                                 "op": _enum(Comparator), "value": _scalar},
            rename={"op": "comparator", "value": "threshold"}),
@@ -318,8 +291,7 @@ _SHAPES: dict[type, _Shape] = {shape.cls: shape for shape in (
                     "when": (_tuple(_condition),
                              lambda when: [_condition_json(c) for c in when]),
                     "then": _tuple(_rec(PlannedAction)), "cooldown_ms": _int}),
-    _Shape(Node, {"id": _str, "tier": _enum(Tier), "hosts": _tuple(_str)},
-           rename={"hosts": "hosted"}),
+    _Shape(Node, {"id": _str, "tier": _enum(Tier)}),
     _Shape(Link, {"a": _str, "b": _str, "latency_ms": _int, "jitter_ms": _int}),
     _Shape(Topology, {"nodes": _tuple(_rec(Node)), "links": _tuple(_rec(Link))}),
     _Shape(LoopSpec, {"id": _str, "scope": _tuple(_str), "offering": _enum(Offering),
@@ -334,8 +306,8 @@ _SHAPES: dict[type, _Shape] = {shape.cls: shape for shape in (
                                 "aggregations": _tuple(_rec(AggregationSpec))},
            rename={"loop": "master"}),
     _Shape(DecentralizedControl, {"group": _tuple(_str), "coordinate": _tuple(_str)}),
-    _Shape(DeviceSetup, {"kind": _enum(DeviceKind), "office": _opt(_str),
-                         "initial": _initial}),
+    _Shape(DeviceSetup, {"kind": _enum(DeviceKind), "node": _str, "office": _opt(_str),
+                         "initial": _mapping(_scalar), "samples": _mapping(_int)}),
     _Shape(EnvironmentEvent, {"t": _int, "weather": _opt(_str),
                               "outside_temp_c": _opt(_number)}),
     _Shape(BuildingDefaults, {f.name: _DEFAULTS_READER[type(f.default)]
@@ -367,7 +339,7 @@ def parse_scenario(data: dict) -> Scenario:
     validate run can report them all at once.
     """
     _expect(data, dict, "scenario")
-    _check_keys(data, "scenario", ("domain", "policies", "topology", "loops"),
+    _check_keys(data, "scenario", ("policies", "topology", "loops"),
                 ("name", "control", "devices", "defaults", "environment"))
     deferred: list[Violation] = []
     policies = _tuple(_rec(Policy))(data["policies"], "policies")
@@ -386,16 +358,17 @@ def parse_scenario(data: dict) -> Scenario:
                 deferred.append(Violation(f"loops[{li}].policies",
                                           f"unknown policy '{name}'"))
         loops.append(replace(loop, policies=tuple(resolved)))
-    devices = _expect(data.get("devices", {}), dict, "devices")
+    devices = tuple(_record(DeviceSetup, entry, f"devices.{service}", service=service)
+                    for service, entry in _expect(data.get("devices", {}), dict,
+                                                  "devices").items())
     return Scenario(
         name=_str(data.get("name", "scenario"), "name"),
-        domain=_record(Domain, data["domain"], "domain"),
         policies=policies,
-        topology=_record(Topology, data["topology"], "topology"),
+        topology=_record(Topology, data["topology"], "topology",
+                         hosts={setup.service: setup.node for setup in devices}),
         loops=tuple(loops),
         control=_control(data.get("control")),
-        devices=tuple(_record(DeviceSetup, entry, f"devices.{service}", service=service)
-                      for service, entry in devices.items()),
+        devices=devices,
         defaults=_record(BuildingDefaults, data.get("defaults", {}), "defaults"),
         environment_events=_tuple(_rec(EnvironmentEvent))(
             data.get("environment", []), "environment"),
@@ -430,22 +403,22 @@ def _echo(value: Any) -> str:
     return f"{text[:12]}...{text[-12:]} ({len(text)} {unit})"
 
 
-def _stream_types(scenario: Scenario) -> dict[tuple[str, str], ValueType]:
-    """Every observable stream: declared parameters plus aggregation outputs."""
-    streams: dict[tuple[str, str], ValueType] = {}
-    for service in scenario.domain.all_services():
-        for parameter in service.parameters:
-            streams[(service.name, parameter.name)] = parameter.value_type
-    if isinstance(scenario.control, CentralizedControl):
-        for agg in scenario.control.aggregations:
-            if agg.combinator is not Combinator.VECTOR:
-                streams[(scenario.control.master, agg.output)] = agg.output_type
+def _sampled_streams(scenario: Scenario) -> dict[tuple[str, str], ValueType]:
+    """The environment's streams, and each reading a device samples that its
+    kind can read, with its type."""
+    streams = {(ENVIRONMENT_SERVICE, name): vtype
+               for name, vtype in ENVIRONMENT_READINGS.items()}
+    for setup in scenario.devices:
+        readings = READINGS[setup.kind]
+        for name in setup.samples:
+            if name in readings:
+                streams[(setup.service, name)] = readings[name]
     return streams
 
 
-def _validate_policy(policy: Policy, index: int, scenario: Scenario,
+def _validate_policy(policy: Policy, index: int,
                      streams: Mapping[tuple[str, str], ValueType],
-                     actuated: Mapping[str, DeviceKind], report: ValidationReport) -> None:
+                     kinds: Mapping[str, DeviceKind], report: ValidationReport) -> None:
     path = f"policies[{index}]"
     if not policy.when:
         report.add(path, "when must be non-empty")
@@ -475,60 +448,23 @@ def _validate_policy(policy: Policy, index: int, scenario: Scenario,
                 report.add(cpath, "duration must be >= 0")
     for ai, action in enumerate(policy.then):
         apath = f"{path}.then[{ai}]"
-        service = scenario.domain.find_service(action.service)
-        if service is None:
-            report.add(apath, f"unknown service '{action.service}'")
-            continue
-        # Only a physical device with a setup gets an actor to act on.
-        kind = actuated.get(action.service)
+        # Only a devices entry gets an actor to act on.
+        kind = kinds.get(action.service)
         if kind is None:
-            report.add(apath, f"'{action.service}' is not a physical device with a setup")
-        command = service.command(action.command)
-        if command is None:
-            report.add(apath, f"'{action.service}' has no command '{action.command}'")
+            report.add(apath, f"'{action.service}' is not a devices entry")
             continue
-        if command.argument_type is None:
+        record = COMMANDS[kind].get(action.command)
+        if record is None:
+            report.add(apath, f"'{action.service}' has no command '{action.command}'")
+        elif record.argument_type is None:
             if action.argument is not None:
                 report.add(apath, f"'{action.command}' takes no argument")
-        elif not value_conforms(action.argument, command.argument_type):
+        elif not value_conforms(action.argument, record.argument_type):
             report.add(apath, f"argument {_echo(action.argument)} does not conform "
-                              f"to {command.argument_type.value}")
-        # Held to the record its device applies. A declared type the device
-        # does not take is the device's violation, so check only its type.
-        record = COMMANDS[kind].get(action.command) if kind is not None else None
-        if record is not None and record.has_type(action.argument) \
-                and not record.admits(action.argument):
+                              f"to {record.argument_type.value}")
+        elif not record.admits(action.argument):
             report.add(apath, f"argument {_echo(action.argument)} of '{action.command}' "
                               f"on {with_article(kind.value)} is not {record.accepts}")
-
-
-def _check_readings(path: str, source: str, readings: Mapping[str, ValueType],
-                    service: Service | None, report: ValidationReport) -> None:
-    """Every parameter `service` declares is one its source reads, with the
-    type of what it reads."""
-    for spec in service.parameters if service is not None else ():
-        vtype = readings.get(spec.name)
-        if vtype is None:
-            report.add(path, f"{source} cannot read declared parameter '{spec.name}'")
-        elif spec.value_type is not vtype:
-            report.add(path, f"{source} reads '{spec.name}' as {vtype.value}, "
-                             f"not {spec.value_type.value}")
-
-
-def _check_commands(path: str, source: str, commands: Mapping[str, DeviceCommand],
-                    service: Service | None, report: ValidationReport) -> None:
-    """Every command `service` declares is one its device implements, with
-    the argument type it takes."""
-    def argument(vtype: ValueType | None) -> str:
-        return "none" if vtype is None else vtype.value
-
-    for spec in service.commands if service is not None else ():
-        device = commands.get(spec.name)
-        if device is None:
-            report.add(path, f"{source} has no command '{spec.name}'")
-        elif spec.argument_type is not device.argument_type:
-            report.add(path, f"argument of '{spec.name}' is {argument(device.argument_type)} "
-                             f"on {source}, not {argument(spec.argument_type)}")
 
 
 def _validate_environment(scenario: Scenario, report: ValidationReport) -> None:
@@ -561,22 +497,23 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Every semantic check across sections; violations are data, not errors."""
     report = ValidationReport()
     report.violations.extend(scenario.parse_violations)
-    report.extend(validate_domain(scenario.domain))
-    physical = {
-        svc.name for svc in scenario.domain.all_services()
-        if svc.kind is ServiceKind.PHYSICAL_DEVICE
-    }
-    report.extend(scenario.topology.validate(device_services=physical))
+    report.extend(scenario.topology.validate())
 
-    streams = _stream_types(scenario)
-    setup_for = {setup.service: setup for setup in scenario.devices}
-    actuated = {setup.service: setup.kind for setup in scenario.devices
-                if setup.service in physical}
+    # Every observable stream: the sampled ones, and the aggregation outputs,
+    # which are streams of a service named after the master loop.
+    streams = _sampled_streams(scenario)
+    master = scenario.master_id
+    taken = {name for service, name in streams if service == master}
+    aggs = (scenario.control.aggregations
+            if isinstance(scenario.control, CentralizedControl) else ())
+    for agg in aggs:
+        if agg.combinator is not Combinator.VECTOR:
+            streams[(master, agg.output)] = agg.output_type
+    kinds = {setup.service: setup.kind for setup in scenario.devices}
     for index, policy in enumerate(scenario.policies):
-        _validate_policy(policy, index, scenario, streams, actuated, report)
+        _validate_policy(policy, index, streams, kinds, report)
 
     owners = scenario.owners
-    master = scenario.master_id
     seen_loops: set[str] = set()
     for li, loop in enumerate(scenario.loops):
         path = f"loops[{li}]"
@@ -587,8 +524,8 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             report.add(path, "scope must be non-empty")
         listed: set[str] = set()
         for svc in loop.scope:
-            if svc not in physical:
-                report.add(path, f"scope service '{svc}' is not a physical device")
+            if svc not in kinds:
+                report.add(path, f"scope service '{svc}' is not a devices entry")
             if svc in listed:
                 report.add(path, f"'{svc}' is listed twice in the scope")
             elif loop.id != master and owners[svc] != loop.id:
@@ -601,18 +538,12 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 report.add(f"{path}.policies", f"policy '{policy.name}' is listed twice")
             named.add(policy.name)
 
-    for service in sorted(physical):
-        if service not in setup_for:
-            report.add(f"devices.{service}", "physical device has no setup entry")
-        elif scenario.topology.host_of(service) is None:
-            report.add(f"devices.{service}", "device is hosted on no node")
     # An office's physics reads one heater and one window.
     sole: dict[tuple[str, DeviceKind], str] = {}
     for setup in scenario.devices:
         path = f"devices.{setup.service}"
-        if setup.service not in physical:
-            report.add(path, "setup for unknown or non-physical service")
-            continue
+        if setup.node not in scenario.topology.by_id:
+            report.add(path, f"node '{setup.node}' is not in the topology")
         if setup.office is not None and setup.kind in (DeviceKind.HEATER, DeviceKind.WINDOW):
             first = sole.setdefault((setup.office, setup.kind), setup.service)
             if first != setup.service:
@@ -624,16 +555,16 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         bad = sorted(set(setup.initial) - set(_DEFAULT_STATE[setup.kind]))
         if bad:
             report.add(path, f"unknown initial state keys {bad}")
-        readings, source = READINGS[setup.kind], with_article(setup.kind.value)
-        declared = scenario.domain.find_service(setup.service)
-        _check_readings(path, source, readings, declared, report)
-        _check_commands(path, source, COMMANDS[setup.kind], declared, report)
+        readings = READINGS[setup.kind]
+        for name, interval in setup.samples.items():
+            if name not in readings:
+                report.add(path, f"{with_article(setup.kind.value)} cannot read '{name}'")
+            if interval <= 0:
+                report.add(path, f"interval of '{name}' must be positive, not {interval}")
         for key, value in setup.initial.items():
             vtype = readings.get(key)
             if vtype is not None and not value_conforms(value, vtype):
                 report.add(path, f"initial {key} {_echo(value)} is not {vtype.value}")
-    _check_readings(ENVIRONMENT_SERVICE, "the environment", ENVIRONMENT_READINGS,
-                    scenario.domain.find_service(ENVIRONMENT_SERVICE), report)
 
     if isinstance(scenario.control, CentralizedControl):
         master_loop = scenario.loop(master)
@@ -650,10 +581,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                                    f"which no slave scope holds")
         if len(scenario.loops) < 2:
             report.add("control.master", "centralized control needs at least one slave")
-        # Outputs are streams of a service named after the master loop, one
-        # type each: no output reuses a declared parameter or another output.
-        service = scenario.domain.find_service(master)
-        taken = {p.name for p in service.parameters} if service is not None else set()
+        # One type per output: none names a sampled stream or another output.
         for ai, agg in enumerate(scenario.control.aggregations):
             path = f"control.master.aggregations[{ai}]"
             if not agg.inputs:
@@ -666,6 +594,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             taken.add(agg.output)
             for loop_id, svc, parameter in agg.inputs:
                 loop = scenario.loop(loop_id)
+                if svc not in kinds:
+                    report.add(path, f"input '{svc}' is not a devices entry")
+                    continue
                 if loop is None:
                     report.add(path, f"unknown loop '{loop_id}'")
                     continue
@@ -713,8 +644,6 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     # A knowledge base learns the environment, the streams of the services
     # its loop owns and, on the master, the aggregation inputs and outputs.
-    aggs = (scenario.control.aggregations
-            if isinstance(scenario.control, CentralizedControl) else ())
     forwarded = {(svc, parameter) for agg in aggs for _, svc, parameter in agg.inputs}
     forwarded |= {(master, agg.output) for agg in aggs}
     for li, loop in enumerate(scenario.loops):
@@ -742,7 +671,6 @@ def building_to_dict(building: Building, name: str) -> dict:
     """Serialize a generated building into the scenario schema."""
     data: dict[str, Any] = {
         "name": name,
-        "domain": _dump(building.domain),
         "policies": _to_json(building.policies),
         "topology": _dump(building.topology),
         "loops": _to_json(building.loops),

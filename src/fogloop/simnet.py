@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, Iterator, NamedTuple, Protocol
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Protocol
 
 from fogloop.errors import ConfigError, FogloopError
 from fogloop.model import ValidationReport
@@ -42,7 +42,6 @@ class PastEventError(FogloopError):
 class Node:
     id: str
     tier: Tier
-    hosted: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -58,9 +57,14 @@ Route = tuple[tuple[str, ...], int, tuple[int, ...]]
 
 
 class Topology:
-    def __init__(self, nodes: tuple[Node, ...], links: tuple[Link, ...]):
+    """Nodes and links, and the node each device service runs on: `hosts`
+    maps service to node id, built from the scenario's `devices` entries."""
+
+    def __init__(self, nodes: tuple[Node, ...], links: tuple[Link, ...],
+                 hosts: Mapping[str, str] = {}):
         self.nodes = nodes
         self.links = links
+        self.hosts = dict(hosts)
         self.by_id = {n.id: n for n in nodes}
         self._adjacent: dict[str, list[tuple[str, Link]]] = {n.id: [] for n in nodes}
         for link in links:
@@ -69,48 +73,47 @@ class Topology:
                 self._adjacent[link.b].append((link.a, link))
         for peers in self._adjacent.values():
             peers.sort(key=lambda pair: pair[0])
-        self._path_cache: dict[tuple[str, str], Route | None] = {}
+        # Source -> the route to every node it reaches, from one search.
+        self._routes: dict[str, dict[str, Route]] = {}
 
     def host_of(self, service: str) -> str | None:
-        for node in self.nodes:
-            if service in node.hosted:
-                return node.id
-        return None
+        return self.hosts.get(service)
 
     def route(self, src: str, dst: str) -> Route | None:
         """The minimum-latency path src..dst inclusive, with its summed link
         latency and the jitter bound of each jittered hop, in path order.
         Latency ties are broken by lexicographic node-id order. None when
         unreachable."""
-        key = (src, dst)
-        if key not in self._path_cache:
-            self._path_cache[key] = self._find_route(src, dst)
-        return self._path_cache[key]
+        routes = self._routes.get(src)
+        if routes is None:
+            routes = self._routes[src] = self._search(src)
+        return routes.get(dst)
 
-    def _find_route(self, src: str, dst: str) -> Route | None:
-        if src not in self.by_id or dst not in self.by_id:
-            return None
-        done: set[str] = set()
+    def _search(self, src: str) -> dict[str, Route]:
+        """The route from `src` to every node it reaches. A node's first pop
+        is its least (cost, path), which is the tie rule, so one search
+        serves every destination."""
+        routes: dict[str, Route] = {}
+        if src not in self.by_id:
+            return routes
         # (cost, path, jitters): paths are unique, so jitters never break a tie.
         frontier: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = [(0, (src,), ())]
         while frontier:
             cost, path, jitters = heapq.heappop(frontier)
             here = path[-1]
-            if here in done:
+            if here in routes:
                 continue
-            done.add(here)
-            if here == dst:
-                return path, cost, jitters
+            routes[here] = path, cost, jitters
             for neighbor, link in self._adjacent[here]:
-                if neighbor not in done:
+                if neighbor not in routes:
                     heapq.heappush(frontier, (
                         cost + link.latency_ms,
                         path + (neighbor,),
                         jitters + (link.jitter_ms,) if link.jitter_ms else jitters,
                     ))
-        return None
+        return routes
 
-    def validate(self, device_services: set[str] | None = None) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Structural checks; violations are reported, never raised."""
         report = ValidationReport()
         seen: set[str] = set()
@@ -145,17 +148,6 @@ class Topology:
                 report.add(path, "jitter must be >= 0")
             elif link.jitter_ms > link.latency_ms:
                 report.add(path, "jitter must not exceed latency")
-
-        hosts_of: dict[str, str] = {}
-        for ni, node in enumerate(self.nodes):
-            for svc in node.hosted:
-                if svc in hosts_of:
-                    report.add(f"nodes[{ni}]", f"'{svc}' already hosted on '{hosts_of[svc]}'")
-                hosts_of[svc] = node.id
-            if node.tier is Tier.DEVICE and device_services is not None:
-                for svc in node.hosted:
-                    if svc not in device_services:
-                        report.add(f"nodes[{ni}]", f"device node hosts non-device '{svc}'")
 
         if not report.ok:
             return report

@@ -36,17 +36,7 @@ from fogloop.mape import (
     Policy,
     ThresholdCondition,
 )
-from fogloop.model import (
-    CommandSpec,
-    Composite,
-    Domain,
-    ParameterSpec,
-    Service,
-    ServiceKind,
-    Task,
-    ValueType,
-    value_conforms,
-)
+from fogloop.model import ValueType, value_conforms
 from fogloop.placement import LoopSpec, Offering
 from fogloop.simnet import Link, Node, Tier, Topology
 
@@ -85,9 +75,10 @@ _DEFAULT_STATE: dict[DeviceKind, dict[str, Any]] = {
 }
 
 # Every parameter a device of each kind reads, with the type of every value
-# it reads. A reading is a state key, or taken from the office (`room-temp`,
-# `kwh-reading`), or derived from state (`armed`). Validation holds declared
-# parameters and initial state to these types, and every command keeps them.
+# it reads, in the order a device samples them. A reading is a state key, or
+# taken from the office (`room-temp`, `kwh-reading`), or derived from state
+# (`armed`). Validation holds sampled readings to the kind and initial state
+# to these types, and every command keeps them.
 READINGS: dict[DeviceKind, dict[str, ValueType]] = {
     DeviceKind.DOOR: {"lock-state": ValueType.ENUM_OF_STRINGS},
     DeviceKind.WINDOW: {"position": ValueType.ENUM_OF_STRINGS},
@@ -140,9 +131,9 @@ class DeviceCommand:
 
 _SET_POWER = DeviceCommand(ValueType.BOOLEAN, {"power-state": ARG})
 
-# Every command a device of each kind implements. Validation holds declared
-# commands and every action's argument to it, and `Device.apply` carries a
-# command out from it, so a device accepts every action that validates.
+# Every command a device of each kind implements. Validation holds every
+# action's command and argument to it, and `Device.apply` carries a command
+# out from it, so a device accepts every action that validates.
 COMMANDS: dict[DeviceKind, dict[str, DeviceCommand]] = {
     DeviceKind.DOOR: {"lock": DeviceCommand(None, {"lock-state": "locked"}),
                       "unlock": DeviceCommand(None, {"lock-state": "unlocked"})},
@@ -367,15 +358,20 @@ class BuildingParams:
 
 @dataclass
 class DeviceSetup:
+    """A scenario's one declaration of a device: its kind, the node it runs
+    on, its office, its initial state and the interval in ms of each
+    reading it samples."""
+
     service: str
     kind: DeviceKind
+    node: str
     office: str | None = None
     initial: dict[str, Any] = field(default_factory=dict)
+    samples: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
 class Building:
-    domain: Domain
     topology: Topology
     loops: tuple[LoopSpec, ...]
     policies: tuple[Policy, ...]
@@ -395,8 +391,7 @@ _KIND_BY_SHORT = {
     "clock": DeviceKind.CLOCK,
 }
 
-# The parameters an office device of each kind declares, and the unit of
-# each declared parameter that has one, the environment's included.
+# The readings an office device of each kind samples.
 _DECLARED: dict[DeviceKind, tuple[str, ...]] = {
     DeviceKind.DOOR: ("lock-state",),
     DeviceKind.WINDOW: ("position",),
@@ -405,22 +400,6 @@ _DECLARED: dict[DeviceKind, tuple[str, ...]] = {
     DeviceKind.LAMP: ("power-state",),
     DeviceKind.CLOCK: ("armed",),
 }
-_UNITS = {"room-temp": "celsius", "kwh-reading": "kWh", "outside-temp": "celsius"}
-
-
-def _office_services(office: str, interval: int) -> tuple[Service, ...]:
-    return tuple(
-        Service(
-            f"{office}.{short}",
-            ServiceKind.PHYSICAL_DEVICE,
-            parameters=tuple(ParameterSpec(name, READINGS[kind][name], unit=_UNITS.get(name),
-                                           sample_interval_ms=interval)
-                             for name in _DECLARED[kind]),
-            commands=tuple(CommandSpec(name, record.argument_type)
-                           for name, record in COMMANDS[kind].items()),
-        )
-        for short, kind in _KIND_BY_SHORT.items()
-    )
 
 
 def office_policies(office: str, params: BuildingParams) -> tuple[Policy, ...]:
@@ -540,12 +519,12 @@ def build_smart_building(
     environment_events: Iterable[EnvironmentEvent] = (),
     params: BuildingParams | None = None,
 ) -> Building:
-    """Generate the N-office building: domain, topology, loops, and rules.
+    """Generate the N-office building: devices, topology, loops, and rules.
 
     The building keeps `defaults`, what its runs read. `params` is spent
-    here: `sample_interval_ms` sets every parameter's interval and the rules'
-    cooldown guard; `clock_duration_ms` the clock's `arm` argument and the
-    lock-to-lights-off delay and cooldown; `setpoint_c` the heaters'
+    here: `sample_interval_ms` sets every sampled reading's interval and the
+    rules' cooldown guard; `clock_duration_ms` the clock's `arm` argument and
+    the lock-to-lights-off delay and cooldown; `setpoint_c` the heaters'
     `setpoint-c` and the thermostat thresholds a degree either side;
     `p3_cooldown_ms` the thermostat cooldown; `door_locked`, `lamp_on`,
     `window_open` and `heater_on` the initial states; `device_fog_latency_ms`,
@@ -560,7 +539,6 @@ def build_smart_building(
     params = params or BuildingParams()
 
     offices = [f"office{i}" for i in range(1, n + 1)]
-    tasks: list[Task] = []
     nodes: list[Node] = []
     links: list[Link] = []
     loops: list[LoopSpec] = []
@@ -568,45 +546,20 @@ def build_smart_building(
     setups: list[DeviceSetup] = []
 
     for office in offices:
-        services = _office_services(office, params.sample_interval_ms)
-        tasks.append(
-            Task(
-                office,
-                services=services,
-                composites=(
-                    Composite(
-                        "climate",
-                        (f"{office}.heater", f"{office}.window"),
-                        goal="hold room temperature near the setpoint",
-                    ),
-                    Composite(
-                        "lighting",
-                        (f"{office}.lamp", f"{office}.window", f"{office}.clock",
-                         f"{office}.door"),
-                        goal="light the office only when useful",
-                    ),
-                ),
-            )
-        )
         fog = f"fog{office.removeprefix('office')}"
         nodes.append(Node(fog, Tier.FOG))
+        scope = []
         for short, kind in _KIND_BY_SHORT.items():
             service = f"{office}.{short}"
-            nodes.append(Node(service, Tier.DEVICE, hosted=(service,)))
+            nodes.append(Node(service, Tier.DEVICE))
             links.append(Link(service, fog, params.device_fog_latency_ms))
-            setups.append(DeviceSetup(service, kind, office, _initial_state(short, params)))
+            samples = dict.fromkeys(_DECLARED[kind], params.sample_interval_ms)
+            setups.append(DeviceSetup(service, kind, service, office,
+                                      _initial_state(short, params), samples))
+            scope.append(service)
         office_rules = office_policies(office, params)
         policies.extend(office_rules)
-        loops.append(
-            LoopSpec(office, tuple(s.name for s in services), Offering.MAPEAAS,
-                     policies=office_rules)
-        )
-
-    environment = Service(
-        ENVIRONMENT_SERVICE, ServiceKind.VIRTUAL,
-        parameters=tuple(ParameterSpec(name, vtype, unit=_UNITS.get(name))
-                         for name, vtype in ENVIRONMENT_READINGS.items()))
-    tasks.append(Task("environment", services=(environment,)))
+        loops.append(LoopSpec(office, tuple(scope), Offering.MAPEAAS, policies=office_rules))
 
     fogs = [f"fog{i}" for i in range(1, n + 1)]
     for i, a in enumerate(fogs):
@@ -637,8 +590,8 @@ def build_smart_building(
                                     coordinate=("analyze", "execute"))
 
     return Building(
-        domain=Domain("smart-building", tasks=tuple(tasks)),
-        topology=Topology(tuple(nodes), tuple(links)),
+        topology=Topology(tuple(nodes), tuple(links),
+                          {setup.service: setup.node for setup in setups}),
         loops=tuple(loops),
         policies=tuple(policies),
         devices=tuple(setups),

@@ -222,10 +222,9 @@ def only(values) -> object:
 
 
 def sample_interval(data: dict) -> int:
-    """Every device parameter's `sample_interval_ms`."""
-    return only(param["sample_interval_ms"] for task in data["domain"]["tasks"]
-                for svc in task["services"] if svc["kind"] == "physical_device"
-                for param in svc["parameters"])
+    """The interval of every reading every device samples."""
+    return only(interval for device in data["devices"].values()
+                for interval in device["samples"].values())
 
 
 def device_link_latency(data: dict) -> int:
@@ -427,10 +426,10 @@ def test_c7_mode_equivalence(run_three_cen, run_three_dec):
 # sha256 prefixes of trace.to_jsonl() and metrics_csv() at seed 42 over two
 # hours; a change that alters behaviour on purpose updates these and says why.
 GOLDEN = {
-    "1office": (201_643, "01bf23014aa67766", "a5ade4c997507891"),
-    "1office+apaas_split": (201_643, "735c33d909230534", "75c159b030a82e61"),
-    "3office_centralized": (665_295, "141c916abe73e3e6", "ff420e646d70032f"),
-    "3office_decentralized": (609_434, "8b8ad739430bcd13", "7961a1dea0254682"),
+    "1office": (201_643, "f50a112e96f12c71", "a5ade4c997507891"),
+    "1office+apaas_split": (201_643, "9998212edc0d5a02", "75c159b030a82e61"),
+    "3office_centralized": (665_295, "ea50f4e177691a25", "ff420e646d70032f"),
+    "3office_decentralized": (609_434, "5fa7415291e1f557", "7961a1dea0254682"),
 }
 
 
@@ -488,8 +487,8 @@ def jittered_building(seed: int, horizon: int) -> dict:
 # Trace rows and sha256 prefixes of trace.to_jsonl() and metrics_csv() of
 # `jittered_building(3, 300_000)` at seed 3, to 300,000 ms.
 JITTERED = {
-    "centralized": (28_230, "d193d275a913709e", "aa2bdc1bae217c9b"),
-    "decentralized": (26_189, "d496aa80fdd43e33", "777032c0ce4271e6"),
+    "centralized": (28_230, "094f25934e30095f", "aa2bdc1bae217c9b"),
+    "decentralized": (26_189, "526268cfdb4337f8", "777032c0ce4271e6"),
 }
 
 
@@ -529,7 +528,7 @@ def placement_cases(draw):
     nodes = [Node("cloud", Tier.CLOUD)]
     nodes += [Node(fog, Tier.FOG) for fog in fogs]
     nodes += [
-        Node(f"dev{i + 1}", Tier.DEVICE, hosted=(services[i],)) for i in range(n_dev)
+        Node(f"dev{i + 1}", Tier.DEVICE) for i in range(n_dev)
     ]
     links = [Link(fog, "cloud", draw(st.integers(10, 80))) for fog in fogs]
     links += [
@@ -554,7 +553,8 @@ def placement_cases(draw):
         )
         for g in range(n_loops)
     )
-    return Topology(tuple(nodes), tuple(links)), loops
+    hosts = {service: f"dev{i + 1}" for i, service in enumerate(services)}
+    return Topology(tuple(nodes), tuple(links), hosts), loops
 
 
 def shortest_latencies(topology: Topology) -> dict[tuple[str, str], float]:
@@ -584,11 +584,11 @@ def test_c8_placement_safety():
         topology, loops = case
         placement = place(loops, topology)
         dist = shortest_latencies(topology)
-        host = {svc: node.id for node in topology.nodes for svc in node.hosted}
+        hosts = topology.hosts
         fogs = [node.id for node in topology.nodes if node.tier is Tier.FOG]
         assert len(placement.assignments) == 5 * len(loops)
         for loop in loops:
-            fog = min(fogs, key=lambda f: (sum(dist[host[s], f] for s in loop.scope), f))
+            fog = min(fogs, key=lambda f: (sum(dist[hosts[s], f] for s in loop.scope), f))
             core = fog if loop.offering is Offering.MAPEAAS else "cloud"
             assert {comp: placement.node_of(loop.id, comp)
                     for comp in ("monitor", "execute", "analyze", "plan", "knowledge")

@@ -29,12 +29,10 @@ def write_scenario(tmp_path: Path, data: dict) -> str:
 
 
 def unreadable_parameter(tmp_path: Path) -> str:
-    """The 1-office scenario with a heater parameter no heater reads."""
+    """The 1-office scenario with the heater sampling a reading no heater
+    reads."""
     data = json.loads(Path(ONE_OFFICE).read_text())
-    heater = next(svc for svc in data["domain"]["tasks"][0]["services"]
-                  if svc["name"] == "office1.heater")
-    heater["parameters"].append({"name": "bogus-param", "value_type": "real",
-                                 "sample_interval_ms": 1000})
+    data["devices"]["office1.heater"]["samples"]["bogus-param"] = 1000
     return write_scenario(tmp_path, data)
 
 
@@ -68,25 +66,13 @@ def _lights_off_sunny(data: dict) -> dict:
 
 
 def blink_on_lamp(data: dict) -> None:
-    """The lamp declares, and a policy sends it, a command no lamp has."""
-    lamp = next(svc for svc in data["domain"]["tasks"][0]["services"]
-                if svc["name"] == "office1.lamp")
-    lamp["commands"].append({"name": "blink"})
+    """A policy sends the lamp a command no lamp has."""
     _lights_off_sunny(data)["then"].append({"service": "office1.lamp", "command": "blink"})
 
 
 def ring_unhosted_alarm(data: dict) -> None:
-    """A policy rings a virtual service that no node hosts."""
-    data["domain"]["tasks"][0]["services"].append(
-        {"name": "office1.alarm", "kind": "virtual", "commands": [{"name": "ring"}]})
+    """A policy rings an alarm that has no devices entry."""
     _lights_off_sunny(data)["then"].append({"service": "office1.alarm", "command": "ring"})
-
-
-def ring_alarm_on_fog(data: dict) -> None:
-    """As `ring_unhosted_alarm`, with the alarm hosted on fog1."""
-    ring_unhosted_alarm(data)
-    next(node for node in data["topology"]["nodes"] if node["id"] == "fog1")["hosts"] = [
-        "office1.alarm"]
 
 
 def ajar_window(data: dict) -> None:
@@ -367,7 +353,7 @@ class TestRun:
             "--until-ms", "1000", "--out", str(tmp_path / "out"),
         ])
         assert code == 1
-        assert "cannot read declared parameter 'bogus-param'" in capsys.readouterr().out
+        assert "a heater cannot read 'bogus-param'" in capsys.readouterr().out
 
     def test_stream_of_the_wrong_type_is_a_validation_error(self, tmp_path, capsys,
                                                              type_gap):
@@ -383,23 +369,21 @@ class TestRun:
 
     @pytest.mark.parametrize("mutate, crash, line", [
         (blink_on_lamp, UnknownCommandError,
-         "devices.office1.lamp: a lamp has no command 'blink'"),
+         "policies[0].then[1]: 'office1.lamp' has no command 'blink'"),
         (ring_unhosted_alarm, ConfigError,
-         "policies[0].then[1]: 'office1.alarm' is not a physical device with a setup"),
-        (ring_alarm_on_fog, ConfigError,
-         "policies[0].then[1]: 'office1.alarm' is not a physical device with a setup"),
+         "policies[0].then[1]: 'office1.alarm' is not a devices entry"),
         (ajar_window, BadArgumentError,
          "policies[0].then[1]: argument 'ajar' of 'set-position' on a window "
          "is not open or closed"),
         (arm_clock_for_zero, BadArgumentError,
          "policies[1].then[0]: argument 0 of 'arm' on a clock is not a positive integer"),
-    ], ids=["blink", "unhosted", "on-fog", "window-ajar", "arm-zero"])
+    ], ids=["blink", "unhosted", "window-ajar", "arm-zero"])
     def test_action_no_device_can_carry_out_is_a_validation_error(
             self, tmp_path, capsys, mutate, crash, line):
         # Each of these once validated, and its run then died mid-way when
         # its policy fired: the locked door arms the clock at once, and the
-        # sunny weather at 300 s turns the lights off. The alarm, on no node
-        # or on a fog, has no device to ring it, so the unchecked build now
+        # sunny weather at 300 s turns the lights off. The alarm has no
+        # devices entry, so no device rings it, and the unchecked build now
         # fails before the run starts.
         data = json.loads(Path(ONE_OFFICE).read_text())
         mutate(data)

@@ -302,11 +302,13 @@ def test_cooldown_spaces_symptoms(cooldown, ticks):
 
 NOOP = (PlannedAction("s", "noop"),)
 # One type per stream, as validation admits: a real stream, whose values may
-# be ints or floats (1 == 1.0), an enum stream and a boolean one.
+# be ints or floats (1 == 1.0), an enum stream and a boolean one. The real
+# and enum streams take values that change without flipping a threshold's
+# verdict, as a room temperature inside its band does at every sample.
 STREAMS = (("s", "count"), ("s", "word"), ("s", "flag"))
 VALUES = {
-    "count": st.sampled_from([0, 1, 1.0, 2, 2.5, 3]),
-    "word": st.sampled_from(["on", "off"]),
+    "count": st.sampled_from([0, 0.5, 1, 1.0, 1.5, 2, 2.25, 2.5, 3]),
+    "word": st.sampled_from(["on", "off", "idle"]),
     "flag": st.booleans(),
 }
 # An elapsed-time rule after the shape of `-lights-off-after-lock`: once the
@@ -379,6 +381,14 @@ def indexed_outcome(kb: KnowledgeBase, index: PolicyIndex, now: int, last_raised
                            ThresholdCondition("s", "word", Comparator.EQ, "on")), NOOP)],
     steps=[("s", "count", 1, 1, 0, 0, True), ("s", "word", "off", 1, 0, 0, True),
            ("s", "count", 1.0, 1, 0, 0, True), ("s", "word", "on", 1, 0, 0, True)],
+)
+@example(  # values that change but keep the blocking condition false, then hold it
+    policies=[Policy("p", (ThresholdCondition("s", "word", Comparator.EQ, "on"),
+                           ThresholdCondition("s", "count", Comparator.GE, 2)), NOOP)],
+    steps=[("s", "word", "on", 1, 0, 0, True), ("s", "count", 0, 1, 0, 0, True),
+           ("s", "count", 1.5, 1, 0, 0, True), ("s", "word", "idle", 1, 0, 0, True),
+           ("s", "count", 2.5, 1, 0, 0, True), ("s", "word", "off", 1, 0, 0, True),
+           ("s", "word", "on", 1, 0, 0, True)],
 )
 @given(policies=index_policies(), steps=index_steps())
 def test_indexed_analysis_matches_analysis_of_every_policy(policies, steps):
@@ -474,6 +484,26 @@ def test_index_holds_one_pending_wake_per_policy():
             fired += 1
         assert len(index._wakes) <= 1
     assert fired > 10
+
+
+def test_index_wakes_a_policy_only_when_its_blocking_condition_can_hold():
+    """A new value wakes a sleeping policy only when the condition that
+    blocked it holds under that value; a value that keeps it false, or a new
+    value on a stream of an earlier condition, leaves the policy asleep."""
+    band = Policy("too-hot", (ThresholdCondition("s", "word", Comparator.EQ, "on"),
+                              ThresholdCondition("s", "count", Comparator.GE, 2)), NOOP)
+    kb = KnowledgeBase()
+    index = PolicyIndex([band])
+    put_into(kb, index, Observation("s", "word", "on", 0))
+    put_into(kb, index, Observation("s", "count", 0, 0))
+    assert indexed_outcome(kb, index, 0, {}) == []
+    for t, (parameter, value) in enumerate((("count", 0.5), ("count", 1.5),
+                                            ("word", "off"), ("word", "on")), start=1):
+        put_into(kb, index, Observation("s", parameter, value, t))
+        assert index.due(t) == []
+    put_into(kb, index, Observation("s", "count", 2.25, 5))
+    assert index.due(5) == [band]
+    assert indexed_outcome(kb, index, 5, {}) == [Symptom("too-hot", 5)]
 
 
 def test_index_wakes_a_policy_only_when_a_stream_it_waits_on_changes_value():

@@ -14,10 +14,14 @@ from fogloop.placement import (
 from fogloop.simnet import Link, Node, Tier, Topology
 
 
+# Each device runs on a node of its own name.
+HOSTS = {"office1.lamp": "office1.lamp", "office1.window": "office1.window"}
+
+
 def office_topology(fogs: int = 1) -> Topology:
     nodes = [
-        Node("office1.lamp", Tier.DEVICE, hosted=("office1.lamp",)),
-        Node("office1.window", Tier.DEVICE, hosted=("office1.window",)),
+        Node("office1.lamp", Tier.DEVICE),
+        Node("office1.window", Tier.DEVICE),
         Node("cloud", Tier.CLOUD),
     ]
     links = []
@@ -26,7 +30,7 @@ def office_topology(fogs: int = 1) -> Topology:
         links.append(Link("office1.lamp", f"fog{i}", 1))
         links.append(Link("office1.window", f"fog{i}", 1))
         links.append(Link(f"fog{i}", "cloud", 50))
-    return Topology(tuple(nodes), tuple(links))
+    return Topology(tuple(nodes), tuple(links), HOSTS)
 
 
 def loop(offering: Offering = Offering.MAPEAAS, **overrides) -> LoopSpec:
@@ -64,8 +68,8 @@ def test_equidistant_fog_tie_breaks_lexicographically():
 def test_nearer_fog_wins_over_lexicographic_order():
     topo = Topology(
         nodes=(
-            Node("office1.lamp", Tier.DEVICE, hosted=("office1.lamp",)),
-            Node("office1.window", Tier.DEVICE, hosted=("office1.window",)),
+            Node("office1.lamp", Tier.DEVICE),
+            Node("office1.window", Tier.DEVICE),
             Node("fog1", Tier.FOG),
             Node("fog2", Tier.FOG),
             Node("cloud", Tier.CLOUD),
@@ -78,6 +82,7 @@ def test_nearer_fog_wins_over_lexicographic_order():
             Link("fog1", "cloud", 50),
             Link("fog2", "cloud", 50),
         ),
+        hosts=HOSTS,
     )
     assert place([loop()], topo).node_of("office1", "analyze") == "fog2"
 
@@ -85,12 +90,13 @@ def test_nearer_fog_wins_over_lexicographic_order():
 def test_unreachable_scope_raises_no_fog_node():
     topo = Topology(
         nodes=(
-            Node("office1.lamp", Tier.DEVICE, hosted=("office1.lamp",)),
-            Node("office1.window", Tier.DEVICE, hosted=("office1.window",)),
+            Node("office1.lamp", Tier.DEVICE),
+            Node("office1.window", Tier.DEVICE),
             Node("fog1", Tier.FOG),
             Node("cloud", Tier.CLOUD),
         ),
         links=(Link("fog1", "cloud", 50),),
+        hosts=HOSTS,
     )
     with pytest.raises(NoFogNodeError):
         place([loop()], topo)

@@ -19,7 +19,7 @@ from fogloop.metrics import MetricsFold, compute_metrics, metrics_csv
 from fogloop.model import value_conforms
 from fogloop.runtime import Runtime, RunResult, discrete_snapshot, run_scenario
 from fogloop.scenario import (
-    _stream_types,
+    _sampled_streams,
     building_to_dict,
     load_scenario,
     parse_scenario,
@@ -124,11 +124,9 @@ class TestTiming:
         100 s here, so that observation comes from the door, heater, meter or
         clock."""
         data = quiet_one_office(events=[{"t": 300_500, "weather": "sunny"}])
-        for task in data["domain"]["tasks"]:
-            for service in task["services"]:
-                if service["name"] in ("office1.lamp", "office1.window"):
-                    for parameter in service["parameters"]:
-                        parameter["sample_interval_ms"] = 100_000
+        for name in ("office1.lamp", "office1.window"):
+            samples = data["devices"][name]["samples"]
+            samples.update(dict.fromkeys(samples, 100_000))
         result = run_scenario(parse_scenario(data), seed=42, horizon=320_000)
         first = next(e for e in result.trace.of_kind("deliver")
                      if e["dst"].endswith("/office1.analyze") and e["t"] > 300_500)
@@ -249,12 +247,15 @@ class TestDeterminism:
             json.loads(line)
 
 
-@pytest.mark.parametrize("name, most", [("1office", 8), ("3office_centralized", 1_821)])
+@pytest.mark.parametrize("name, most", [("1office", 7), ("3office_centralized", 24)])
 def test_analysis_runs_only_while_a_policy_can_fire(monkeypatch, name, most):
-    """A put with no live policy skips analysis, and a policy in cooldown or
-    before an `elapsed_since` deadline sleeps until then. Analysing after
-    every put, with only values putting policies to sleep, made 4,202 and
-    14,407 calls on these runs."""
+    """A put with no live policy skips analysis, a policy in cooldown or
+    before an `elapsed_since` deadline sleeps until then, and a policy
+    blocked at a condition sleeps until a value comes under which that
+    condition holds. Analysing after every put, with only values putting
+    policies to sleep, made 4,202 and 14,407 calls on these runs; waking on
+    any new value of a stream read up to the blocking condition, 8 and
+    1,821."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -502,13 +503,12 @@ class TestRobustness:
         assert loop.kb.get("office1.door", "lock-state").value == "locked"
 
     def test_unplaceable_loop_is_a_config_error(self):
-        # Every service on the cloud and no fog node: the topology checks
+        # Every device on the cloud and no fog node: the topology checks
         # pass, and placement finds no fog for the loop.
         data = bundled("1office")
-        topology = data["topology"]
-        hosted = [svc for node in topology["nodes"] for svc in node.get("hosts", [])]
-        topology["nodes"] = [{"id": "cloud", "tier": "cloud", "hosts": hosted}]
-        topology["links"] = []
+        data["topology"] = {"nodes": [{"id": "cloud", "tier": "cloud"}], "links": []}
+        for device in data["devices"].values():
+            device["node"] = "cloud"
         scenario = parse_scenario(data)
         assert validate_scenario(scenario).lines() == [
             "loops: loop 'office1': no fog node reaches its scope devices"]
@@ -523,19 +523,8 @@ class TestRobustness:
 
     def test_unmanaged_device_is_never_sampled(self):
         data = scenario_dict(1, params=BuildingParams(sample_interval_ms=1000))
-        data["domain"]["tasks"][0]["services"].append({
-            "name": "office1.spare",
-            "kind": "physical_device",
-            "parameters": [{
-                "name": "power-state", "value_type": "boolean",
-                "sample_interval_ms": 1000,
-            }],
-            "commands": [{"name": "set-power", "argument_type": "boolean"}],
-        })
-        for node in data["topology"]["nodes"]:
-            if node["id"] == "fog1":
-                node["hosts"] = ["office1.spare"]
-        data["devices"]["office1.spare"] = {"kind": "lamp"}
+        data["devices"]["office1.spare"] = {"kind": "lamp", "node": "fog1",
+                                            "samples": {"power-state": 1000}}
         scenario = parse_scenario(data)
         assert validate_scenario(scenario).ok
         result = run_scenario(scenario, seed=6, horizon=5_000)
@@ -619,7 +608,10 @@ class TestTypeBoundary:
 
         monkeypatch.setattr(KnowledgeBase, "put", recording_put)
         run_scenario(scenario, seed=3, horizon=700_000)
-        streams = _stream_types(scenario)
+        streams = _sampled_streams(scenario)
+        if scenario.master_id is not None:
+            streams.update(((scenario.master_id, agg.output), agg.output_type)
+                           for agg in scenario.control.aggregations)
         found = set()
         for obs in seen:
             vtype = streams[(obs.service, obs.parameter)]
@@ -648,15 +640,10 @@ def unlink_the_clock(data: dict) -> None:
     data["loops"][0]["scope"].remove("office1.clock")
 
 
-def ring_alarm(data: dict, host: str | None) -> None:
-    """office1 rings a virtual alarm that no device actor carries, hosted on
-    `host` (where no handler listens) or on no node."""
-    data["domain"]["tasks"][0]["services"].append(
-        {"name": "office1.alarm", "kind": "virtual", "commands": [{"name": "ring"}]})
+def ring_alarm(data: dict) -> None:
+    """office1 rings an alarm that has no devices entry, so no device actor
+    carries it."""
     data["policies"][0]["then"].append({"service": "office1.alarm", "command": "ring"})
-    if host is not None:
-        next(node for node in data["topology"]["nodes"]
-             if node["id"] == host)["hosts"] = ["office1.alarm"]
 
 
 class TestChannels:
@@ -692,11 +679,9 @@ class TestChannels:
     @pytest.mark.parametrize("mutate, message", [
         (unlink_the_clock,
          "no route from 'fog1/office1.execute' to 'office1.clock/office1.clock'"),
-        (lambda data: ring_alarm(data, "fog1"),
+        (ring_alarm,
          "no device at 'office1.alarm' for actions from 'fog1/office1.execute'"),
-        (lambda data: ring_alarm(data, None),
-         "no device at 'office1.alarm' for actions from 'fog1/office1.execute'"),
-    ], ids=["unreachable", "on-fog", "unhosted"])
+    ], ids=["unreachable", "unhosted"])
     def test_an_unresolvable_channel_fails_the_build(self, mutate, message):
         data = bundled("1office")
         mutate(data)

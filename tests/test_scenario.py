@@ -24,9 +24,13 @@ from fogloop.scenario import (
     with_mode,
     with_offering,
 )
+from fogloop.model import ValueType
 from fogloop.smartbuilding import (
+    COMMANDS,
+    READINGS,
     BuildingDefaults,
     BuildingParams,
+    DeviceKind,
     EnvironmentEvent,
     build_smart_building,
 )
@@ -37,11 +41,6 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 def scenario_dict(n: int = 1, control: str = "none") -> dict:
     building = build_smart_building(n, control=control)
     return building_to_dict(building, name=f"building-{n}-{control}")
-
-
-def service(data: dict, name: str) -> dict:
-    return next(svc for task in data["domain"]["tasks"] for svc in task["services"]
-                if svc["name"] == name)
 
 
 def reparse(data: dict) -> dict:
@@ -171,6 +170,27 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="expected integer"):
             parse_scenario(data)
 
+    def test_sample_interval_must_be_integer(self):
+        data = scenario_dict(1)
+        data["devices"]["office1.lamp"]["samples"]["power-state"] = 1.5
+        with pytest.raises(ConfigError, match=re.escape(
+                "devices.office1.lamp.samples.power-state: expected integer")):
+            parse_scenario(data)
+
+    @pytest.mark.parametrize("place, message", [
+        (lambda data: data.update(domain={"name": "smart-building", "tasks": []}),
+         "scenario: unknown keys ['domain']"),
+        (lambda data: data["topology"]["nodes"][1].update(hosts=["office1.door"]),
+         "topology.nodes[1]: unknown keys ['hosts']"),
+    ], ids=["domain", "hosts"])
+    def test_a_device_is_declared_only_by_its_devices_entry(self, place, message):
+        # Its kind fixes its readings' and commands' types, and its entry
+        # names its node, so neither a domain service nor a host list is read.
+        data = scenario_dict(1)
+        place(data)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_scenario(data)
+
     @pytest.mark.parametrize("key, pin", [("node", "fog1"),
                                           ("components", {"knowledge": "fog1"})])
     def test_loop_placement_pins_are_unknown_keys(self, key, pin):
@@ -213,12 +233,9 @@ class TestStrictParsing:
 
     @pytest.mark.parametrize("path, owner, key", [
         ("name", lambda d: d, "name"),
-        ("domain.tasks[0].services[0].parameters[0].unit",
-         lambda d: d["domain"]["tasks"][0]["services"][0]["parameters"][0], "unit"),
-        ("domain.tasks[0].composites[0].goal",
-         lambda d: d["domain"]["tasks"][0]["composites"][0], "goal"),
         ("environment[0].weather", lambda d: d["environment"][0], "weather"),
         ("devices.office1.lamp.office", lambda d: d["devices"]["office1.lamp"], "office"),
+        ("devices.office1.lamp.node", lambda d: d["devices"]["office1.lamp"], "node"),
     ])
     def test_string_fields_reject_other_types(self, path, owner, key):
         data = scenario_dict(1)
@@ -264,13 +281,10 @@ class TestValidation:
         # device draws energy, so a second one would be half modelled.
         data = scenario_dict(1)
         first, second = f"office1.{kind}", f"office1.{kind}2"
-        task = next(task for task in data["domain"]["tasks"]
-                    if any(svc["name"] == first for svc in task["services"]))
-        task["services"].append({**service(data, first), "name": second})
-        data["topology"]["nodes"].append({"id": second, "tier": "device", "hosts": [second]})
+        data["topology"]["nodes"].append({"id": second, "tier": "device"})
         data["topology"]["links"].append({"a": second, "b": "fog1", "latency_ms": 1})
         data["loops"][0]["scope"].append(second)
-        data["devices"][second] = data["devices"][first]
+        data["devices"][second] = dict(data["devices"][first], node=second)
         report = validate_scenario(parse_scenario(data))
         assert report.lines() == [
             f"devices.{second}: office 'office1' already has a {kind} '{first}'"]
@@ -406,8 +420,36 @@ class TestValidation:
         data = scenario_dict(1)
         del data["devices"]["office1.lamp"]
         report = validate_scenario(parse_scenario(data))
-        assert any("office1.lamp" in line and "no setup entry" in line
-                   for line in report.lines())
+        assert "loops[0]: scope service 'office1.lamp' is not a devices entry" \
+            in report.lines()
+
+    @pytest.mark.parametrize("place, line", [
+        (lambda data: data["loops"][0]["scope"].append("office1.alarm"),
+         "loops[0]: scope service 'office1.alarm' is not a devices entry"),
+        (lambda data: data["policies"][0]["then"].append(
+            {"service": "office1.alarm", "command": "ring"}),
+         "policies[0].then[1]: 'office1.alarm' is not a devices entry"),
+        (lambda data: data["control"]["master"]["aggregations"][0]["inputs"].append(
+            ["office1", "office1.alarm", "kwh-reading"]),
+         "control.master.aggregations[0]: input 'office1.alarm' is not a devices entry"),
+    ], ids=["scope", "action", "aggregation-input"])
+    def test_a_device_reference_names_a_devices_entry(self, place, line):
+        data = scenario_dict(2, "centralized")
+        place(data)
+        assert validate_scenario(parse_scenario(data)).lines() == [line]
+
+    @pytest.mark.parametrize("change, line", [
+        (lambda entry: entry["samples"].update({"setpoint-c": 0}),
+         "devices.office1.heater: interval of 'setpoint-c' must be positive, not 0"),
+        (lambda entry: entry["samples"].update({"room-temp": -1000}),
+         "devices.office1.heater: interval of 'room-temp' must be positive, not -1000"),
+        (lambda entry: entry.update(node="office1.radiator"),
+         "devices.office1.heater: node 'office1.radiator' is not in the topology"),
+    ], ids=["zero-interval", "negative-interval", "unknown-node"])
+    def test_sample_intervals_and_node_are_checked(self, change, line):
+        data = scenario_dict(1)
+        change(data["devices"]["office1.heater"])
+        assert validate_scenario(parse_scenario(data)).lines() == [line]
 
     def test_unknown_initial_state_key(self):
         data = scenario_dict(1)
@@ -431,14 +473,9 @@ class TestValidation:
 
     def test_declared_parameter_the_device_cannot_read(self):
         data = scenario_dict(1)
-        heater = next(svc for svc in data["domain"]["tasks"][0]["services"]
-                      if svc["name"] == "office1.heater")
-        heater["parameters"].append({"name": "bogus-param", "value_type": "real",
-                                     "sample_interval_ms": 1000})
+        data["devices"]["office1.heater"]["samples"]["bogus-param"] = 1000
         report = validate_scenario(parse_scenario(data))
-        assert report.lines() == [
-            "devices.office1.heater: a heater cannot read declared parameter 'bogus-param'"
-        ]
+        assert report.lines() == ["devices.office1.heater: a heater cannot read 'bogus-param'"]
 
     def test_stream_declared_with_a_type_its_source_never_reads(self, type_gap):
         data, path = type_gap
@@ -447,41 +484,12 @@ class TestValidation:
                                       for line in report.lines()), report.lines()
 
     def test_environment_declares_only_what_the_environment_reads(self):
+        # Its streams are fixed: a weather and an outside temperature.
         data = scenario_dict(1)
-        environment = next(svc for task in data["domain"]["tasks"]
-                           for svc in task["services"] if svc["name"] == "environment")
-        environment["parameters"].append({"name": "humidity", "value_type": "real",
-                                          "sample_interval_ms": 1000})
+        data["policies"][0]["when"][0]["parameter"] = "humidity"
         report = validate_scenario(parse_scenario(data))
         assert report.lines() == [
-            "environment: the environment cannot read declared parameter 'humidity'"]
-
-    def test_declared_command_the_device_lacks(self):
-        data = scenario_dict(1)
-        service(data, "office1.door")["commands"].append({"name": "jam"})
-        report = validate_scenario(parse_scenario(data))
-        assert report.lines() == ["devices.office1.door: a door has no command 'jam'"]
-
-    @pytest.mark.parametrize("name, commands, arg, line", [
-        # Declared to take an integer, set-power validated with an integer
-        # argument, which the lamp then refused mid-run.
-        ("office1.lamp", [{"name": "set-power", "argument_type": "integer"}], 0,
-         "devices.office1.lamp: argument of 'set-power' is boolean on a lamp, not integer"),
-        ("office1.door", [{"name": "lock", "argument_type": "boolean"}, {"name": "unlock"}],
-         None, "devices.office1.door: argument of 'lock' is none on a door, not boolean"),
-        # A meter takes no command; its kind is spelled after "an".
-        ("office1.meter", [{"name": "reset", "argument_type": "integer"}], None,
-         "devices.office1.meter: an energy-meter has no command 'reset'"),
-    ], ids=["lamp", "door", "meter"])
-    def test_declared_command_argument_type_matches_the_device(self, name, commands, arg,
-                                                              line):
-        data = scenario_dict(1)
-        service(data, name)["commands"] = commands
-        for policy in data["policies"]:
-            for action in policy["then"]:
-                if action["service"] == name:
-                    action["arg"] = arg
-        assert validate_scenario(parse_scenario(data)).lines() == [line]
+            "policies[0].when[0]: unknown stream 'environment.humidity'"]
 
     @pytest.mark.parametrize("change, line", [
         (lambda policies: policies[0]["then"].append(
@@ -545,16 +553,17 @@ class TestValidation:
             "control.master.aggregations[0]: sum yields a number, not boolean"]
 
     def test_aggregation_output_may_not_shadow_a_declared_parameter(self):
-        # A vector output is a list, whatever the shadowed parameter declares.
+        # A meter named after the master samples the reading the output
+        # names; a vector output is a list, whatever that reading's type.
         data = scenario_dict(2, "centralized")
-        data["control"]["master"]["aggregations"][0]["combinator"] = "vector"
-        data["domain"]["tasks"].append({"name": "overview", "services": [{
-            "name": "building", "kind": "virtual", "parameters": [{
-                "name": "total-kwh", "value_type": "boolean", "sample_interval_ms": 1000}],
-        }]})
+        agg = data["control"]["master"]["aggregations"][0]
+        agg.update(combinator="vector", output="kwh-reading")
+        data["devices"]["building"] = {"kind": "energy-meter", "node": "fog1",
+                                       "office": "office1",
+                                       "samples": {"kwh-reading": 1000}}
         report = validate_scenario(parse_scenario(data))
         assert report.lines() == [
-            "control.master.aggregations[0]: output 'total-kwh' is already a stream "
+            "control.master.aggregations[0]: output 'kwh-reading' is already a stream "
             "of 'building'"]
 
     def test_aggregation_outputs_are_unique(self):
@@ -566,15 +575,6 @@ class TestValidation:
         assert report.lines() == [
             "control.master.aggregations[1]: output 'total-kwh' is already a stream "
             "of 'building'"]
-
-    def test_service_names_are_unique_across_tasks(self):
-        data = scenario_dict(1)
-        lamp = next(svc for svc in data["domain"]["tasks"][0]["services"]
-                    if svc["name"] == "office1.lamp")
-        data["domain"]["tasks"].append({"name": "spare", "services": [lamp]})
-        report = validate_scenario(parse_scenario(data))
-        assert report.lines() == [
-            "tasks[2].services[0]: duplicate service name 'office1.lamp'"]
 
     def test_aggregation_input_outside_scope(self):
         data = scenario_dict(2, "centralized")
@@ -792,9 +792,9 @@ def test_generated_scenarios_always_validate(n, control):
 
 
 @pytest.mark.parametrize("n, control, digest", [
-    (1, "none", "5db72a9abd0b3e10"),
-    (3, "centralized", "c678e8d463b9818b"),
-    (3, "decentralized", "f7966dca4f420c4a"),
+    (1, "none", "a19d04481f840819"),
+    (3, "centralized", "62bb124344aaa741"),
+    (3, "decentralized", "96b11433cdf13013"),
 ])
 def test_generated_scenario_digests(n, control, digest):
     assert config_digest(scenario_dict(n, control))[:16] == digest
@@ -852,27 +852,27 @@ def test_building_round_trips_through_the_schema(n, control, defaults, params, e
     building = build_smart_building(n, defaults, control=control,
                                     environment_events=events, params=params)
     scenario = parse_scenario(reparse(building_to_dict(building, name="rt")))
-    assert scenario.domain == building.domain
+    assert scenario.devices == building.devices
     assert scenario.policies == building.policies
     assert scenario.topology.nodes == building.topology.nodes
     assert scenario.topology.links == building.topology.links
+    assert scenario.topology.hosts == building.topology.hosts
     assert scenario.loops == building.loops
     assert scenario.control == building.control
-    assert scenario.devices == building.devices
     assert scenario.defaults == building.defaults
     assert scenario.environment_events == building.environment_events
 
 
 ONE_OFFICE = SCENARIOS / "smart_building_1office.json"
-# Arguments of every JSON scalar type, and, per declared argument type, values
-# of that type: some each device takes, some it refuses.
+# Arguments of every JSON scalar type, and, per argument type, values of that
+# type: some each device takes, some it refuses.
 ANY_ARGUMENT = st.sampled_from(["ajar", 0, -5, True, None, False, "open", "closed", 1, 2.5])
 OF_TYPE = {
     None: st.none(),
-    "boolean": st.booleans(),
-    "integer": st.integers(-10, 10**6),
-    "real": st.floats(-50, 50),
-    "enum_of_strings": st.sampled_from(["open", "closed", "ajar", "locked", ""]),
+    ValueType.BOOLEAN: st.booleans(),
+    ValueType.INTEGER: st.integers(-10, 10**6),
+    ValueType.REAL: st.floats(-50, 50),
+    ValueType.ENUM_OF_STRINGS: st.sampled_from(["open", "closed", "ajar", "locked", ""]),
 }
 
 
@@ -885,46 +885,39 @@ ACTING = ("office1-arm-clock", "office1-lights-off-sunny")
 @st.composite
 def mutated_one_office(draw):
     """The bundled 1-office scenario after a few changes to its acting
-    policies and its declared commands: add an action, retarget one, swap
-    its command, set its argument to any scalar, or drop or add a declared
-    command."""
+    policies and its devices: add an action, retarget one, swap its
+    command, set its argument to any scalar, or give a device another kind
+    with some of that kind's readings sampled."""
     data = json.loads(ONE_OFFICE.read_text())
-    services = {svc["name"]: svc for task in data["domain"]["tasks"]
-                for svc in task["services"]}
-    names = sorted({command["name"] for svc in services.values()
-                    for command in svc.get("commands", ())} | {"blink"})
+    devices = data["devices"]
+    names = sorted({name for commands in COMMANDS.values() for name in commands} | {"blink"})
     acting = [policy for policy in data["policies"] if policy["name"] in ACTING]
 
-    def declared(service: str) -> list[dict]:
-        return services[service].setdefault("commands", [])
+    def commands(service: str) -> dict:
+        return COMMANDS[DeviceKind(devices[service]["kind"])]
 
     for _ in range(draw(st.integers(1, 2))):
         change = draw(st.sampled_from(["argument", "action"] * 2
-                                      + ["command", "service", "drop", "add"]))
+                                      + ["command", "service", "kind"]))
         policy = draw(st.sampled_from(acting))
         action = draw(st.sampled_from(policy["then"]))
         if change == "action":
-            action = {"service": draw(st.sampled_from(sorted(services)))}
+            action = {"service": draw(st.sampled_from(sorted(devices)))}
             policy["then"].append(action)
         if change in ("action", "command"):
-            action["command"] = draw(st.sampled_from(
-                [command["name"] for command in declared(action["service"])] or names))
+            action["command"] = draw(st.sampled_from(sorted(commands(action["service"]))
+                                                     or names))
         if change in ("action", "argument"):
-            types = [command.get("argument_type") for command in declared(action["service"])
-                     if command["name"] == action["command"]]
+            record = commands(action["service"]).get(action["command"])
+            types = [record.argument_type] if record is not None else []
             action["arg"] = draw(st.one_of(*(OF_TYPE[t] for t in types), ANY_ARGUMENT))
         if change == "service":
-            action["service"] = draw(st.sampled_from(sorted(services)))
-        if change in ("drop", "add"):
-            commands = declared(draw(st.sampled_from(sorted(services))))
-            if change == "drop" and commands:
-                commands.pop(draw(st.integers(0, len(commands) - 1)))
-            elif change == "add":
-                command = {"name": draw(st.sampled_from(names))}
-                argument_type = draw(st.sampled_from(sorted(OF_TYPE, key=str)))
-                if argument_type is not None:
-                    command["argument_type"] = argument_type
-                commands.append(command)
+            action["service"] = draw(st.sampled_from(sorted(devices)))
+        if change == "kind":
+            kind = draw(st.sampled_from(list(DeviceKind)))
+            readings = draw(st.lists(st.sampled_from(list(READINGS[kind])), unique=True))
+            devices[draw(st.sampled_from(sorted(devices)))].update(
+                kind=kind.value, initial={}, samples=dict.fromkeys(readings, 1000))
     return data
 
 
@@ -932,7 +925,7 @@ def mutated_one_office(draw):
 @given(data=mutated_one_office())
 def test_a_mutated_scenario_that_validates_runs(data):
     """Validation is the only check: whatever changes to actions and
-    commands it accepts, a run past the sunny weather at 300 s raises
+    device kinds it accepts, a run past the sunny weather at 300 s raises
     nothing."""
     scenario = parse_scenario(data)
     if validate_scenario(scenario).ok:

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from fogloop import simnet
 from fogloop.errors import ConfigError
-from fogloop.runtime import run_scenario
-from fogloop.scenario import parse_scenario, validate_scenario, with_offering
+from fogloop.runtime import Runtime, run_scenario
+from fogloop.scenario import (building_to_dict, parse_scenario, validate_scenario,
+                              with_offering)
 from fogloop.simnet import (
     EventTrace,
     Link,
@@ -28,6 +29,7 @@ from fogloop.simnet import (
     Tier,
     Topology,
 )
+from fogloop.smartbuilding import build_smart_building
 
 ONE_OFFICE = Path(__file__).resolve().parent.parent / "scenarios" / "smart_building_1office.json"
 
@@ -35,7 +37,7 @@ ONE_OFFICE = Path(__file__).resolve().parent.parent / "scenarios" / "smart_build
 def three_tier() -> Topology:
     return Topology(
         nodes=(
-            Node("lamp1", Tier.DEVICE, hosted=("lamp1",)),
+            Node("lamp1", Tier.DEVICE),
             Node("fog1", Tier.FOG),
             Node("cloud", Tier.CLOUD),
         ),
@@ -150,8 +152,7 @@ def test_a_node_id_with_a_slash_is_refused_when_the_simulator_is_built():
 
 def test_a_component_name_with_a_slash_routes_from_its_node():
     topo = Topology(
-        nodes=(Node("dev1", Tier.DEVICE, hosted=("office1/lamp",)), Node("fog1", Tier.FOG),
-               Node("cloud", Tier.CLOUD)),
+        nodes=(Node("dev1", Tier.DEVICE), Node("fog1", Tier.FOG), Node("cloud", Tier.CLOUD)),
         links=(Link("dev1", "fog1", 2), Link("fog1", "cloud", 50)),
     )
     sim = Simulator(topo, seed=0)
@@ -470,6 +471,25 @@ def test_route_is_the_cheapest_then_least_simple_path(topo: Topology):
             assert route == (best, cost(best), jitters)
 
 
+def test_one_route_search_per_source_node(monkeypatch):
+    """A search settles every node its source reaches, so validating and
+    building a ten-office building, whose master's placement asks for a
+    route from every device to every fog node, searches once per source."""
+    search = Topology._search
+    sources: list[str] = []
+
+    def counted(topology: Topology, src: str):
+        sources.append(src)
+        return search(topology, src)
+
+    monkeypatch.setattr(Topology, "_search", counted)
+    scenario = parse_scenario(building_to_dict(build_smart_building(10, control="centralized"),
+                                               name="ten"))
+    assert validate_scenario(scenario).ok
+    Runtime(scenario, seed=0)
+    assert len(sources) == len(set(sources)) > 60
+
+
 @settings(max_examples=50)
 @given(seed=st.integers(0, 2**31), jitter=st.integers(0, 20))
 def test_jitter_stays_within_bounds_and_is_causal(seed: int, jitter: int):
@@ -495,7 +515,7 @@ def test_jitter_stays_within_bounds_and_is_causal(seed: int, jitter: int):
 JITTER_SEED = 7
 JITTER_HORIZON = 5_000
 # sha256 prefix of the jittered run's `to_jsonl()`.
-JITTER_TRACE = "46495aa4c84b2c18"
+JITTER_TRACE = "81df20c395af777b"
 
 
 def test_every_delivery_takes_base_latency_plus_the_replayed_jitter_draws():
@@ -537,14 +557,14 @@ def test_every_delivery_takes_base_latency_plus_the_replayed_jitter_draws():
 def test_topology_validation_catches_structural_faults():
     report = Topology(
         nodes=(
-            Node("d", Tier.DEVICE, hosted=("d", "office1.analyze")),
+            Node("d", Tier.DEVICE),
             Node("d", Tier.FOG),
             Node("c1", Tier.CLOUD),
             Node("c2", Tier.CLOUD),
             Node("fog/1", Tier.FOG),
         ),
         links=(Link("d", "c1", 5, jitter_ms=9), Link("x", "c1", 1), Link("d", "d", 1)),
-    ).validate(device_services={"d"})
+    ).validate()
     messages = " | ".join(report.lines())
     assert "duplicate node id 'd'" in messages
     assert "node id 'fog/1' contains '/'" in messages
@@ -552,7 +572,6 @@ def test_topology_validation_catches_structural_faults():
     assert "jitter must not exceed latency" in messages
     assert "unknown endpoint 'x'" in messages
     assert "endpoints must differ" in messages
-    assert "non-device 'office1.analyze'" in messages
 
 
 def test_topology_validation_requires_tier_connectivity():
@@ -571,7 +590,7 @@ def test_topology_validation_requires_tier_connectivity():
 
 
 def test_valid_three_tier_topology_is_clean():
-    assert three_tier().validate(device_services={"lamp1"}).ok
+    assert three_tier().validate().ok
 
 
 # Strings that need escaping: quote, backslash, non-ASCII and control characters.

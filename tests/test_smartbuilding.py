@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fogloop.coordination import CentralizedControl, Combinator, DecentralizedControl
 from fogloop.errors import ConfigError
 from fogloop.mape import ElapsedSinceCondition
-from fogloop.model import ValueType, validate_domain, value_conforms
+from fogloop.model import ValueType, value_conforms
 from fogloop.runtime import Runtime
 from fogloop.scenario import building_to_dict, parse_scenario, validate_scenario
 from fogloop.simnet import Tier
@@ -265,10 +265,10 @@ def validated_office(draw):
 
 @st.composite
 def commands(draw, scenario):
-    """(service, command, argument, dt) steps over every command every device
-    declares, plus one no device has, with arguments of any type."""
-    names = {svc.name: [c.name for c in svc.commands] + ["bogus"]
-             for svc in scenario.domain.all_services() if svc.name.startswith("office1.")}
+    """(service, command, argument, dt) steps over every command of every
+    device's kind, plus one no device has, with arguments of any type."""
+    names = {setup.service: [*COMMANDS[setup.kind], "bogus"] for setup in scenario.devices
+             if setup.service.startswith("office1.")}
     steps = []
     for _ in range(draw(st.integers(1, 30))):
         service = draw(st.sampled_from(sorted(names)))
@@ -306,9 +306,9 @@ def test_single_office_building_shape():
     assert tiers.count(Tier.FOG) == 1
     assert tiers.count(Tier.CLOUD) == 1
     assert tiers.count(Tier.DEVICE) == 6
-    assert validate_domain(building.domain).ok
-    physical = {setup.service for setup in building.devices}
-    assert building.topology.validate(device_services=physical).ok
+    assert building.topology.validate().ok
+    assert building.topology.hosts == {setup.service: setup.node
+                                       for setup in building.devices}
     assert len(building.loops[0].policies) == 5
 
 
@@ -331,9 +331,9 @@ def test_three_office_centralized_building():
         ("office2", "office2.meter", "kwh-reading"),
         ("office3", "office3.meter", "kwh-reading"),
     )
-    assert validate_domain(building.domain).ok
-    physical = {setup.service for setup in building.devices}
-    assert building.topology.validate(device_services=physical).ok
+    assert building.topology.validate().ok
+    assert building.topology.hosts == {setup.service: setup.node
+                                       for setup in building.devices}
 
 
 def test_decentralized_building_groups_all_offices():
