@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from fogloop.errors import FogloopError
-from fogloop.mape import AdaptationPlan, Observation
+from fogloop.mape import AdaptationPlan, KbEntry, Observation
 from fogloop.model import ValueType
 
 
@@ -46,7 +46,7 @@ class AggregationOverflowError(FogloopError):
 @dataclass(frozen=True)
 class AggregationSpec:
     name: str
-    inputs: tuple[tuple[str, str, str], ...]
+    inputs: tuple[tuple[str, str], ...]
     combinator: Combinator
     output: str
     output_type: ValueType = ValueType.REAL
@@ -72,27 +72,28 @@ COORDINATED_COMPONENTS = ("analyze", "execute")
 
 def aggregate(
     spec: AggregationSpec,
-    states: Mapping[tuple[str, str, str], Any],
+    latest: Mapping[tuple[str, str], KbEntry],
     now: int,
     service: str = "system",
 ) -> Observation | None:
     """Combine forwarded slave values into one system-state observation.
 
-    Returns None while any input is missing: aggregation stalls until every
-    declared input has been forwarded at least once. `validate_scenario`
-    proves that every input of a numeric combinator is an int or a finite
-    float. Every such value is an integer multiple of 2**-1074, so each is
-    scaled by 2**1074 to an exact integer, the combinator works on those
-    integers, and the result is rounded once to the declared output type.
-    The result is therefore invariant under input permutation, signed zeros
-    included. Validation cannot bound a sum of stream values, so a `real`
-    result beyond the float range raises `AggregationOverflowError`.
+    `latest` holds them as a knowledge base's entries. Returns None while
+    any input is missing: aggregation stalls until every declared input has
+    been forwarded at least once. `validate_scenario` proves that every
+    input of a numeric combinator is an int or a finite float. Every such
+    value is an integer multiple of 2**-1074, so each is scaled by 2**1074
+    to an exact integer, the combinator works on those integers, and the
+    result is rounded once to the declared output type. The result is
+    therefore invariant under input permutation, signed zeros included.
+    Validation cannot bound a sum of stream values, so a `real` result
+    beyond the float range raises `AggregationOverflowError`.
     """
     values = []
     for key in spec.inputs:
-        if key not in states:
+        if key not in latest:
             return None
-        values.append(states[key])
+        values.append(latest[key].value)
     combinator = spec.combinator
     if combinator is Combinator.VECTOR:
         return Observation(service, spec.output, values, now)

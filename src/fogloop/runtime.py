@@ -177,7 +177,6 @@ class LoopActor:
         node_of = runtime.placement.node_of
         self.addr = {comp: f"{node_of(spec.id, comp)}/{spec.id}.{comp}" for comp in COMPONENTS}
         self.is_master = runtime.master_id == spec.id
-        self.agg_inputs: dict[tuple[str, str, str], Any] = {}
         sim = runtime.sim
         sim.register(self.addr["monitor"], self._on_monitor)
         sim.register(self.addr["analyze"], self._on_analyze)
@@ -187,12 +186,10 @@ class LoopActor:
             sim.register(self.addr["knowledge"], self._on_knowledge)
 
         self.forward_filter = ForwardingFilter()
-        self.forward_keys: set[tuple[str, str]] = set()
-        if runtime.master_id is not None and not self.is_master:
-            for agg in runtime.control.aggregations:
-                for loop_id, svc, parameter in agg.inputs:
-                    if loop_id == spec.id:
-                        self.forward_keys.add((svc, parameter))
+        # A slave forwards the aggregation inputs on the services it owns.
+        aggs = runtime.control.aggregations if runtime.master_id is not None else ()
+        self.forward_keys = {(svc, parameter) for agg in aggs for svc, parameter in agg.inputs
+                             if not self.is_master and runtime.owners.get(svc) == spec.id}
 
     def connect(self) -> None:
         """Build every channel the loop sends on. Channels take their
@@ -252,7 +249,7 @@ class LoopActor:
         sim.send(PIPELINE, self.to_analyze, obs)
         if self.forward_keys and (obs.service, obs.parameter) in self.forward_keys \
                 and self.forward_filter.offer(obs):
-            sim.send(PIPELINE, self.to_master, {"loop": self.spec.id, "obs": obs})
+            sim.send(PIPELINE, self.to_master, obs)
 
     # --- analyze + knowledge ----------------------------------------------
 
@@ -306,18 +303,16 @@ class LoopActor:
             else:
                 sim.send(PIPELINE, self.to_plan, symptom)
 
-    def _on_knowledge(self, kind: str, pay: dict) -> None:
-        obs: Observation = pay["obs"]
+    def _on_knowledge(self, kind: str, obs: Observation) -> None:
         if not self.put(obs):
             return
         sim = self.runtime.sim
         touched = False
-        key = (pay["loop"], obs.service, obs.parameter)
-        self.agg_inputs[key] = obs.value
+        key = (obs.service, obs.parameter)
         for spec in self.runtime.control.aggregations:
             if key not in spec.inputs:
                 continue
-            combined = aggregate(spec, self.agg_inputs, sim.now, service=self.spec.id)
+            combined = aggregate(spec, self.kb.latest, sim.now, service=self.spec.id)
             if combined is None:
                 continue
             self.put(combined)

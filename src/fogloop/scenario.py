@@ -99,7 +99,7 @@ class Scenario:
     def owners(self) -> dict[str, str]:
         """The loop that acts on each service: the first managing loop whose
         scope holds it, in `managing_loops` order, else the master when only
-        its scope holds it. Monitoring, delegation and rounds all read this."""
+        its scope holds it. Monitoring, forwarding, delegation and rounds read it."""
         owners: dict[str, str] = {}
         master = self.loop(self.master_id)
         for spec in self.managing_loops + ((master,) if master else ()):
@@ -183,10 +183,10 @@ def _rec(cls: type) -> Reader:
     return lambda value, path: _record(cls, value, path)
 
 
-def _input(value: Any, path: str) -> tuple[str, str, str]:
+def _input(value: Any, path: str) -> tuple[str, str]:
     _expect(value, list, path)
-    if len(value) != 3 or not all(isinstance(x, str) for x in value):
-        raise ConfigError(f"{path}: expected [loop, service, parameter]")
+    if len(value) != 2 or not all(isinstance(x, str) for x in value):
+        raise ConfigError(f"{path}: expected [service, parameter]")
     return tuple(value)
 
 
@@ -221,14 +221,12 @@ class _Shape:
     `keys` maps each JSON key, in written order, to a reader or to a
     (reader, writer) pair; the writer defaults to `_to_json`. `rename` maps
     a JSON key to the attribute it fills when the names differ. A key is
-    required when its attribute has no default, or when listed in
-    `required`. A key is written when required, listed in `always`, or
-    holding a value other than its default.
+    required when its attribute has no default. A key is written when
+    required, listed in `always`, or holding a value other than its default.
     """
 
     def __init__(self, cls: type, keys: dict[str, Any],
-                 rename: Mapping[str, str] = {}, always: tuple[str, ...] = (),
-                 required: tuple[str, ...] = ()):
+                 rename: Mapping[str, str] = {}, always: tuple[str, ...] = ()):
         self.cls = cls
         self.attrs = {key: rename.get(key, key) for key in keys}
         self.readers: dict[str, Reader] = {}
@@ -243,7 +241,7 @@ class _Shape:
             elif f.default_factory is not MISSING:
                 self.defaults[f.name] = f.default_factory()
         self.required = tuple(key for key, attr in self.attrs.items()
-                              if attr not in self.defaults or key in required)
+                              if attr not in self.defaults)
         self.optional = tuple(key for key in keys if key not in self.required)
         self.written = frozenset(self.required + always)
 
@@ -377,10 +375,20 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The object of `pairs`, whose keys must differ: `json.load` keeps the last."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ConfigError(f"scenario repeats the key '{repeated}'")
+    return obj
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -542,6 +550,8 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     sole: dict[tuple[str, DeviceKind], str] = {}
     for setup in scenario.devices:
         path = f"devices.{setup.service}"
+        if setup.service == ENVIRONMENT_SERVICE:
+            report.add(path, f"'{ENVIRONMENT_SERVICE}' names the environment, not a device")
         if setup.node not in scenario.topology.by_id:
             report.add(path, f"node '{setup.node}' is not in the topology")
         if setup.office is not None and setup.kind in (DeviceKind.HEATER, DeviceKind.WINDOW):
@@ -592,19 +602,14 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             if agg.output in taken:
                 report.add(path, f"output '{agg.output}' is already a stream of '{master}'")
             taken.add(agg.output)
-            for loop_id, svc, parameter in agg.inputs:
-                loop = scenario.loop(loop_id)
+            for svc, parameter in agg.inputs:
                 if svc not in kinds:
                     report.add(path, f"input '{svc}' is not a devices entry")
                     continue
-                if loop is None:
-                    report.add(path, f"unknown loop '{loop_id}'")
-                    continue
-                if svc not in loop.scope:
-                    report.add(path, f"'{svc}' is outside loop '{loop_id}' scope")
-                elif loop_id == master or owners[svc] != loop_id:
-                    report.add(path, f"only the slave that owns '{svc}' forwards it, "
-                                     f"not loop '{loop_id}'")
+                # Only the slave that owns a service forwards it.
+                if owners.get(svc, master) == master:
+                    report.add(path, f"input on '{svc}', which no slave scope holds, "
+                                     f"is never forwarded")
                 vtype = streams.get((svc, parameter))
                 if vtype is None:
                     report.add(path, f"unknown stream '{svc}.{parameter}'")
@@ -644,7 +649,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     # A knowledge base learns the environment, the streams of the services
     # its loop owns and, on the master, the aggregation inputs and outputs.
-    forwarded = {(svc, parameter) for agg in aggs for _, svc, parameter in agg.inputs}
+    forwarded = {stream for agg in aggs for stream in agg.inputs}
     forwarded |= {(master, agg.output) for agg in aggs}
     for li, loop in enumerate(scenario.loops):
         for policy in loop.policies:

@@ -577,9 +577,7 @@ def build_smart_building(
             aggregations=(
                 AggregationSpec(
                     "total-kwh",
-                    inputs=tuple(
-                        (office, f"{office}.meter", "kwh-reading") for office in offices
-                    ),
+                    inputs=tuple((f"{office}.meter", "kwh-reading") for office in offices),
                     combinator=Combinator.SUM,
                     output="total-kwh",
                 ),

@@ -26,7 +26,7 @@ from fogloop.coordination import (
     aggregate,
     delegate,
 )
-from fogloop.mape import AdaptationPlan, PlannedAction, Symptom
+from fogloop.mape import AdaptationPlan, KbEntry, PlannedAction, Symptom
 from fogloop.cli import main
 from fogloop.metrics import MetricsFold, compute_metrics, metrics_csv
 from fogloop.placement import LoopSpec, Offering, place
@@ -423,14 +423,26 @@ def test_c7_mode_equivalence(run_three_cen, run_three_dec):
     )
 
 
-# sha256 prefixes of trace.to_jsonl() and metrics_csv() at seed 42 over two
-# hours; a change that alters behaviour on purpose updates these and says why.
+# Trace rows and sha256 prefixes of trace.to_jsonl(), of it after its header
+# line, and of metrics_csv() at seed 42 over two hours; a change that alters
+# behaviour on purpose updates these and says why. A change to the scenario
+# file alone moves only the first digest, through the header's config_digest.
 GOLDEN = {
-    "1office": (201_643, "f50a112e96f12c71", "a5ade4c997507891"),
-    "1office+apaas_split": (201_643, "9998212edc0d5a02", "75c159b030a82e61"),
-    "3office_centralized": (665_295, "ea50f4e177691a25", "ff420e646d70032f"),
-    "3office_decentralized": (609_434, "5fa7415291e1f557", "7961a1dea0254682"),
+    "1office": (201_643, "f50a112e96f12c71", "27eea7b40ced0b60", "a5ade4c997507891"),
+    "1office+apaas_split": (201_643, "9998212edc0d5a02", "eaaaa54d8a9bab29",
+                            "75c159b030a82e61"),
+    "3office_centralized": (665_295, "583c92beb233f164", "ea10bb2e1f7dc34f",
+                            "ff420e646d70032f"),
+    "3office_decentralized": (609_434, "5fa7415291e1f557", "cfebd52158ce6dad",
+                              "7961a1dea0254682"),
 }
+
+
+def trace_digests(trace) -> tuple[str, str]:
+    """sha256 prefixes of the whole JSONL trace and of it after its header."""
+    text = trace.to_jsonl()
+    return (hashlib.sha256(text.encode()).hexdigest()[:16],
+            hashlib.sha256(text.split("\n", 1)[1].encode()).hexdigest()[:16])
 
 
 def test_golden_digests(run_one_mapeaas, run_one_apaas, run_three_cen, run_three_dec):
@@ -444,11 +456,10 @@ def test_golden_digests(run_one_mapeaas, run_one_apaas, run_three_cen, run_three
     measured = {}
     for name, run in runs.items():
         result = run.result
-        trace = hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest()[:16]
         metrics = hashlib.sha256(
             metrics_csv(compute_metrics(result)).encode()
         ).hexdigest()[:16]
-        measured[name] = (len(result.trace.events), trace, metrics)
+        measured[name] = (len(result.trace.events), *trace_digests(result.trace), metrics)
     assert measured == GOLDEN
     print(f"PASS golden: trace and metrics digests of {len(GOLDEN)} two-hour runs")
 
@@ -484,11 +495,12 @@ def jittered_building(seed: int, horizon: int) -> dict:
     return data
 
 
-# Trace rows and sha256 prefixes of trace.to_jsonl() and metrics_csv() of
-# `jittered_building(3, 300_000)` at seed 3, to 300,000 ms.
+# Trace rows and sha256 prefixes of trace.to_jsonl(), of it after its header
+# line, and of metrics_csv() of `jittered_building(3, 300_000)` at seed 3, to
+# 300,000 ms.
 JITTERED = {
-    "centralized": (28_230, "094f25934e30095f", "aa2bdc1bae217c9b"),
-    "decentralized": (26_189, "526268cfdb4337f8", "777032c0ce4271e6"),
+    "centralized": (28_230, "0a4b0487e292223c", "bcf3ff7defedd3ae", "aa2bdc1bae217c9b"),
+    "decentralized": (26_189, "526268cfdb4337f8", "546a642b1c39d103", "777032c0ce4271e6"),
 }
 
 
@@ -504,8 +516,7 @@ def test_jittered_building_digests(tmp_path, capsys):
         result = run_scenario(scenario, seed, horizon)
         metrics = compute_metrics(result)
         csv = metrics_csv(metrics)
-        measured[mode] = (len(result.trace.events),
-                          hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest()[:16],
+        measured[mode] = (len(result.trace.events), *trace_digests(result.trace),
                           hashlib.sha256(csv.encode()).hexdigest()[:16])
         folded = run_scenario(scenario, seed, horizon, sink=MetricsFold)
         assert metrics_csv(compute_metrics(folded)) == csv
@@ -677,7 +688,7 @@ def test_c9_delegation_conservation():
 @st.composite
 def aggregation_cases(draw):
     n = draw(st.integers(1, 100))
-    keys = [(f"loop{i}", f"svc{i}", "p") for i in range(n)]
+    keys = [(f"svc{i}", "p") for i in range(n)]
     values = [
         draw(
             st.one_of(
@@ -705,8 +716,8 @@ def test_c9_aggregation_permutation_invariance():
     def check(case):
         keys, values, combinator, spec_order, state_order = case
         spec = AggregationSpec("agg", tuple(keys), combinator, "out")
-        states = {keys[i]: values[i] for i in range(len(keys))}
-        shuffled = {keys[i]: values[i] for i in state_order}
+        states = {keys[i]: KbEntry(values[i], 0, 0) for i in range(len(keys))}
+        shuffled = {keys[i]: KbEntry(values[i], 0, 0) for i in state_order}
         base = aggregate(spec, states, now=7)
         assert base is not None
         assert aggregate(spec, shuffled, now=7) == base
@@ -722,7 +733,7 @@ def test_c9_aggregation_permutation_invariance():
     check()
     assert (
         aggregate(
-            AggregationSpec("agg", (("l", "s", "p"),), Combinator.SUM, "out"), {}, 0
+            AggregationSpec("agg", (("s", "p"),), Combinator.SUM, "out"), {}, 0
         )
         is None
     )

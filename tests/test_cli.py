@@ -56,7 +56,7 @@ def overflowing_sum(tmp_path: Path) -> str:
     data["control"]["master"]["aggregations"].append({
         "name": "sum-temp", "combinator": "sum", "output": "sum-temp-c",
         "output_type": "real",
-        "inputs": [[f"office{n}", f"office{n}.heater", "room-temp"] for n in (1, 2, 3)]})
+        "inputs": [[f"office{n}.heater", "room-temp"] for n in (1, 2, 3)]})
     return write_scenario(tmp_path, data)
 
 
@@ -138,6 +138,18 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_repeated_key_is_an_input_error(self, tmp_path, capsys):
+        # json alone keeps the last of two values under one key, so the
+        # first declaration of the lamp would vanish unseen.
+        text = Path(ONE_OFFICE).read_text()
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace(
+            '"devices": {',
+            '"devices": {"office1.lamp": {"kind": "lamp", "node": "fog1", '
+            '"office": "office1"},', 1))
+        assert main(["validate", str(path)]) == 2
+        assert "scenario repeats the key 'office1.lamp'" in capsys.readouterr().err
 
     def test_mistyped_office_is_an_input_error(self, tmp_path, capsys):
         data = json.loads(Path(ONE_OFFICE).read_text())
@@ -317,7 +329,7 @@ class TestRun:
         data["control"]["master"]["aggregations"].append({
             "name": "mean-temp", "combinator": "mean", "output": "mean-temp-c",
             "output_type": "real",
-            "inputs": [[f"office{n}", f"office{n}.heater", "room-temp"] for n in (1, 2, 3)]})
+            "inputs": [[f"office{n}.heater", "room-temp"] for n in (1, 2, 3)]})
         code = main([
             "run", "--scenario", write_scenario(tmp_path, data), "--seed", "1",
             "--until-ms", "5000", "--out", str(tmp_path / "out"),

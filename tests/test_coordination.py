@@ -19,6 +19,7 @@ from fogloop.coordination import (
 )
 from fogloop.mape import (
     AdaptationPlan,
+    KbEntry,
     Observation,
     PlannedAction,
     Symptom,
@@ -26,15 +27,20 @@ from fogloop.mape import (
 from fogloop.model import ValueType
 
 METER_INPUTS = (
-    ("office1", "office1.energy_meter", "kwh-reading"),
-    ("office2", "office2.energy_meter", "kwh-reading"),
-    ("office3", "office3.energy_meter", "kwh-reading"),
+    ("office1.energy_meter", "kwh-reading"),
+    ("office2.energy_meter", "kwh-reading"),
+    ("office3.energy_meter", "kwh-reading"),
 )
 NUMERIC = [Combinator.SUM, Combinator.MEAN, Combinator.MAX, Combinator.MIN]
 
 
+def latest(keys, values) -> dict:
+    """Knowledge-base entries holding `values` under `keys`."""
+    return {key: KbEntry(value, 0, 0) for key, value in zip(keys, values)}
+
+
 def meter_states(*readings: float) -> dict:
-    return {key: value for key, value in zip(METER_INPUTS, readings)}
+    return latest(METER_INPUTS, readings)
 
 
 def test_sum_of_office_meters_is_exact():
@@ -44,8 +50,8 @@ def test_sum_of_office_meters_is_exact():
 
 
 def test_single_input_is_identity():
-    inputs = (("office1", "office1.energy_meter", "kwh-reading"),)
-    states = {inputs[0]: 0.37}
+    inputs = (("office1.energy_meter", "kwh-reading"),)
+    states = latest(inputs, [0.37])
     for combinator in (Combinator.SUM, Combinator.MEAN, Combinator.MAX, Combinator.MIN):
         spec = AggregationSpec("x", inputs, combinator, "out")
         obs = aggregate(spec, states, now=0)
@@ -56,18 +62,17 @@ def test_vector_preserves_declared_order():
     spec = AggregationSpec(
         "vitals",
         (
-            ("patient", "sensor", "temperature"),
-            ("patient", "sensor", "blood-pressure"),
-            ("patient", "sensor", "blood-sugar"),
+            ("sensor", "temperature"),
+            ("sensor", "blood-pressure"),
+            ("sensor", "blood-sugar"),
         ),
         Combinator.VECTOR,
         "vitals",
     )
-    states = {
-        ("patient", "sensor", "blood-sugar"): 5.1,
-        ("patient", "sensor", "temperature"): 37.2,
-        ("patient", "sensor", "blood-pressure"): 118,
-    }
+    states = latest(
+        [("sensor", "blood-sugar"), ("sensor", "temperature"), ("sensor", "blood-pressure")],
+        [5.1, 37.2, 118],
+    )
     obs = aggregate(spec, states, now=1)
     assert obs is not None and obs.value == [37.2, 118, 5.1]
 
@@ -93,9 +98,9 @@ def test_mean_rounds_half_to_even_for_integer_outputs():
     seed=st.randoms(use_true_random=False),
 )
 def test_numeric_aggregation_ignores_input_order(values, combinator, seed):
-    inputs = tuple(("l", "s", f"p{i}") for i in range(len(values)))
+    inputs = tuple(("s", f"p{i}") for i in range(len(values)))
     spec = AggregationSpec("agg", inputs, combinator, "out")
-    states = dict(zip(inputs, values))
+    states = latest(inputs, values)
     forward = aggregate(spec, states, now=0)
     shuffled = list(states.items())
     seed.shuffle(shuffled)
@@ -138,11 +143,11 @@ def fraction_oracle(combinator: Combinator, output_type: ValueType, values: list
 @given(values=st.lists(EXTREME_NUMBERS, min_size=1, max_size=6))
 @example(values=[1.7e308, 1.7e308])  # a sum past the largest float
 def test_aggregation_equals_fraction_arithmetic(combinator, output_type, values):
-    inputs = tuple(("l", "s", f"p{i}") for i in range(len(values)))
+    inputs = tuple(("s", f"p{i}") for i in range(len(values)))
     spec = AggregationSpec("agg", inputs, combinator, "out", output_type)
     expected = fraction_oracle(combinator, output_type, values)
     try:
-        value = aggregate(spec, dict(zip(inputs, values)), now=0).value
+        value = aggregate(spec, latest(inputs, values), now=0).value
     except AggregationOverflowError:
         value = OverflowError
     assert (type(value), repr(value)) == (type(expected), repr(expected))

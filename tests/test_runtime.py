@@ -743,7 +743,18 @@ class TestOwnership:
                 assert actor.to_monitor.dst == monitor
             else:
                 assert actor.to_monitor is None
+        # Each aggregation input is forwarded by the slave that owns it.
+        inputs = [key for agg in getattr(scenario.control, "aggregations", ())
+                  for key in agg.inputs]
+        for loop_id, loop in runtime.loops.items():
+            assert loop.forward_keys == {key for key in inputs if owners[key[0]] == loop_id}
         trace = runtime.sim.run_until(600_000)
+        if runtime.master_id is not None:
+            knowledge = runtime.loops[runtime.master_id].addr["knowledge"]
+            senders = {row["src"] for row in trace.of_kind("deliver")
+                       if row["dst"] == knowledge}
+            assert senders == {runtime.loops[owners[svc]].addr["monitor"]
+                               for svc, _ in inputs}
 
         planned = {row["detail"]["plan"]: row["detail"]["actions"]
                    for row in trace.of_kind("plan")
@@ -779,7 +790,7 @@ class TestOwnership:
             "service": "office1.meter", "parameter": "kwh-reading", "op": ">=", "value": 0})
         data["loops"][0]["scope"].remove("office1.meter")
         (agg,) = data["control"]["master"]["aggregations"]
-        agg["inputs"] = [key for key in agg["inputs"] if key[0] != "office1"]
+        agg["inputs"] = [key for key in agg["inputs"] if key[0] != "office1.meter"]
         scenario = parse_scenario(data)
         assert validate_scenario(scenario).ok
         runtime = Runtime(scenario, seed=1)

@@ -70,9 +70,9 @@ class TestRoundTrip:
         ]
         agg = scenario.control.aggregations[0]
         assert agg.inputs == (
-            ("office1", "office1.meter", "kwh-reading"),
-            ("office2", "office2.meter", "kwh-reading"),
-            ("office3", "office3.meter", "kwh-reading"),
+            ("office1.meter", "kwh-reading"),
+            ("office2.meter", "kwh-reading"),
+            ("office3.meter", "kwh-reading"),
         )
 
     def test_decentralized_two_offices_clean(self):
@@ -214,6 +214,14 @@ class TestStrictParsing:
         data["defaults"][key] = getattr(BuildingParams(), key)
         with pytest.raises(ConfigError,
                            match=re.escape(f"defaults: unknown keys ['{key}']")):
+            parse_scenario(data)
+
+    def test_aggregation_input_names_only_its_stream(self):
+        # The ownership table, not the input, names the slave that forwards it.
+        data = scenario_dict(3, "centralized")
+        data["control"]["master"]["aggregations"][0]["inputs"][0].insert(0, "office1")
+        with pytest.raises(ConfigError, match=re.escape(
+                "control.master.aggregations[0].inputs[0]: expected [service, parameter]")):
             parse_scenario(data)
 
     def test_control_mode_required(self):
@@ -430,13 +438,22 @@ class TestValidation:
             {"service": "office1.alarm", "command": "ring"}),
          "policies[0].then[1]: 'office1.alarm' is not a devices entry"),
         (lambda data: data["control"]["master"]["aggregations"][0]["inputs"].append(
-            ["office1", "office1.alarm", "kwh-reading"]),
+            ["office1.alarm", "kwh-reading"]),
          "control.master.aggregations[0]: input 'office1.alarm' is not a devices entry"),
     ], ids=["scope", "action", "aggregation-input"])
     def test_a_device_reference_names_a_devices_entry(self, place, line):
         data = scenario_dict(2, "centralized")
         place(data)
         assert validate_scenario(parse_scenario(data)).lines() == [line]
+
+    def test_a_device_named_environment_is_a_violation(self):
+        # Every knowledge base learns the environment's streams without a
+        # sender, so no policy on a device of that name would be checked
+        # for reaching its loop.
+        data = scenario_dict(1)
+        data["devices"]["environment"] = data["devices"]["office1.door"]
+        assert validate_scenario(parse_scenario(data)).lines() == [
+            "devices.environment: 'environment' names the environment, not a device"]
 
     @pytest.mark.parametrize("change, line", [
         (lambda entry: entry["samples"].update({"setpoint-c": 0}),
@@ -576,23 +593,20 @@ class TestValidation:
             "control.master.aggregations[1]: output 'total-kwh' is already a stream "
             "of 'building'"]
 
-    def test_aggregation_input_outside_scope(self):
-        data = scenario_dict(2, "centralized")
-        agg = data["control"]["master"]["aggregations"][0]
-        agg["inputs"][0] = ["office2", "office1.meter", "kwh-reading"]
-        report = validate_scenario(parse_scenario(data))
-        assert any("outside loop 'office2' scope" in line for line in report.lines())
-
-    def test_aggregation_input_from_the_master(self):
-        # Only slaves forward, so an input the master names never arrives
+    @pytest.mark.parametrize("scopes", [["office1"], ["office1", "building"]],
+                             ids=["master-owned", "in-no-scope"])
+    def test_aggregation_input_no_slave_forwards(self, scopes):
+        # Only the slave that owns an input's service forwards it, so an
+        # input on a service the master owns, or no loop owns, never arrives
         # and the aggregation never fires.
         data = scenario_dict(3, "centralized")
-        agg = data["control"]["master"]["aggregations"][0]
-        agg["inputs"].append(["building", "office1.meter", "kwh-reading"])
+        for loop in data["loops"]:
+            if loop["id"] in scopes:
+                loop["scope"].remove("office1.meter")
         report = validate_scenario(parse_scenario(data))
         assert report.lines() == [
-            "control.master.aggregations[0]: only the slave that owns 'office1.meter' "
-            "forwards it, not loop 'building'"]
+            "control.master.aggregations[0]: input on 'office1.meter', which no slave "
+            "scope holds, is never forwarded"]
 
     def test_policy_reads_a_stream_its_loop_never_receives(self):
         # Without the door in office1's scope, its samples go to the master.
@@ -628,8 +642,8 @@ class TestValidation:
     def test_aggregation_needs_numeric_inputs(self):
         data = scenario_dict(2, "centralized")
         agg = data["control"]["master"]["aggregations"][0]
-        agg["inputs"][0] = ["office1", "office1.door", "lock-state"]
-        agg["inputs"].append(["office1", "office1.lamp", "power-state"])
+        agg["inputs"][0] = ["office1.door", "lock-state"]
+        agg["inputs"].append(["office1.lamp", "power-state"])
         report = validate_scenario(parse_scenario(data))
         assert sum("needs numeric inputs" in line for line in report.lines()) == 2
 
@@ -793,7 +807,7 @@ def test_generated_scenarios_always_validate(n, control):
 
 @pytest.mark.parametrize("n, control, digest", [
     (1, "none", "a19d04481f840819"),
-    (3, "centralized", "62bb124344aaa741"),
+    (3, "centralized", "e174cdef148e62af"),
     (3, "decentralized", "96b11433cdf13013"),
 ])
 def test_generated_scenario_digests(n, control, digest):

@@ -327,9 +327,9 @@ def test_three_office_centralized_building():
     (agg,) = building.control.aggregations
     assert agg.combinator is Combinator.SUM
     assert agg.inputs == (
-        ("office1", "office1.meter", "kwh-reading"),
-        ("office2", "office2.meter", "kwh-reading"),
-        ("office3", "office3.meter", "kwh-reading"),
+        ("office1.meter", "kwh-reading"),
+        ("office2.meter", "kwh-reading"),
+        ("office3.meter", "kwh-reading"),
     )
     assert building.topology.validate().ok
     assert building.topology.hosts == {setup.service: setup.node
