@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from fogloop.errors import FogloopError
@@ -39,7 +40,8 @@ class DoubleDispatchError(FogloopError):
 
 
 class Observation(NamedTuple):
-    """One reading of a stream. A tuple, because every sample builds one."""
+    """One reading of a stream. A tuple, because every sample builds one:
+    `Monitor.sample` builds it with `_observation`, in C."""
 
     service: str
     parameter: str
@@ -50,11 +52,18 @@ class Observation(NamedTuple):
 class KbEntry(NamedTuple):
     """Latest value of one stream. `since` is when this value first appeared,
     so unchanged periodic samples refresh `timestamp` but not `since`. A tuple,
-    because every put builds one."""
+    because every put builds one: `KnowledgeBase.put` builds it with
+    `_kb_entry`, in C."""
 
     value: Any
     timestamp: int
     since: int
+
+
+# Each builds its class from one tuple of all its fields, as `_make` does,
+# without the namedtuple's Python-level `__new__`: the tuple is the same.
+_observation = partial(tuple.__new__, Observation)
+_kb_entry = partial(tuple.__new__, KbEntry)
 
 
 class KnowledgeBase:
@@ -72,7 +81,7 @@ class KnowledgeBase:
                 f"{obs.service}.{obs.parameter}: t={obs.timestamp} after t={entry.timestamp}"
             )
         since = entry.since if entry is not None and entry.value == obs.value else obs.timestamp
-        self.latest[key] = KbEntry(obs.value, obs.timestamp, since)
+        self.latest[key] = _kb_entry((obs.value, obs.timestamp, since))
 
 
 class Comparator(str, Enum):
@@ -230,7 +239,10 @@ class PolicyIndex:
     State is keyed by policy name, which validation makes unique within a
     loop, so the index is plain data that survives a pickle. A sleeping
     policy watches at most one stream, and holds at most one pending
-    `(time, name)` wake, kept sorted.
+    `(time, name)` wake, kept sorted. `next_wake` is the earliest pending
+    wake time, or `math.inf` when none is pending, so a caller learns in
+    O(1) that `due(now)` can wake nothing: when `live` is empty and
+    `next_wake > now`, `due` returns `[]` and changes nothing.
     """
 
     def __init__(self, policies: Iterable[Policy]) -> None:
@@ -243,6 +255,7 @@ class PolicyIndex:
         # Policy name -> the stream it watches.
         self._watching: dict[str, tuple[str, str]] = {}
         self._wakes: list[tuple[int, str]] = []
+        self.next_wake: float = math.inf
 
     def _wake(self, names: Iterable[str]) -> None:
         for name in names:
@@ -266,11 +279,12 @@ class PolicyIndex:
 
     def due(self, now: int) -> list[Policy]:
         """Wake every policy whose time has come by `now`; the live policies."""
-        wakes = self._wakes
-        if wakes and wakes[0][0] <= now:
+        if self.next_wake <= now:
+            wakes = self._wakes
             count = bisect.bisect_right(wakes, now, key=operator.itemgetter(0))
             self._wake(name for _, name in wakes[:count])
             del wakes[:count]
+            self.next_wake = wakes[0][0] if wakes else math.inf
         return self.live
 
     def sleep(self, blocked: list[tuple[Policy, Condition | None, int | None]]) -> None:
@@ -287,6 +301,7 @@ class PolicyIndex:
                 wakes.append((until, name))
         wakes.sort()
         self._wakes = wakes
+        self.next_wake = wakes[0][0] if wakes else math.inf
         self.live = [p for p in self.policies if p.name not in self._asleep]
 
 
@@ -310,7 +325,7 @@ class Monitor:
             reader = self._readers[(service, parameter)]
         except KeyError:
             raise UnknownTouchpointError(f"{service}.{parameter} is not registered") from None
-        return Observation(service, parameter, reader(), now)
+        return _observation((service, parameter, reader(), now))
 
 
 class Planner:

@@ -254,7 +254,9 @@ class LoopActor:
     # --- analyze + knowledge ----------------------------------------------
 
     def put(self, obs: Observation) -> bool:
-        """The loop's one way into its knowledge base."""
+        """The loop's one way into its knowledge base. The policy index hears
+        only of a put that changed its stream's value: an unchanged value
+        wakes no policy."""
         key = (obs.service, obs.parameter)
         before = self.kb.latest.get(key)
         try:
@@ -270,7 +272,8 @@ class LoopActor:
                 t_latest=before.timestamp,
             )
             return False
-        self.index.put(key, before, obs.value)
+        if before is None or before.value != obs.value:
+            self.index.put(key, before, obs.value)
         return True
 
     def _on_analyze(self, kind: str, payload: Any) -> None:
@@ -278,7 +281,9 @@ class LoopActor:
             self._on_round("analyze", payload)
             return
         if self.put(payload):
-            self._analyze_now()
+            index = self.index
+            if index.live or index.next_wake <= self.runtime.sim.now:
+                self._analyze_now()
 
     def _analyze_now(self) -> None:
         sim = self.runtime.sim

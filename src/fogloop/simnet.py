@@ -446,7 +446,8 @@ class Simulator:
         now = self.now
         msg_id = self._last_id = self._last_id + 1
         self.trace.sent(now, channel.src, channel.dst, msg_id, kind)
-        self.schedule(now + latency, partial(self._deliver, channel, msg_id, kind, payload, now))
+        self.schedule(now + latency,
+                      partial(Simulator._deliver, self, channel, msg_id, kind, payload, now))
         return msg_id
 
     def _deliver(self, channel: Channel, msg_id: int, kind: str, payload: Any,
@@ -473,8 +474,13 @@ class Simulator:
         that schedules at the current time starts a new bucket there, which
         runs right after this one. If a callback raises, only it is lost:
         the rest of its bucket goes back at that time, ahead of any bucket
-        the callbacks started there, and the exception propagates."""
-        self.trace.header["horizon"] = horizon
+        the callbacks started there, and the exception propagates.
+
+        The header's `horizon` is the largest horizon the run has reached,
+        so a call with an earlier horizon leaves it."""
+        header = self.trace.header
+        if header["horizon"] is None or horizon > header["horizon"]:
+            header["horizon"] = horizon
         buckets, times, pop = self._buckets, self._times, heapq.heappop
         while times and times[0] <= horizon:
             at = pop(times)

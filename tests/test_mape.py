@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import math
+import pickle
 import random
 
 import pytest
@@ -14,6 +17,7 @@ from fogloop.mape import (
     DoubleDispatchError,
     ElapsedSinceCondition,
     Executor,
+    KbEntry,
     KnowledgeBase,
     Monitor,
     Observation,
@@ -26,6 +30,8 @@ from fogloop.mape import (
     ThresholdCondition,
     UnknownPolicyError,
     UnknownTouchpointError,
+    _kb_entry,
+    _observation,
     analyze,
 )
 
@@ -92,6 +98,20 @@ def test_monitor_sample_reads_through():
     monitor.register_touchpoint("office1.lamp", "power-state", lambda: lamp_on)
     obs = monitor.sample("office1.lamp", "power-state", 500)
     assert obs == Observation("office1.lamp", "power-state", True, 500)
+
+
+def test_the_tuples_built_in_c_are_the_namedtuples():
+    """`Monitor.sample` and `KnowledgeBase.put` build their tuples without
+    the namedtuple's `__new__`; each is still its class, equal to the one
+    the class builds, and pickles as one."""
+    for build, cls, fields in ((_observation, Observation, ("s", "p", 1.5, 7)),
+                               (_kb_entry, KbEntry, (1.5, 7, 3))):
+        built = build(fields)
+        assert type(built) is cls
+        assert built == cls(*fields)
+        assert built._asdict() == cls(*fields)._asdict()
+        thawed = pickle.loads(pickle.dumps(built))
+        assert type(thawed) is cls and thawed == built
 
 
 def test_monitor_rejects_unknown_touchpoint():
@@ -394,7 +414,9 @@ def indexed_outcome(kb: KnowledgeBase, index: PolicyIndex, now: int, last_raised
 def test_indexed_analysis_matches_analysis_of_every_policy(policies, steps):
     """Analysis of the index's live policies returns what analysis of every
     policy returns, over puts that are stale or not followed by analysis,
-    cooldowns, deadlines and analysis ahead of the newest put."""
+    cooldowns, deadlines and analysis ahead of the newest put. `next_wake`
+    is the earliest pending wake throughout, and while no policy is live
+    and it lies ahead, `due` wakes nothing and changes nothing."""
     kb = KnowledgeBase()
     index = PolicyIndex(policies)
     last_raised: dict[str, int] = {}
@@ -408,11 +430,17 @@ def test_indexed_analysis_matches_analysis_of_every_policy(policies, steps):
         except StaleObservationError:
             continue
         index.put(key, before, value)
+        assert index.next_wake == min((t for t, _ in index._wakes), default=math.inf)
         if not analyzed:
             continue
         at = now + look_ahead
+        if not index.live and index.next_wake > at:
+            state = copy.deepcopy(vars(index))
+            assert index.due(at) == []
+            assert vars(index) == state
         expected = analyze(kb, policies, at, dict(last_raised))
         assert indexed_outcome(kb, index, at, last_raised) == expected
+        assert index.next_wake == min((t for t, _ in index._wakes), default=math.inf)
         for symptom in expected:
             last_raised[symptom.policy] = at
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from fogloop.errors import ConfigError
-from fogloop.mape import KnowledgeBase, Observation, analyze
+from fogloop.mape import KnowledgeBase, Observation, PolicyIndex, analyze
 from fogloop.metrics import MetricsFold, compute_metrics, metrics_csv
 from fogloop.model import value_conforms
 from fogloop.runtime import Runtime, RunResult, discrete_snapshot, run_scenario
@@ -266,6 +266,36 @@ def test_analysis_runs_only_while_a_policy_can_fire(monkeypatch, name, most):
     scenario = load_scenario(str(SCENARIOS / f"smart_building_{name}.json"))
     run_scenario(scenario, seed=42, horizon=600_000)
     assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("name", ["1office", "3office_decentralized"])
+def test_a_put_reaches_the_index_and_analysis_only_when_they_can_act(monkeypatch, name):
+    """The policy index hears only of a put that changed its stream's value,
+    and a loop looks for due policies only when one is live or a wake has
+    come, so every look is followed by an analysis. With no master, no
+    aggregate re-analyses unchecked."""
+    counts = {"due": 0, "analyze": 0, "index_put": 0, "changed": 0}
+    put = KnowledgeBase.put
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def kb_put(kb, obs):
+        before = kb.get(obs.service, obs.parameter)
+        put(kb, obs)
+        counts["changed"] += before is None or before.value != obs.value
+
+    monkeypatch.setattr(KnowledgeBase, "put", kb_put)
+    monkeypatch.setattr(PolicyIndex, "due", counting("due", PolicyIndex.due))
+    monkeypatch.setattr(PolicyIndex, "put", counting("index_put", PolicyIndex.put))
+    monkeypatch.setattr("fogloop.runtime.analyze", counting("analyze", analyze))
+    scenario = load_scenario(str(SCENARIOS / f"smart_building_{name}.json"))
+    run_scenario(scenario, seed=42, horizon=600_000)
+    assert 0 < counts["analyze"] == counts["due"]
+    assert 0 < counts["index_put"] == counts["changed"]
 
 
 CHECKPOINT_MS, RESUMED_MS = 600_000, 1_800_000

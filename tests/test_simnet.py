@@ -206,6 +206,20 @@ def test_horizon_zero_processes_only_t0_events():
     assert sim.now == 0
 
 
+def test_the_header_horizon_is_the_largest_reached():
+    """A horizon behind the clock runs nothing, and the header keeps the
+    span the run covered, which a reader of the trace integrates over."""
+    sim = Simulator(three_tier(), seed=0)
+    sim.schedule(100, lambda: None)
+    assert sim.trace.header["horizon"] is None
+    sim.run_until(100)
+    sim.run_until(50)
+    assert sim.now == 100
+    assert sim.trace.header["horizon"] == 100
+    sim.run_until(150)
+    assert sim.trace.header["horizon"] == 150
+
+
 def test_scheduling_at_the_clock_runs_after_its_time_and_before_later_ones():
     sim = Simulator(three_tier(), seed=0)
     order: list[tuple[str, int]] = []
